@@ -30,10 +30,6 @@ namespace aplace::gp {
 enum class WlSmoothing : std::uint8_t { WeightedAverage, LogSumExp };
 
 struct EPlaceGpOptions : GpCommonOptions {
-  /// Round `bins` up to the next power of two so the electrostatic Poisson
-  /// solve takes the O(n log n) FFT path instead of the O(n^2) dense-basis
-  /// fallback. Disable only to exercise the fallback deliberately.
-  bool pow2_bins = true;
   int max_iters = 600;
   int min_iters = 60;  ///< run at least this many iterations
 

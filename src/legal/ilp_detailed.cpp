@@ -1,17 +1,12 @@
 #include "legal/ilp_detailed.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
-#include <set>
 
+#include "legal/formulation.hpp"
 #include "legal/projection.hpp"
-#include "legal/relative_order.hpp"
 
 namespace aplace::legal {
-
-using netlist::Axis;
 
 IlpDetailedPlacer::IlpDetailedPlacer(const netlist::CompiledCircuit& compiled,
                                      IlpOptions opts)
@@ -37,16 +32,9 @@ IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
   APLACE_CHECK(gp_positions.size() == 2 * n);
   const double gu = opts_.grid_pitch;  // um per grid unit
 
-  std::vector<double> start(gp_positions.begin(), gp_positions.end());
-  sanitize_positions(c, start);
-  project_symmetry(c, start);
-  project_ordering(c, start);
-  project_centroid(c, start);
   // Initial separation directions from the (projected) GP solution, for
   // every pair (paper Fig. 4a).
-  std::vector<PairOrder> orders = reduce_transitive(
-      derive_pair_orders(c, start, std::numeric_limits<double>::infinity()),
-      n);
+  std::vector<PairOrder> orders = start_orders(c, gp_positions);
 
   IlpResult result{netlist::Placement(c)};
   if (opts_.deadline.expired()) {
@@ -59,7 +47,7 @@ IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
         aplace::Status::cancelled("ILP legalization cancelled before it ran");
     return result;
   }
-  std::vector<int> vx(n), vy(n), vfx(n, -1), vfy(n, -1);
+  RoundVars vars;
 
   // Direction refinement: solve, re-derive every pair's direction from the
   // solved (legal) placement, re-solve. A legal placement always satisfies
@@ -76,8 +64,7 @@ IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
     // Round 0 decides the flipping binaries by branch-and-bound; later
     // refinement rounds keep them fixed so each round is a single LP.
     solver::MilpSolution sol =
-        solve_round(orders, round == 0 ? nullptr : &fixed_flips, vx, vy, vfx,
-                    vfy, result);
+        solve_round(orders, round == 0 ? nullptr : &fixed_flips, vars, result);
     if (!sol.ok()) {
       if (!have_solution) {
         // Nothing usable yet: report why instead of handing back the
@@ -99,23 +86,15 @@ IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
     if (round == 0 && opts_.enable_flipping) {
       fixed_flips.resize(n);
       for (std::size_t i = 0; i < n; ++i) {
-        fixed_flips[i] = {vfx[i] >= 0 && sol.x[vfx[i]] > 0.5,
-                          vfy[i] >= 0 && sol.x[vfy[i]] > 0.5};
+        fixed_flips[i] = {vars.fx[i] >= 0 && sol.x[vars.fx[i]] > 0.5,
+                          vars.fy[i] >= 0 && sol.x[vars.fy[i]] > 0.5};
       }
     }
     if (sol.objective >= best_obj - 1e-9) break;
     best_obj = sol.objective;
-    finish_placement(sol, vx, vy, vfx, vfy, result);
+    finish_placement(sol, vars, result);
     have_solution = true;
-
-    std::vector<double> pos(2 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-      pos[i] = sol.x[vx[i]] * gu;
-      pos[n + i] = sol.x[vy[i]] * gu;
-    }
-    orders = reduce_transitive(
-        derive_pair_orders(c, pos, std::numeric_limits<double>::infinity()),
-        n);
+    orders = solved_orders(c, sol.x, vars.dev, gu);
   }
 
   // --- critical-chain reshaping ------------------------------------------------
@@ -194,28 +173,19 @@ IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
       }
       solver::MilpSolution sol =
           solve_round(trial, opts_.enable_flipping ? &fixed_flips : nullptr,
-                      vx, vy, vfx, vfy, result);
+                      vars, result);
       if (sol.ok() && sol.objective < best_obj - 1e-9) {
         // The flipped edge may have carried transitive implications, so
         // verify the trial is actually overlap-free before accepting.
-        IlpResult trial_result{netlist::Placement(c)};
-        trial_result.status = sol.status;
-        finish_placement(sol, vx, vy, vfx, vfy, trial_result);
-        if (!netlist::Evaluator(c).evaluate(trial_result.placement).legal(
-                1e-6)) {
+        SolvedPlacement trial_pl = placement_from_solution(
+            c, sol.x, vars.dev, gu, vars.fx, vars.fy);
+        if (!netlist::Evaluator(c).evaluate(trial_pl.placement).legal(1e-6)) {
           continue;
         }
         best_obj = sol.objective;
-        finish_placement(sol, vx, vy, vfx, vfy, result);
-        std::vector<double> npos(2 * n);
-        for (std::size_t i = 0; i < n; ++i) {
-          npos[i] = sol.x[vx[i]] * gu;
-          npos[n + i] = sol.x[vy[i]] * gu;
-        }
-        orders = reduce_transitive(
-            derive_pair_orders(c, npos,
-                               std::numeric_limits<double>::infinity()),
-            n);
+        result.placement = std::move(trial_pl.placement);
+        result.snapped = trial_pl.snapped;
+        orders = solved_orders(c, sol.x, vars.dev, gu);
         improved = true;
         ++result.reshape_accepted;
         break;
@@ -230,11 +200,10 @@ IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
   if (opts_.enable_flipping && opts_.refine_rounds > 1 &&
       !opts_.deadline.expired() && !opts_.cancel.cancelled()) {
     // Small node budget: the relaxation is usually near-integral by now.
-    solver::MilpSolution sol =
-        solve_round(orders, nullptr, vx, vy, vfx, vfy, result, 8);
+    solver::MilpSolution sol = solve_round(orders, nullptr, vars, result, 8);
     if (sol.ok() && sol.objective < best_obj - 1e-9) {
       best_obj = sol.objective;
-      finish_placement(sol, vx, vy, vfx, vfy, result);
+      finish_placement(sol, vars, result);
     }
   }
 
@@ -248,21 +217,13 @@ IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
 
 solver::MilpSolution IlpDetailedPlacer::solve_round(
     const std::vector<PairOrder>& orders,
-    const std::vector<geom::Orientation>* fixed_flips, std::vector<int>& vx,
-    std::vector<int>& vy, std::vector<int>& vfx, std::vector<int>& vfy,
+    const std::vector<geom::Orientation>* fixed_flips, RoundVars& vars,
     IlpResult& result, long max_nodes) const {
-  const netlist::Circuit& c = *circuit_;
   const netlist::CompiledCircuit& cc = *compiled_;
   const std::size_t n = cc.num_devices();
   const double gu = opts_.grid_pitch;
   const std::span<const double> dev_w = cc.dev_width();
   const std::span<const double> dev_h = cc.dev_height();
-
-  // ---- variables -------------------------------------------------------------
-  solver::LpProblem lp;
-  const double inf = solver::kInf;
-  auto gw = [&](std::size_t d) { return dev_w[d] / gu; };
-  auto gh = [&](std::size_t d) { return dev_h[d] / gu; };
 
   // W~ = H~ = sqrt(sum s_i / zeta) in grid units (paper constants).
   double total_area_gu = 0;
@@ -271,23 +232,10 @@ solver::MilpSolution IlpDetailedPlacer::solve_round(
   }
   const double wh_tilde = std::sqrt(total_area_gu / opts_.utilization);
 
-  vx.assign(n, -1);
-  vy.assign(n, -1);
-  vfx.assign(n, -1);
-  vfy.assign(n, -1);
-  double max_w = 0, max_h = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    vx[i] =
-        lp.add_variable(gw(i) / 2, inf, 0.0, c.device(DeviceId{i}).name + ".x");
-    vy[i] =
-        lp.add_variable(gh(i) / 2, inf, 0.0, c.device(DeviceId{i}).name + ".y");
-    max_w = std::max(max_w, gw(i));
-    max_h = std::max(max_h, gh(i));
-  }
-  const int vW =
-      lp.add_variable(max_w, inf, opts_.mu * wh_tilde / 2.0, "W");
-  const int vH =
-      lp.add_variable(max_h, inf, opts_.mu * wh_tilde / 2.0, "H");
+  solver::LpProblem lp;
+  vars.dev = add_device_vars(lp, cc, gu, opts_.mu * wh_tilde / 2.0);
+  vars.fx.assign(n, -1);
+  vars.fy.assign(n, -1);
   if (opts_.enable_flipping) {
     // A flip variable only matters when some pin is offset from the device
     // center line in that dimension; otherwise skip it (fewer binaries).
@@ -300,147 +248,32 @@ solver::MilpSolution IlpDetailedPlacer::solve_round(
       if (std::abs(dev_w[i] - 2 * pox[p]) > 1e-12) fx_useful[i] = 1;
       if (std::abs(dev_h[i] - 2 * poy[p]) > 1e-12) fy_useful[i] = 1;
     }
+    auto add_flip = [&](bool fixed_value) {
+      const int var = lp.add_variable(0, 1, 0.0);
+      if (fixed_flips == nullptr) {
+        lp.set_integer(var);
+      } else {
+        const double f = fixed_value ? 1.0 : 0.0;
+        lp.set_bounds(var, f, f);
+      }
+      return var;
+    };
     for (std::size_t i = 0; i < n; ++i) {
-      const std::string& name = c.device(DeviceId{i}).name;
       if (fx_useful[i]) {
-        vfx[i] = lp.add_variable(0, 1, 0.0, name + ".fx");
-        if (fixed_flips == nullptr) {
-          lp.set_integer(vfx[i]);
-        } else {
-          const double f = (*fixed_flips)[i].flip_x ? 1.0 : 0.0;
-          lp.set_bounds(vfx[i], f, f);
-        }
+        vars.fx[i] = add_flip(fixed_flips && (*fixed_flips)[i].flip_x);
       }
       if (fy_useful[i]) {
-        vfy[i] = lp.add_variable(0, 1, 0.0, name + ".fy");
-        if (fixed_flips == nullptr) {
-          lp.set_integer(vfy[i]);
-        } else {
-          const double f = (*fixed_flips)[i].flip_y ? 1.0 : 0.0;
-          lp.set_bounds(vfy[i], f, f);
-        }
+        vars.fy[i] = add_flip(fixed_flips && (*fixed_flips)[i].flip_y);
       }
     }
   }
-  // Net bounding boxes (xmin, xmax, ymin, ymax).
-  const std::size_t ne = cc.num_nets();
-  const std::span<const double> net_weight = cc.net_weight();
-  std::vector<std::array<int, 4>> vnet(ne);
-  for (std::size_t e = 0; e < ne; ++e) {
-    const double w = net_weight[e];
-    vnet[e][0] = lp.add_variable(0, inf, -w, c.net(NetId{e}).name + ".xmin");
-    vnet[e][1] = lp.add_variable(0, inf, +w, c.net(NetId{e}).name + ".xmax");
-    vnet[e][2] = lp.add_variable(0, inf, -w, c.net(NetId{e}).name + ".ymin");
-    vnet[e][3] = lp.add_variable(0, inf, +w, c.net(NetId{e}).name + ".ymax");
-  }
+  add_net_boxes(lp, cc, gu, vars.dev, vars.fx, vars.fy);
+  add_die_extents(lp, cc, gu, vars.dev);
+  add_separation(lp, cc, gu, vars.dev, orders);
+  add_symmetry(lp, cc, vars.dev);
+  add_alignment(lp, cc, gu, vars.dev);
+  add_centroid(lp, cc, vars.dev);
 
-  using solver::LpTerm;
-  using solver::Relation;
-
-  // ---- (4b)+(4d): net bounds over pin positions with flipping ----------------
-  const std::span<const std::uint32_t> pin_device = cc.pin_device();
-  const std::span<const double> pin_off_x = cc.pin_offset_x();
-  const std::span<const double> pin_off_y = cc.pin_offset_y();
-  for (std::size_t e = 0; e < ne; ++e) {
-    for (std::uint32_t pid : cc.net_pins(e)) {
-      const std::size_t i = pin_device[pid];
-      // Offsets from the device *center* in grid units; flipping adds
-      // f * (w - 2*xpin).
-      const double cx = (pin_off_x[pid] - dev_w[i] / 2) / gu;
-      const double cy = (pin_off_y[pid] - dev_h[i] / 2) / gu;
-      const double dx = (dev_w[i] - 2 * pin_off_x[pid]) / gu;
-      const double dy = (dev_h[i] - 2 * pin_off_y[pid]) / gu;
-
-      auto bound = [&](int vmin, int vmax, int vpos, int vflip, double c0,
-                       double dflip) {
-        std::vector<LpTerm> lo{{vmin, 1.0}, {vpos, -1.0}};
-        std::vector<LpTerm> hi{{vpos, 1.0}, {vmax, -1.0}};
-        if (vflip >= 0 && dflip != 0.0) {
-          lo.push_back({vflip, -dflip});
-          hi.push_back({vflip, +dflip});
-        }
-        lp.add_constraint(std::move(lo), Relation::LessEq, c0);
-        lp.add_constraint(std::move(hi), Relation::LessEq, -c0);
-      };
-      bound(vnet[e][0], vnet[e][1], vx[i], vfx[i], cx, dx);
-      bound(vnet[e][2], vnet[e][3], vy[i], vfy[i], cy, dy);
-    }
-  }
-
-  // ---- (4c): die extents -------------------------------------------------------
-  for (std::size_t i = 0; i < n; ++i) {
-    lp.add_constraint({{vx[i], 1.0}, {vW, -1.0}}, Relation::LessEq,
-                      -gw(i) / 2);
-    lp.add_constraint({{vy[i], 1.0}, {vH, -1.0}}, Relation::LessEq,
-                      -gh(i) / 2);
-  }
-
-  // ---- (4e)+(4i): pairwise separation ------------------------------------------
-  for (const PairOrder& po : orders) {
-    const std::size_t a = po.left_or_bottom.index();
-    const std::size_t b = po.right_or_top.index();
-    if (po.horizontal) {
-      lp.add_constraint({{vx[a], 1.0}, {vx[b], -1.0}}, Relation::LessEq,
-                        -(gw(a) + gw(b)) / 2);
-    } else {
-      lp.add_constraint({{vy[a], 1.0}, {vy[b], -1.0}}, Relation::LessEq,
-                        -(gh(a) + gh(b)) / 2);
-    }
-  }
-
-  // ---- (4f): hard symmetry -------------------------------------------------------
-  for (std::size_t g = 0; g < cc.num_symmetry_groups(); ++g) {
-    const bool vert = cc.sym_axis(g) == Axis::Vertical;
-    const int vm = lp.add_variable(0, inf, 0.0, "axis");
-    auto mir_var = [&](std::size_t d) { return vert ? vx[d] : vy[d]; };
-    auto ort_var = [&](std::size_t d) { return vert ? vy[d] : vx[d]; };
-    const std::span<const std::uint32_t> pa = cc.sym_pair_a(g);
-    const std::span<const std::uint32_t> pb = cc.sym_pair_b(g);
-    for (std::size_t k = 0; k < pa.size(); ++k) {
-      lp.add_constraint(
-          {{mir_var(pa[k]), 1.0}, {mir_var(pb[k]), 1.0}, {vm, -2.0}},
-          Relation::Equal, 0.0);
-      lp.add_constraint({{ort_var(pa[k]), 1.0}, {ort_var(pb[k]), -1.0}},
-                        Relation::Equal, 0.0);
-    }
-    for (std::uint32_t d : cc.sym_self(g)) {
-      lp.add_constraint({{mir_var(d), 1.0}, {vm, -1.0}}, Relation::Equal,
-                        0.0);
-    }
-  }
-
-  // ---- (4g)+(4h): alignment -------------------------------------------------------
-  for (std::size_t k = 0; k < cc.num_alignments(); ++k) {
-    const std::size_t a = cc.align_a()[k], b = cc.align_b()[k];
-    switch (cc.align_kind()[k]) {
-      case netlist::AlignmentKind::Bottom:
-        lp.add_constraint({{vy[a], 1.0}, {vy[b], -1.0}}, Relation::Equal,
-                          (gh(a) - gh(b)) / 2);
-        break;
-      case netlist::AlignmentKind::VerticalCenter:
-        lp.add_constraint({{vx[a], 1.0}, {vx[b], -1.0}}, Relation::Equal,
-                          0.0);
-        break;
-      case netlist::AlignmentKind::HorizontalCenter:
-        lp.add_constraint({{vy[a], 1.0}, {vy[b], -1.0}}, Relation::Equal,
-                          0.0);
-        break;
-    }
-  }
-
-  // ---- common centroid: diagonal-sum equalities --------------------------------
-  for (std::size_t q = 0; q < cc.num_centroids(); ++q) {
-    const std::size_t a1 = cc.cent_a1()[q], a2 = cc.cent_a2()[q];
-    const std::size_t b1 = cc.cent_b1()[q], b2 = cc.cent_b2()[q];
-    lp.add_constraint(
-        {{vx[a1], 1.0}, {vx[a2], 1.0}, {vx[b1], -1.0}, {vx[b2], -1.0}},
-        Relation::Equal, 0.0);
-    lp.add_constraint(
-        {{vy[a1], 1.0}, {vy[a2], 1.0}, {vy[b1], -1.0}, {vy[b2], -1.0}},
-        Relation::Equal, 0.0);
-  }
-
-  // ---- solve -------------------------------------------------------------------
   solver::MilpOptions mopts;
   mopts.max_nodes = max_nodes > 0 ? max_nodes : opts_.max_nodes;
   mopts.deadline = opts_.deadline;
@@ -453,46 +286,12 @@ solver::MilpSolution IlpDetailedPlacer::solve_round(
 }
 
 void IlpDetailedPlacer::finish_placement(const solver::MilpSolution& sol,
-                                         const std::vector<int>& vx,
-                                         const std::vector<int>& vy,
-                                         const std::vector<int>& vfx,
-                                         const std::vector<int>& vfy,
+                                         const RoundVars& vars,
                                          IlpResult& result) const {
-  const netlist::Circuit& c = *circuit_;
-  const std::size_t n = c.num_devices();
-  const double gu = opts_.grid_pitch;
-
-  auto build_placement = [&](bool snap) {
-    netlist::Placement pl(c);
-    for (std::size_t i = 0; i < n; ++i) {
-      double x = sol.x[vx[i]];
-      double y = sol.x[vy[i]];
-      if (snap) {
-        x = std::round(x);
-        y = std::round(y);
-      }
-      pl.set_position(DeviceId{i}, {x * gu, y * gu});
-      if (opts_.enable_flipping) {
-        pl.set_orientation(DeviceId{i},
-                           {vfx[i] >= 0 && sol.x[vfx[i]] > 0.5,
-                            vfy[i] >= 0 && sol.x[vfy[i]] > 0.5});
-      }
-    }
-    pl.normalize_to_origin();
-    return pl;
-  };
-
-  // Snap to the grid; keep the raw (feasible) solution if snapping breaks
-  // legality (possible when the LP optimum is fractional).
-  const netlist::Evaluator eval(c);
-  netlist::Placement snapped = build_placement(true);
-  if (eval.evaluate(snapped).legal(1e-6)) {
-    result.placement = std::move(snapped);
-    result.snapped = true;
-  } else {
-    result.placement = build_placement(false);
-    result.snapped = false;
-  }
+  SolvedPlacement solved = placement_from_solution(
+      *circuit_, sol.x, vars.dev, opts_.grid_pitch, vars.fx, vars.fy);
+  result.placement = std::move(solved.placement);
+  result.snapped = solved.snapped;
 }
 
 }  // namespace aplace::legal

@@ -19,6 +19,7 @@
 #include "base/cancel.hpp"
 #include "base/deadline.hpp"
 #include "base/status.hpp"
+#include "legal/formulation.hpp"
 #include "legal/relative_order.hpp"
 #include "netlist/compiled.hpp"
 #include "netlist/evaluator.hpp"
@@ -84,18 +85,21 @@ class IlpDetailedPlacer {
   [[nodiscard]] IlpResult place(std::span<const double> gp_positions) const;
 
  private:
+  /// LP variable indices of one round.
+  struct RoundVars {
+    DeviceVars dev;
+    std::vector<int> fx, fy;  ///< flip binaries per device, -1 where none
+  };
+
   /// Build and solve one round. When `fixed_flips` is non-null the flipping
   /// variables are pinned (pure LP); otherwise they are binaries solved by
   /// branch-and-bound.
   [[nodiscard]] solver::MilpSolution solve_round(
       const std::vector<PairOrder>& orders,
-      const std::vector<geom::Orientation>* fixed_flips, std::vector<int>& vx,
-      std::vector<int>& vy, std::vector<int>& vfx, std::vector<int>& vfy,
+      const std::vector<geom::Orientation>* fixed_flips, RoundVars& vars,
       IlpResult& result, long max_nodes = 0) const;
-  void finish_placement(const solver::MilpSolution& sol,
-                        const std::vector<int>& vx, const std::vector<int>& vy,
-                        const std::vector<int>& vfx,
-                        const std::vector<int>& vfy, IlpResult& result) const;
+  void finish_placement(const solver::MilpSolution& sol, const RoundVars& vars,
+                        IlpResult& result) const;
 
   const netlist::Circuit* circuit_;
   const netlist::CompiledCircuit* compiled_;

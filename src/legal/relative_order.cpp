@@ -1,6 +1,5 @@
 #include "legal/relative_order.hpp"
 
-#include <limits>
 #include <map>
 #include <numeric>
 
@@ -125,23 +124,6 @@ bool direction_for(const geom::Rect& ri, const geom::Rect& rj) {
 
 }  // namespace
 
-PairOrder derive_single_order(const netlist::Circuit& circuit,
-                              std::span<const double> positions, DeviceId a,
-                              DeviceId b) {
-  const std::size_t n = circuit.num_devices();
-  const geom::Rect ra = rect_of(circuit, positions, a.index());
-  const geom::Rect rb = rect_of(circuit, positions, b.index());
-  const bool horizontal = direction_for(ra, rb);
-  const double ca = horizontal ? positions[a.index()] : positions[n + a.index()];
-  const double cb = horizontal ? positions[b.index()] : positions[n + b.index()];
-  PairOrder po;
-  po.horizontal = horizontal;
-  const bool a_first = ca < cb || (ca == cb && a.index() < b.index());
-  po.left_or_bottom = a_first ? a : b;
-  po.right_or_top = a_first ? b : a;
-  return po;
-}
-
 std::optional<bool> forced_direction(const netlist::Circuit& circuit,
                                      DeviceId a, DeviceId b) {
   const ForcedMap forced = forced_directions(circuit);
@@ -152,8 +134,7 @@ std::optional<bool> forced_direction(const netlist::Circuit& circuit,
 }
 
 std::vector<PairOrder> derive_pair_orders(const netlist::Circuit& circuit,
-                                          std::span<const double> positions,
-                                          double proximity_margin) {
+                                          std::span<const double> positions) {
   const std::size_t n = circuit.num_devices();
   APLACE_CHECK(positions.size() == 2 * n);
   std::vector<PairOrder> out;
@@ -219,9 +200,6 @@ std::vector<PairOrder> derive_pair_orders(const netlist::Circuit& circuit,
       if (auto it = forced.find(key(i, j)); it != forced.end()) {
         horizontal = it->second.horizontal;
       } else {
-        // Skip distant pairs; callers using a finite margin add them back
-        // lazily if they collide.
-        if (!ri.inflated(proximity_margin / 2).overlaps(rj)) continue;
         const bool same_x = ties.x_class.find(i) == ties.x_class.find(j);
         const bool same_y = ties.y_class.find(i) == ties.y_class.find(j);
         if (same_x && !same_y) {

@@ -22,21 +22,12 @@ struct PairOrder {
   bool horizontal = true;  ///< true: member of P^H, false: P^V
 };
 
-/// Derive separation constraints for pairs that are overlapping or within
-/// `proximity_margin` um of each other (the paper constrains only
-/// overlapping pairs; the margin guards against near-misses). Pairs whose
+/// Derive a separation constraint for every device pair. Pairs whose
 /// direction is forced by a constraint group (symmetry / alignment /
-/// ordering) are always included. Pass proximity_margin = infinity to
-/// constrain every pair. Callers run lazy rounds: solve, detect any new
-/// overlaps, extend with derive_single_order(), re-solve.
+/// ordering) take that direction. Devices tied by an equality in one
+/// dimension separate in the other; the rest follow the rules above.
 [[nodiscard]] std::vector<PairOrder> derive_pair_orders(
-    const netlist::Circuit& circuit, std::span<const double> positions,
-    double proximity_margin = 1.0);
-
-/// Direction + order for one pair at the given positions (overlap rule).
-[[nodiscard]] PairOrder derive_single_order(const netlist::Circuit& circuit,
-                                            std::span<const double> positions,
-                                            DeviceId a, DeviceId b);
+    const netlist::Circuit& circuit, std::span<const double> positions);
 
 /// Direction forced by a constraint group between two devices, if any:
 /// true = must separate horizontally, false = vertically, nullopt = free.

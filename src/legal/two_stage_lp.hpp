@@ -25,17 +25,10 @@ namespace aplace::legal {
 
 struct TwoStageOptions {
   double grid_pitch = 0.5;
-  double area_slack = 1.0;  ///< stage-2 W/H cap = slack * stage-1 extents
-  /// Direction-refinement rounds. Default 1 = the faithful single-pass
-  /// behaviour of [11] (area LP, then wirelength LP); the iterative
-  /// refinement is an ePlace-A-side enhancement.
-  int refine_rounds = 1;
-  /// Wall-clock budget; checked between refinement rounds (a solved round
-  /// is always kept).
+  /// Wall-clock budget; checked once before the two LPs run.
   Deadline deadline;
-  /// Cooperative cancellation. Unlike an expired deadline — which still
-  /// delivers the best solved round — a cancelled legalizer returns a
-  /// Cancelled outcome immediately so the batch can drain fast.
+  /// Cooperative cancellation, checked at the same point; a cancelled
+  /// legalizer returns a Cancelled outcome so the batch can drain fast.
   base::CancelToken cancel;
 };
 
@@ -71,9 +64,9 @@ class TwoStageLpLegalizer {
       std::span<const double> gp_positions) const;
 
  private:
-  /// One stage-1 + stage-2 pass under the given separation constraints.
-  /// Returns false (with status set) when either LP fails.
-  bool run_stages(const std::vector<PairOrder>& orders,
+  /// The stage-1 + stage-2 pass under the given separation constraints;
+  /// sets `result.outcome` to why when either LP fails.
+  void run_stages(const std::vector<PairOrder>& orders,
                   TwoStageResult& result) const;
 
   const netlist::Circuit* circuit_;

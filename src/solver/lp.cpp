@@ -16,14 +16,12 @@ const char* to_string(LpStatus s) {
   return "?";
 }
 
-int LpProblem::add_variable(double lo, double hi, double cost,
-                            std::string name) {
+int LpProblem::add_variable(double lo, double hi, double cost) {
   APLACE_CHECK_MSG(lo <= hi, "variable bounds crossed");
   lo_.push_back(lo);
   hi_.push_back(hi);
   cost_.push_back(cost);
   integer_.push_back(0);
-  names_.push_back(std::move(name));
   return static_cast<int>(lo_.size()) - 1;
 }
 
@@ -130,8 +128,8 @@ Standard to_standard_form(const LpProblem& p) {
 // storage: a_[r * stride + c], last column = rhs.
 class Tableau {
  public:
-  Tableau(const Standard& s, const SimplexOptions& opts)
-      : opts_(opts), m_(s.rows.size()), n_struct_(s.n_cols) {
+  explicit Tableau(const Standard& s)
+      : m_(s.rows.size()), n_struct_(s.n_cols) {
     // Normalize rows so rhs >= 0 first.
     std::vector<std::vector<double>> rows = s.rows;
     std::vector<Relation> rels = s.rels;
@@ -180,9 +178,7 @@ class Tableau {
     }
     cost_.assign(n_total_, 0.0);
     for (std::size_t j = 0; j < n_struct_; ++j) cost_[j] = s.cost[j];
-    max_iters_ = opts_.max_iters > 0
-                     ? opts_.max_iters
-                     : static_cast<long>(60 * (m_ + n_total_) + 2000);
+    max_iters_ = static_cast<long>(60 * (m_ + n_total_) + 2000);
   }
 
   LpStatus solve() {
@@ -200,7 +196,10 @@ class Tableau {
           const double* row = &a_[i * stride_];
           std::size_t piv = n_total_;
           for (std::size_t j = 0; j < art_begin_; ++j) {
-            if (std::abs(row[j]) > opts_.tol) { piv = j; break; }
+            if (std::abs(row[j]) > kTol) {
+              piv = j;
+              break;
+            }
           }
           if (piv < n_total_) pivot(i, piv);
           // else: redundant row; artificial stays basic at value 0.
@@ -270,7 +269,7 @@ class Tableau {
       // Entering column: Dantzig rule, Bland after a degeneracy streak.
       const bool bland = degenerate_streak > static_cast<long>(m_) + 50;
       std::size_t enter = n_total_;
-      double best = -opts_.tol;
+      double best = -kTol;
       const std::size_t limit = phase1 ? n_total_ : art_begin_;
       for (std::size_t j = 0; j < limit; ++j) {
         if (red_[j] < best) {
@@ -286,7 +285,7 @@ class Tableau {
       double best_ratio = kInf;
       for (std::size_t i = 0; i < m_; ++i) {
         const double aij = a_[i * stride_ + enter];
-        if (aij > opts_.tol) {
+        if (aij > kTol) {
           const double ratio = a_[i * stride_ + n_total_] / aij;
           if (ratio < best_ratio - 1e-12 ||
               (ratio < best_ratio + 1e-12 && leave < m_ &&
@@ -303,7 +302,7 @@ class Tableau {
     return LpStatus::IterLimit;
   }
 
-  SimplexOptions opts_;
+  static constexpr double kTol = 1e-9;  ///< pivot / feasibility tolerance
   std::size_t m_;
   std::size_t n_struct_;
   std::size_t n_total_ = 0;
@@ -318,7 +317,7 @@ class Tableau {
 
 }  // namespace
 
-LpSolution solve_lp(const LpProblem& p, SimplexOptions opts) {
+LpSolution solve_lp(const LpProblem& p) {
   LpSolution sol;
   const Standard s = to_standard_form(p);
   if (s.rows.empty()) {
@@ -345,7 +344,7 @@ LpSolution solve_lp(const LpProblem& p, SimplexOptions opts) {
     return sol;
   }
 
-  Tableau t(s, opts);
+  Tableau t(s);
   sol.status = t.solve();
   if (sol.status != LpStatus::Optimal) return sol;
 

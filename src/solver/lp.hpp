@@ -12,7 +12,6 @@
 // placer (paper Eq. 4d/4j).
 
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "base/check.hpp"
@@ -55,7 +54,7 @@ class LpProblem {
  public:
   /// Add a variable with bounds [lo, hi] and objective coefficient `cost`
   /// (minimization). Returns its index.
-  int add_variable(double lo, double hi, double cost, std::string name = "");
+  int add_variable(double lo, double hi, double cost);
 
   void add_constraint(std::vector<LpTerm> terms, Relation rel, double rhs);
 
@@ -79,7 +78,6 @@ class LpProblem {
   [[nodiscard]] double upper_bound(int v) const { return hi_[v]; }
   [[nodiscard]] double cost(int v) const { return cost_[v]; }
   [[nodiscard]] bool is_integer(int v) const { return integer_[v]; }
-  [[nodiscard]] const std::string& name(int v) const { return names_[v]; }
   [[nodiscard]] const std::vector<LpConstraint>& constraints() const {
     return constraints_;
   }
@@ -87,16 +85,11 @@ class LpProblem {
  private:
   std::vector<double> lo_, hi_, cost_;
   std::vector<char> integer_;
-  std::vector<std::string> names_;
   std::vector<LpConstraint> constraints_;
 };
 
-struct SimplexOptions {
-  long max_iters = 0;  ///< 0 = automatic (50 * (rows + cols))
-  double tol = 1e-9;   ///< pivot / feasibility tolerance
-};
-
-/// Solve the LP relaxation (integrality marks ignored).
-[[nodiscard]] LpSolution solve_lp(const LpProblem& p, SimplexOptions opts = {});
+/// Solve the LP relaxation (integrality marks ignored). Pivots use a 1e-9
+/// tolerance and stop at 60 * (rows + columns) + 2000 iterations.
+[[nodiscard]] LpSolution solve_lp(const LpProblem& p);
 
 }  // namespace aplace::solver

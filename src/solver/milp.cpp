@@ -14,11 +14,12 @@ struct Node {
   std::vector<std::tuple<int, double, double>> bounds;
 };
 
-// Most fractional integer variable, or nullopt when integral.
+// Most fractional integer variable (fractionality above 1e-6), or nullopt
+// when integral.
 std::optional<int> pick_branch_var(const LpProblem& p,
-                                   const std::vector<double>& x, double tol) {
+                                   const std::vector<double>& x) {
   int best = -1;
-  double best_frac = tol;
+  double best_frac = 1e-6;
   for (std::size_t j = 0; j < p.num_variables(); ++j) {
     if (!p.is_integer(static_cast<int>(j))) continue;
     const double f = x[j] - std::floor(x[j]);
@@ -70,7 +71,7 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
     }
     if (!bounds_ok) continue;
 
-    const LpSolution rel = solve_lp(work, opts.simplex);
+    const LpSolution rel = solve_lp(work);
     if (rel.status == LpStatus::Unbounded) {
       // MILP unbounded only if relaxation unbounded at the root.
       if (best.status == LpStatus::Infeasible && node.bounds.empty()) {
@@ -85,7 +86,7 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
       continue;  // pruned by bound
     }
 
-    const auto branch = pick_branch_var(p, rel.x, opts.int_tol);
+    const auto branch = pick_branch_var(p, rel.x);
     if (!branch) {
       // Integral: new incumbent.
       best.status = LpStatus::Optimal;
@@ -112,7 +113,7 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
     // Rounding fallback: solve the relaxation, fix every integer variable to
     // its rounded value, re-solve. Guarantees an answer when fixing keeps
     // the problem feasible (flipping binaries always do).
-    const LpSolution rel = solve_lp(p, opts.simplex);
+    const LpSolution rel = solve_lp(p);
     if (rel.ok()) {
       bool roundable = true;
       for (std::size_t j = 0; j < p.num_variables(); ++j) {
@@ -133,7 +134,7 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
         }
       }
       if (!roundable) return best;
-      const LpSolution fixed = solve_lp(work, opts.simplex);
+      const LpSolution fixed = solve_lp(work);
       if (fixed.ok()) {
         best.status = LpStatus::Optimal;
         best.x = fixed.x;

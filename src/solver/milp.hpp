@@ -17,8 +17,6 @@ namespace aplace::solver {
 
 struct MilpOptions {
   long max_nodes = 4000;
-  double int_tol = 1e-6;
-  SimplexOptions simplex;
   /// Wall-clock budget polled once per branch-and-bound node; an expired
   /// deadline truncates the search (rounding fallback still runs, so a
   /// feasible relaxation keeps yielding an integral answer).

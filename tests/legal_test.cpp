@@ -33,20 +33,11 @@ TEST(RelativeOrderTest, OverlapRuleSmallerDimensionWins) {
 
 TEST(RelativeOrderTest, DisjointKeepsSeparatingDimension) {
   const netlist::Circuit c = test::two_device_circuit();
-  // Disjoint in y only -> vertical order (no proximity cutoff here).
-  const auto orders =
-      derive_pair_orders(c, positions({1, 1.5}, {1, 6}), 1e9);
+  // Disjoint in y only -> vertical order.
+  const auto orders = derive_pair_orders(c, positions({1, 1.5}, {1, 6}));
   ASSERT_EQ(orders.size(), 1u);
   EXPECT_FALSE(orders[0].horizontal);
   EXPECT_EQ(orders[0].left_or_bottom, c.find_device("A"));
-}
-
-TEST(RelativeOrderTest, ProximityMarginSkipsFarPairs) {
-  const netlist::Circuit c = test::two_device_circuit();
-  const auto near = derive_pair_orders(c, positions({1, 30}, {1, 1}), 100.0);
-  EXPECT_EQ(near.size(), 1u);
-  const auto far = derive_pair_orders(c, positions({1, 30}, {1, 1}), 1.0);
-  EXPECT_TRUE(far.empty());
 }
 
 TEST(RelativeOrderTest, SymmetryPairForcedPerpendicularToAxis) {
@@ -61,7 +52,9 @@ TEST(RelativeOrderTest, SymmetryPairForcedPerpendicularToAxis) {
   v[c.find_device("S").index()] = 10;
   v[c.find_device("R1").index()] = 15;
   v[c.find_device("R2").index()] = 20;
-  for (const PairOrder& po : derive_pair_orders(c, v)) {
+  const std::vector<PairOrder> orders = derive_pair_orders(c, v);
+  EXPECT_EQ(orders.size(), n * (n - 1) / 2) << "every pair, near or far";
+  for (const PairOrder& po : orders) {
     const auto ids = std::make_pair(po.left_or_bottom, po.right_or_top);
     if ((ids.first == a && ids.second == b) ||
         (ids.first == b && ids.second == a)) {
@@ -82,7 +75,9 @@ TEST(RelativeOrderTest, OrderingConstraintFixesOrder) {
   v[c.find_device("B").index()] = 44;
   v[c.find_device("R2").index()] = 60;
   bool found = false;
-  for (const PairOrder& po : derive_pair_orders(c, v)) {
+  const std::vector<PairOrder> orders = derive_pair_orders(c, v);
+  EXPECT_EQ(orders.size(), n * (n - 1) / 2) << "every pair, near or far";
+  for (const PairOrder& po : orders) {
     if (po.left_or_bottom == r1 && po.right_or_top == s) {
       EXPECT_TRUE(po.horizontal);
       found = true;
@@ -118,8 +113,7 @@ TEST(RelativeOrderTest, TransitiveReductionDropsImpliedEdges) {
     cc.finalize();
     return cc;
   }();
-  const auto orders =
-      derive_pair_orders(c, positions({1, 4, 7}, {1, 1, 1}), 1e9);
+  const auto orders = derive_pair_orders(c, positions({1, 4, 7}, {1, 1, 1}));
   EXPECT_EQ(orders.size(), 3u);
   const auto reduced = reduce_transitive(orders, 3);
   EXPECT_EQ(reduced.size(), 2u);
@@ -265,6 +259,54 @@ namespace {
 // alignment/ordering handling, and lazy feasibility repairs).
 class LegalizerPropertyTest : public ::testing::TestWithParam<std::string> {};
 
+// Exact outputs per circuit (EXPECT_EQ, no tolerance). Both LP legalizers
+// build their problems from one shared formulation; these pins hold every
+// row, variable and row order fixed. Regenerate them only for an intended
+// change to a formulation or the solver, and say so in the commit message.
+struct IlpPin {
+  const char* name;
+  double hpwl, area, objective;
+  long bb_nodes;
+  bool snapped;
+};
+constexpr IlpPin kIlpPins[] = {
+    {"Adder", 82.450000000000003, 72, 458.45501265443494, 35, true},
+    {"CC-OTA", 131.40000000000001, 153, 905.43095587945766, 36, true},
+    {"Comp1", 153.44999999999999, 144, 890.77420812114201, 39, true},
+    {"Comp2", 172.90000000000001, 162, 1057.1457157196683, 38, true},
+    {"CM-OTA1", 95.700000000000003, 126, 749.63748611956453, 40, true},
+    {"CM-OTA2", 142.79999999999998, 176, 1035.2617419027913, 43, true},
+    {"SCF", 621.39999999999998, 1302, 6941.7325954315957, 41, true},
+    {"VGA", 145.89999999999998, 143, 892.01814216317894, 39, true},
+    {"VCO1", 233.20000000000002, 342, 1919.4826166839553, 11, true},
+    {"VCO2", 448.89999999999998, 490, 2995.5078399572672, 32, true},
+};
+
+struct TwoStagePin {
+  const char* name;
+  double hpwl, area, stage1_width, stage1_height;
+};
+constexpr TwoStagePin kTwoStagePins[] = {
+    {"Adder", 83.649999999999991, 72, 16, 18},
+    {"CC-OTA", 192.40000000000001, 180, 24, 30},
+    {"Comp1", 161.30000000000001, 180, 20, 36},
+    {"Comp2", 206.5, 154, 22, 28},
+    {"CM-OTA1", 149.09999999999999, 154, 28, 22},
+    {"CM-OTA2", 204.5, 180, 18, 40},
+    {"SCF", 880.29999999999995, 1750, 100, 70},
+    {"VGA", 204.69999999999999, 170.5, 31, 22},
+    {"VCO1", 308.39999999999998, 318.5, 49, 26},
+    {"VCO2", 472.19999999999999, 661.5, 48.999999999999986, 54},
+};
+
+template <class Pin, std::size_t N>
+const Pin* find_pin(const Pin (&pins)[N], const std::string& name) {
+  for (const Pin& p : pins) {
+    if (name == p.name) return &p;
+  }
+  return nullptr;
+}
+
 TEST_P(LegalizerPropertyTest, IlpLegalOnEveryCircuit) {
   circuits::TestCase tc = circuits::make_testcase(GetParam());
   const netlist::Circuit& c = tc.circuit;
@@ -288,6 +330,14 @@ TEST_P(LegalizerPropertyTest, IlpLegalOnEveryCircuit) {
       << GetParam() << ": overlap=" << q.overlap_area
       << " sym=" << q.symmetry_violation << " align=" << q.alignment_violation
       << " order=" << q.ordering_violation;
+
+  const IlpPin* pin = find_pin(kIlpPins, GetParam());
+  ASSERT_NE(pin, nullptr) << GetParam();
+  EXPECT_EQ(q.hpwl, pin->hpwl) << GetParam();
+  EXPECT_EQ(q.area, pin->area) << GetParam();
+  EXPECT_EQ(r.objective, pin->objective) << GetParam();
+  EXPECT_EQ(r.bb_nodes, pin->bb_nodes) << GetParam();
+  EXPECT_EQ(r.snapped, pin->snapped) << GetParam();
 }
 
 TEST_P(LegalizerPropertyTest, TwoStageLegalOnEveryCircuit) {
@@ -309,8 +359,15 @@ TEST_P(LegalizerPropertyTest, TwoStageLegalOnEveryCircuit) {
 
   const TwoStageResult r = TwoStageLpLegalizer(c).place(v);
   ASSERT_TRUE(r.ok()) << GetParam();
-  EXPECT_TRUE(netlist::Evaluator(c).evaluate(r.placement).legal(1e-6))
-      << GetParam();
+  const netlist::QualityReport q = netlist::Evaluator(c).evaluate(r.placement);
+  EXPECT_TRUE(q.legal(1e-6)) << GetParam();
+
+  const TwoStagePin* pin = find_pin(kTwoStagePins, GetParam());
+  ASSERT_NE(pin, nullptr) << GetParam();
+  EXPECT_EQ(q.hpwl, pin->hpwl) << GetParam();
+  EXPECT_EQ(q.area, pin->area) << GetParam();
+  EXPECT_EQ(r.stage1_width, pin->stage1_width) << GetParam();
+  EXPECT_EQ(r.stage1_height, pin->stage1_height) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCircuits, LegalizerPropertyTest,

@@ -17,8 +17,8 @@ TEST(LpTest, SimpleBounded) {
   // max x + y s.t. x + 2y <= 4, 3x + y <= 6, x,y >= 0
   // => min -(x+y); optimum at intersection (1.6, 1.2), value 2.8.
   LpProblem p;
-  const int x = p.add_variable(0, kInf, -1.0, "x");
-  const int y = p.add_variable(0, kInf, -1.0, "y");
+  const int x = p.add_variable(0, kInf, -1.0);
+  const int y = p.add_variable(0, kInf, -1.0);
   p.add_constraint({{x, 1}, {y, 2}}, Relation::LessEq, 4);
   p.add_constraint({{x, 3}, {y, 1}}, Relation::LessEq, 6);
   const LpSolution s = solve_lp(p);
