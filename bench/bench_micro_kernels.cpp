@@ -210,11 +210,11 @@ void print_gp_term_breakdown(bench::JsonReport& json) {
   json.add_term_trace(circuit, "prior-work", pw.gp_trace);
 }
 
-// Quick-mode SA kernel table: the full-recompute annealer vs. the
-// incremental engine on the largest paper circuit at an identical move
-// budget, plus the naive-vs-LCS packing kernel on its own. The SA rows
-// carry moves_per_sec, which the regression gate rate-checks, so a change
-// that silently destroys annealing throughput fails CI.
+// Quick-mode SA kernel table: the annealer (incremental cost engine) on
+// the largest paper circuit at a fixed move budget, plus the naive-vs-LCS
+// packing kernel on its own. The SA row carries moves_per_sec, which the
+// regression gate rate-checks, so a change that silently destroys
+// annealing throughput fails CI.
 void print_sa_kernel_table(bench::JsonReport& json) {
   using clock = std::chrono::steady_clock;
 
@@ -229,58 +229,39 @@ void print_sa_kernel_table(bench::JsonReport& json) {
   }
   circuits::TestCase tc = circuits::make_testcase(largest);
   const netlist::Evaluator eval(tc.circuit);
-  std::printf(
-      "\n==== SA cost engine: full recompute vs incremental (%s, %zu devices) "
-      "====\n",
-      largest.c_str(), most);
+  std::printf("\n==== SA cost engine (%s, %zu devices) ====\n",
+              largest.c_str(), most);
   std::printf("%-22s %12s %12s %12s %10s %7s\n", "engine", "anneal (s)",
               "moves/sec", "hpwl", "area", "legal");
 
-  sa::SaOptions base = bench::paper_sa_options();
-  base.seed = 1;
-  // Fixed move budget: throughput comparisons are meaningless if the two
-  // engines anneal different move counts, and the quick default (20k moves,
-  // tens of ms) is timer-noise dominated.
-  base.max_moves = bench::quick_mode() ? 150000 : 400000;
-  const auto run_engine = [&](const char* flow, bool incremental) {
-    sa::SaOptions o = base;
-    o.incremental = incremental;
-    // The "before" side reproduces the seed kernel: naive O(n^2) pack plus
-    // full cost recompute per move.
-    o.naive_pack = !incremental;
-    // Best of three: the anneal is deterministic for a fixed seed, so reps
-    // agree on every metric except wall time; max moves/sec is the run
-    // least disturbed by machine load.
-    sa::SaResult r = sa::SaPlacer(tc.circuit, o).place();
-    for (int rep = 1; rep < 3; ++rep) {
-      sa::SaResult again = sa::SaPlacer(tc.circuit, o).place();
-      if (again.moves_per_second > r.moves_per_second) r = std::move(again);
-    }
-    const netlist::QualityReport q = eval.evaluate(r.placement);
-    std::printf("%-22s %12.3f %12.0f %12.2f %10.2f %7s\n", flow,
-                r.anneal_seconds, r.moves_per_second, q.hpwl, q.area,
-                q.legal(1e-6) ? "yes" : "NO");
-    json.add_sa_run(largest, flow, base.seed, r.anneal_seconds, q.hpwl,
-                    q.area, q.legal(1e-6), r.moves_per_second);
-    // Per-move evaluation latency as its own timed row.
-    json.add_timing(largest,
-                    incremental ? "sa-move-eval-incremental"
-                                : "sa-move-eval-full",
-                    r.moves_evaluated > 0
-                        ? r.anneal_seconds /
-                              static_cast<double>(r.moves_evaluated)
-                        : 0.0);
-    return r;
-  };
-  const sa::SaResult full = run_engine("sa-anneal-full", false);
-  const sa::SaResult inc = run_engine("sa-anneal-incremental", true);
-  if (full.moves_per_second > 0) {
-    const double speedup = inc.moves_per_second / full.moves_per_second;
-    std::printf("incremental speedup: %.1fx, net evals/move: %.0f%% of full\n",
-                speedup, 100.0 * inc.eval_stats.net_eval_ratio());
-    json.add_metric("sa_incremental_speedup", speedup);
-    json.add_metric("sa_net_eval_ratio", inc.eval_stats.net_eval_ratio());
+  sa::SaOptions o = bench::paper_sa_options();
+  o.seed = 1;
+  // Fixed move budget: the quick default (20k moves, tens of ms) is
+  // timer-noise dominated.
+  o.max_moves = bench::quick_mode() ? 150000 : 400000;
+  // Best of three: the anneal is deterministic for a fixed seed, so reps
+  // agree on every metric except wall time; max moves/sec is the run least
+  // disturbed by machine load.
+  sa::SaResult r = sa::SaPlacer(tc.circuit, o).place();
+  for (int rep = 1; rep < 3; ++rep) {
+    sa::SaResult again = sa::SaPlacer(tc.circuit, o).place();
+    if (again.moves_per_second > r.moves_per_second) r = std::move(again);
   }
+  const netlist::QualityReport q = eval.evaluate(r.placement);
+  std::printf("%-22s %12.3f %12.0f %12.2f %10.2f %7s\n",
+              "sa-anneal-incremental", r.anneal_seconds, r.moves_per_second,
+              q.hpwl, q.area, q.legal(1e-6) ? "yes" : "NO");
+  std::printf("net evals/move: %.0f%% of a full recompute\n",
+              100.0 * r.eval_stats.net_eval_ratio());
+  json.add_sa_run(largest, "sa-anneal-incremental", o.seed, r.anneal_seconds,
+                  q.hpwl, q.area, q.legal(1e-6), r.moves_per_second);
+  // Per-move evaluation latency as its own timed row.
+  json.add_timing(largest, "sa-move-eval-incremental",
+                  r.moves_evaluated > 0
+                      ? r.anneal_seconds /
+                            static_cast<double>(r.moves_evaluated)
+                      : 0.0);
+  json.add_metric("sa_net_eval_ratio", r.eval_stats.net_eval_ratio());
 
   // Packing kernel alone, naive longest-path vs. Tang-Wong LCS.
   std::printf("\n%-10s %14s %14s %10s\n", "blocks", "naive (us)", "lcs (us)",

@@ -37,35 +37,21 @@ double bell_derivative(double d, double w, double wb) {
   return 0.0;
 }
 
-BellDensity::BellDensity(const netlist::CompiledCircuit& compiled,
+BellDensity::BellDensity(netlist::CompiledRef compiled,
                          const geom::Rect& region, std::size_t nx,
                          std::size_t ny, double target_density)
-    : compiled_(&compiled),
+    : compiled_(std::move(compiled)),
       grid_(region, nx, ny),
       target_(target_density),
-      dev_w_(compiled.dev_width()),
-      dev_h_(compiled.dev_height()),
-      dev_area_(compiled.dev_area()),
+      dev_w_(compiled_->dev_width()),
+      dev_h_(compiled_->dev_height()),
+      dev_area_(compiled_->dev_area()),
       dmat_(ny, nx),
       occ_(ny, nx),
       resid_(ny, nx) {
   norm_.assign(dev_w_.size(), 0.0);
   support_.resize(dev_w_.size());
 }
-
-BellDensity::BellDensity(
-    std::shared_ptr<const netlist::CompiledCircuit> compiled,
-    const geom::Rect& region, std::size_t nx, std::size_t ny,
-    double target_density)
-    : BellDensity(*compiled, region, nx, ny, target_density) {
-  keep_ = std::move(compiled);
-}
-
-BellDensity::BellDensity(const netlist::Circuit& circuit,
-                         const geom::Rect& region, std::size_t nx,
-                         std::size_t ny, double target_density)
-    : BellDensity(std::make_shared<const netlist::CompiledCircuit>(circuit),
-                  region, nx, ny, target_density) {}
 
 double BellDensity::value_and_grad(std::span<const double> v,
                                    std::span<double> grad, double scale) {

@@ -9,7 +9,6 @@
 // constants c_i keep each device's total contribution equal to its area and
 // are treated as constants in the gradient (as in NTUplace3).
 
-#include <memory>
 #include <span>
 
 #include "density/bin_grid.hpp"
@@ -26,16 +25,7 @@ namespace aplace::density {
 
 class BellDensity {
  public:
-  /// Borrow a compiled snapshot the caller keeps alive.
-  BellDensity(const netlist::CompiledCircuit& compiled,
-              const geom::Rect& region, std::size_t nx, std::size_t ny,
-              double target_density);
-  /// Share ownership of a compiled snapshot.
-  BellDensity(std::shared_ptr<const netlist::CompiledCircuit> compiled,
-              const geom::Rect& region, std::size_t nx, std::size_t ny,
-              double target_density);
-  /// Convenience: compile privately from a raw circuit.
-  BellDensity(const netlist::Circuit& circuit, const geom::Rect& region,
+  BellDensity(netlist::CompiledRef compiled, const geom::Rect& region,
               std::size_t nx, std::size_t ny, double target_density);
 
   [[nodiscard]] const BinGrid& grid() const { return grid_; }
@@ -53,8 +43,7 @@ class BellDensity {
     std::size_t cx0, cx1, cy0, cy1;
   };
 
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  netlist::CompiledRef compiled_;
   BinGrid grid_;
   double target_;
   // Device footprints, viewing the compiled snapshot's flat arrays.

@@ -25,7 +25,6 @@
 // chunk-ordered ThreadPool reduction, so each is bit-identical at any
 // thread count, and they agree to <= 1e-12 relative (tests/simd_test.cpp).
 
-#include <memory>
 #include <span>
 
 #include "base/aligned.hpp"
@@ -37,16 +36,7 @@ namespace aplace::density {
 
 class ElectroDensity {
  public:
-  /// Borrow a compiled snapshot the caller keeps alive.
-  ElectroDensity(const netlist::CompiledCircuit& compiled,
-                 const geom::Rect& region, std::size_t nx, std::size_t ny,
-                 double target_density);
-  /// Share ownership of a compiled snapshot.
-  ElectroDensity(std::shared_ptr<const netlist::CompiledCircuit> compiled,
-                 const geom::Rect& region, std::size_t nx, std::size_t ny,
-                 double target_density);
-  /// Convenience: compile privately from a raw circuit.
-  ElectroDensity(const netlist::Circuit& circuit, const geom::Rect& region,
+  ElectroDensity(netlist::CompiledRef compiled, const geom::Rect& region,
                  std::size_t nx, std::size_t ny, double target_density);
 
   [[nodiscard]] const BinGrid& grid() const { return grid_; }
@@ -104,8 +94,7 @@ class ElectroDensity {
   [[nodiscard]] geom::Point clamped_center(const geom::Point& c,
                                            const DeviceInfo& d) const;
 
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  netlist::CompiledRef compiled_;
   BinGrid grid_;
   double target_;
   numeric::spectral::Basis basis_x_, basis_y_;

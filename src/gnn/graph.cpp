@@ -12,14 +12,14 @@ std::size_t type_index(netlist::DeviceType t) {
 
 }  // namespace
 
-CircuitGraph::CircuitGraph(const netlist::CompiledCircuit& compiled,
-                           double coord_scale)
-    : compiled_(&compiled),
-      n_(compiled.num_devices()),
+CircuitGraph::CircuitGraph(netlist::CompiledRef compiled, double coord_scale)
+    : compiled_(std::move(compiled)),
+      n_(compiled_->num_devices()),
       scale_(coord_scale),
       adj_(n_, n_),
       static_features_(n_, kFeatureDim) {
   APLACE_CHECK(coord_scale > 0);
+  const netlist::CompiledCircuit& cc = *compiled_;
 
   // Raw adjacency: clique for nets with <= 6 pins, star from the first pin
   // otherwise (keeps big supply nets from densifying the graph). The compiled
@@ -27,8 +27,8 @@ CircuitGraph::CircuitGraph(const netlist::CompiledCircuit& compiled,
   // the sort+unique this loop used to perform.
   numeric::Matrix a(n_, n_);
   std::vector<double> degree(n_, 0.0);
-  for (std::size_t ni = 0; ni < compiled.num_nets(); ++ni) {
-    const std::span<const std::uint32_t> devs = compiled.net_devices(ni);
+  for (std::size_t ni = 0; ni < cc.num_nets(); ++ni) {
+    const std::span<const std::uint32_t> devs = cc.net_devices(ni);
     if (devs.size() < 2) continue;
     auto connect = [&](std::size_t u, std::size_t w) {
       if (u == w) return;
@@ -53,8 +53,8 @@ CircuitGraph::CircuitGraph(const netlist::CompiledCircuit& compiled,
   }
 
   // Static feature columns (x and y filled per evaluation).
-  const std::span<const double> dev_w = compiled.dev_width();
-  const std::span<const double> dev_h = compiled.dev_height();
+  const std::span<const double> dev_w = cc.dev_width();
+  const std::span<const double> dev_h = cc.dev_height();
   double max_dim = 1e-9;
   for (std::size_t i = 0; i < n_; ++i) {
     max_dim = std::max({max_dim, dev_w[i], dev_h[i]});
@@ -62,24 +62,13 @@ CircuitGraph::CircuitGraph(const netlist::CompiledCircuit& compiled,
   for (std::size_t i = 0; i < n_; ++i) {
     static_features_(i, 2) = dev_w[i] / max_dim;
     static_features_(i, 3) = dev_h[i] / max_dim;
-    const std::size_t t = type_index(compiled.dev_type()[i]);
+    const std::size_t t = type_index(cc.dev_type()[i]);
     APLACE_CHECK(t < kNumDeviceTypes);
     static_features_(i, 4 + t) = 1.0;
     static_features_(i, 4 + kNumDeviceTypes) =
         degree[i] / static_cast<double>(std::max<std::size_t>(n_ - 1, 1));
   }
 }
-
-CircuitGraph::CircuitGraph(
-    std::shared_ptr<const netlist::CompiledCircuit> compiled,
-    double coord_scale)
-    : CircuitGraph(*compiled, coord_scale) {
-  keep_ = std::move(compiled);
-}
-
-CircuitGraph::CircuitGraph(const netlist::Circuit& circuit, double coord_scale)
-    : CircuitGraph(std::make_shared<const netlist::CompiledCircuit>(circuit),
-                   coord_scale) {}
 
 numeric::Matrix CircuitGraph::features(std::span<const double> v) const {
   APLACE_DCHECK(v.size() == 2 * n_);

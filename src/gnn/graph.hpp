@@ -5,7 +5,6 @@
 // static attributes (size, type, degree) with the placement-dependent
 // coordinates the analytical placer differentiates through.
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -25,13 +24,7 @@ class CircuitGraph {
  public:
   /// `coord_scale` normalizes positions into O(1) features; pick the
   /// expected layout side (e.g. sqrt(total area / utilization)).
-  /// Borrow a compiled snapshot the caller keeps alive.
-  CircuitGraph(const netlist::CompiledCircuit& compiled, double coord_scale);
-  /// Share ownership of a compiled snapshot.
-  CircuitGraph(std::shared_ptr<const netlist::CompiledCircuit> compiled,
-               double coord_scale);
-  /// Convenience: compile privately from a raw circuit.
-  CircuitGraph(const netlist::Circuit& circuit, double coord_scale);
+  CircuitGraph(netlist::CompiledRef compiled, double coord_scale);
 
   [[nodiscard]] std::size_t num_nodes() const { return n_; }
   [[nodiscard]] double coord_scale() const { return scale_; }
@@ -48,8 +41,7 @@ class CircuitGraph {
                                 std::span<double> grad_v) const;
 
  private:
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  netlist::CompiledRef compiled_;
   std::size_t n_;
   double scale_;
   numeric::Matrix adj_;

@@ -33,36 +33,19 @@ EPlaceGpOptions normalized(EPlaceGpOptions opts) {
 
 }  // namespace
 
-EPlaceGlobalPlacer::EPlaceGlobalPlacer(const netlist::CompiledCircuit& compiled,
+EPlaceGlobalPlacer::EPlaceGlobalPlacer(netlist::CompiledRef compiled,
                                        EPlaceGpOptions opts)
-    : circuit_(&compiled.circuit()),
-      compiled_(&compiled),
+    : compiled_(std::move(compiled)),
       opts_(normalized(opts)),
-      region_(make_region(compiled, opts.utilization)),
+      region_(make_region(*compiled_, opts.utilization)),
       wl_owner_(opts.smoothing == WlSmoothing::WeightedAverage
                     ? std::unique_ptr<wirelength::SmoothWirelength>(
-                          std::make_unique<wirelength::WaWirelength>(compiled))
-                    : std::make_unique<wirelength::LseWirelength>(compiled)),
+                          std::make_unique<wirelength::WaWirelength>(compiled_))
+                    : std::make_unique<wirelength::LseWirelength>(compiled_)),
       wl_(*wl_owner_),
-      area_(compiled),
-      dens_(compiled, region_, opts_.bins, opts_.bins, opts_.target_density),
-      pen_(compiled) {}
-
-EPlaceGlobalPlacer::EPlaceGlobalPlacer(
-    std::shared_ptr<const netlist::CompiledCircuit> compiled,
-    EPlaceGpOptions opts)
-    : EPlaceGlobalPlacer(*compiled, opts) {
-  keep_ = std::move(compiled);
-}
-
-EPlaceGlobalPlacer::EPlaceGlobalPlacer(const netlist::Circuit& circuit,
-                                       EPlaceGpOptions opts)
-    : EPlaceGlobalPlacer(
-          std::make_shared<const netlist::CompiledCircuit>(circuit), opts) {}
-
-void EPlaceGlobalPlacer::set_extra_term(ExtraTerm term) {
-  extra_ = std::make_shared<FunctionTerm>("extra", std::move(term));
-}
+      area_(compiled_),
+      dens_(compiled_, region_, opts_.bins, opts_.bins, opts_.target_density),
+      pen_(compiled_) {}
 
 void EPlaceGlobalPlacer::set_extra_term(std::shared_ptr<ObjectiveTerm> term) {
   extra_ = std::move(term);
@@ -70,7 +53,7 @@ void EPlaceGlobalPlacer::set_extra_term(std::shared_ptr<ObjectiveTerm> term) {
 
 void EPlaceGlobalPlacer::build_objective() {
   objective_ =
-      std::make_unique<CompositeObjective>(2 * circuit_->num_devices());
+      std::make_unique<CompositeObjective>(2 * compiled_->num_devices());
   CompositeObjective& obj = *objective_;
   // Registration order IS the accumulation order; keep wirelength first
   // (the calibration reference) and the extra term last.
@@ -161,8 +144,8 @@ GpResult EPlaceGlobalPlacer::run() {
         std::max(r.iterations, 0)));
     any_deadline_hit |= r.deadline_hit;
     any_cancelled |= r.cancelled;
-    const std::size_t n = circuit_->num_devices();
-    netlist::Placement pl(*circuit_);
+    const std::size_t n = compiled_->num_devices();
+    netlist::Placement pl(compiled_->circuit());
     for (std::size_t i = 0; i < n; ++i) {
       pl.set_position(DeviceId{i}, {r.positions[i], r.positions[n + i]});
     }
@@ -190,7 +173,7 @@ GpResult EPlaceGlobalPlacer::run() {
 }
 
 GpResult EPlaceGlobalPlacer::run_single(std::uint64_t seed) {
-  const std::size_t n = circuit_->num_devices();
+  const std::size_t n = compiled_->num_devices();
   numeric::Vec v(2 * n);
 
   // Initial spread: golden-angle spiral around the region center (compact,

@@ -13,7 +13,6 @@
 // The performance-driven variant (ePlace-AP) plugs the GNN term in as one
 // more ObjectiveTerm via set_extra_term().
 
-#include <functional>
 #include <memory>
 
 #include "density/electro.hpp"
@@ -64,22 +63,10 @@ struct GpResult {
 
 class EPlaceGlobalPlacer {
  public:
-  using ExtraTerm = std::function<double(std::span<const double> v,
-                                         std::span<double> grad)>;
+  EPlaceGlobalPlacer(netlist::CompiledRef compiled, EPlaceGpOptions opts);
 
-  /// Borrow a compiled snapshot the caller keeps alive.
-  EPlaceGlobalPlacer(const netlist::CompiledCircuit& compiled,
-                     EPlaceGpOptions opts);
-  /// Share ownership of a compiled snapshot (flow/batch cache path).
-  EPlaceGlobalPlacer(std::shared_ptr<const netlist::CompiledCircuit> compiled,
-                     EPlaceGpOptions opts);
-  /// Convenience: compile privately from a raw circuit.
-  EPlaceGlobalPlacer(const netlist::Circuit& circuit, EPlaceGpOptions opts);
-
-  /// Extra objective term (returns its value, accumulates its gradient).
-  /// Legacy functor hook; wrapped into a FunctionTerm named "extra".
-  void set_extra_term(ExtraTerm term);
-  /// First-class extra term (e.g. gnn::PhiTerm). Must precede run().
+  /// Extra objective term (e.g. gnn::PhiTerm), registered last. Must
+  /// precede run().
   void set_extra_term(std::shared_ptr<ObjectiveTerm> term);
 
   [[nodiscard]] const geom::Rect& region() const { return region_; }
@@ -93,9 +80,7 @@ class EPlaceGlobalPlacer {
   void build_objective();
   [[nodiscard]] GpResult run_single(std::uint64_t seed);
 
-  const netlist::Circuit* circuit_;
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  netlist::CompiledRef compiled_;
   EPlaceGpOptions opts_;
   geom::Rect region_;
   std::unique_ptr<wirelength::SmoothWirelength> wl_owner_;

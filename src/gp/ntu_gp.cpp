@@ -12,34 +12,17 @@
 namespace aplace::gp {
 
 PriorAnalyticalGlobalPlacer::PriorAnalyticalGlobalPlacer(
-    const netlist::CompiledCircuit& compiled, NtuGpOptions opts)
-    : circuit_(&compiled.circuit()),
-      compiled_(&compiled),
+    netlist::CompiledRef compiled, NtuGpOptions opts)
+    : compiled_(std::move(compiled)),
       opts_(opts),
       region_([&] {
         const double side =
-            std::sqrt(compiled.total_device_area() / opts.utilization);
+            std::sqrt(compiled_->total_device_area() / opts.utilization);
         return geom::Rect{0, 0, side, side};
       }()),
-      wl_(compiled),
-      dens_(compiled, region_, opts.bins, opts.bins, opts.target_density),
-      pen_(compiled) {}
-
-PriorAnalyticalGlobalPlacer::PriorAnalyticalGlobalPlacer(
-    std::shared_ptr<const netlist::CompiledCircuit> compiled,
-    NtuGpOptions opts)
-    : PriorAnalyticalGlobalPlacer(*compiled, opts) {
-  keep_ = std::move(compiled);
-}
-
-PriorAnalyticalGlobalPlacer::PriorAnalyticalGlobalPlacer(
-    const netlist::Circuit& circuit, NtuGpOptions opts)
-    : PriorAnalyticalGlobalPlacer(
-          std::make_shared<const netlist::CompiledCircuit>(circuit), opts) {}
-
-void PriorAnalyticalGlobalPlacer::set_extra_term(ExtraTerm term) {
-  extra_ = std::make_shared<FunctionTerm>("extra", std::move(term));
-}
+      wl_(compiled_),
+      dens_(compiled_, region_, opts.bins, opts.bins, opts.target_density),
+      pen_(compiled_) {}
 
 void PriorAnalyticalGlobalPlacer::set_extra_term(
     std::shared_ptr<ObjectiveTerm> term) {
@@ -48,7 +31,7 @@ void PriorAnalyticalGlobalPlacer::set_extra_term(
 
 void PriorAnalyticalGlobalPlacer::build_objective() {
   objective_ =
-      std::make_unique<CompositeObjective>(2 * circuit_->num_devices());
+      std::make_unique<CompositeObjective>(2 * compiled_->num_devices());
   CompositeObjective& obj = *objective_;
   // Same term families as ePlace-A minus the area term, with the bell
   // density kernel; registration order is the accumulation order.
@@ -98,7 +81,7 @@ void PriorAnalyticalGlobalPlacer::build_objective() {
 
 GpResult PriorAnalyticalGlobalPlacer::run() {
   build_objective();
-  const std::size_t n = circuit_->num_devices();
+  const std::size_t n = compiled_->num_devices();
   numeric::Vec v(2 * n);
 
   numeric::Rng rng(opts_.seed);

@@ -13,7 +13,6 @@
 // Like ePlace-A the objective is a gp::CompositeObjective; only the term
 // choices and the WeightScheduler growth rules differ.
 
-#include <functional>
 #include <memory>
 
 #include "density/bell.hpp"
@@ -43,24 +42,11 @@ struct NtuGpOptions : GpCommonOptions {
 
 class PriorAnalyticalGlobalPlacer {
  public:
-  using ExtraTerm = std::function<double(std::span<const double> v,
-                                         std::span<double> grad)>;
-
-  /// Borrow a compiled snapshot the caller keeps alive.
-  PriorAnalyticalGlobalPlacer(const netlist::CompiledCircuit& compiled,
-                              NtuGpOptions opts);
-  /// Share ownership of a compiled snapshot (flow/batch cache path).
-  PriorAnalyticalGlobalPlacer(
-      std::shared_ptr<const netlist::CompiledCircuit> compiled,
-      NtuGpOptions opts);
-  /// Convenience: compile privately from a raw circuit.
-  PriorAnalyticalGlobalPlacer(const netlist::Circuit& circuit,
+  PriorAnalyticalGlobalPlacer(netlist::CompiledRef compiled,
                               NtuGpOptions opts);
 
-  /// Used by the Perf* extension (paper Table V): adds alpha * Phi to the
-  /// objective via its value and gradient. Legacy functor hook.
-  void set_extra_term(ExtraTerm term);
-  /// First-class extra term (e.g. gnn::PhiTerm). Must precede run().
+  /// Extra objective term, registered last. The Perf* extension (paper
+  /// Table V) adds alpha * Phi through a gnn::PhiTerm. Must precede run().
   void set_extra_term(std::shared_ptr<ObjectiveTerm> term);
 
   [[nodiscard]] const geom::Rect& region() const { return region_; }
@@ -70,9 +56,7 @@ class PriorAnalyticalGlobalPlacer {
  private:
   void build_objective();
 
-  const netlist::Circuit* circuit_;
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  netlist::CompiledRef compiled_;
   NtuGpOptions opts_;
   geom::Rect region_;
   wirelength::LseWirelength wl_;

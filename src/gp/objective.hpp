@@ -25,7 +25,7 @@
 // Adapters at the bottom of this header wrap the existing kernels
 // (SmoothWirelength, ElectroDensity, BellDensity, WaAreaTerm, each
 // ConstraintPenalties family, and an arbitrary value-and-grad functor for
-// the GNN term) without changing their math: a composite built to mirror
+// tests) without changing their math: a composite built to mirror
 // the old lambdas accumulates the same contributions in the same order.
 
 #include <chrono>
@@ -339,10 +339,9 @@ class PenaltyTerm final : public ObjectiveTerm {
   geom::Rect region_{};
 };
 
-/// Arbitrary value-and-grad functor (the GNN extra term's legacy hook and
-/// the test seam). The functor ADDS its raw gradient to the span it is
-/// given; the adapter applies the scale through an internal scratch buffer,
-/// mirroring the old extra-term handling in both placers.
+/// Arbitrary value-and-grad functor (the test seam). The functor ADDS its
+/// raw gradient to the span it is given; the adapter applies the scale
+/// through an internal scratch buffer.
 class FunctionTerm final : public ObjectiveTerm {
  public:
   using Fn = std::function<double(std::span<const double> v,

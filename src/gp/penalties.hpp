@@ -14,7 +14,6 @@
 // All terms iterate the CompiledCircuit's flattened constraint tables and
 // flat device half-extents — no AoS constraint walking in the hot loop.
 
-#include <memory>
 #include <span>
 
 #include "geom/rect.hpp"
@@ -24,13 +23,7 @@ namespace aplace::gp {
 
 class ConstraintPenalties {
  public:
-  /// Borrow a compiled snapshot the caller keeps alive.
-  explicit ConstraintPenalties(const netlist::CompiledCircuit& compiled);
-  /// Share ownership of a compiled snapshot.
-  explicit ConstraintPenalties(
-      std::shared_ptr<const netlist::CompiledCircuit> compiled);
-  /// Convenience: compile privately from a raw circuit.
-  explicit ConstraintPenalties(const netlist::Circuit& circuit);
+  explicit ConstraintPenalties(netlist::CompiledRef compiled);
 
   /// Each evaluates at v = (x.., y..), adds scale * gradient, returns value.
   double symmetry(std::span<const double> v, std::span<double> grad,
@@ -50,8 +43,7 @@ class ConstraintPenalties {
   void project_symmetry(std::span<double> v) const;
 
  private:
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  netlist::CompiledRef compiled_;
   std::size_t n_;
 };
 

@@ -8,26 +8,15 @@
 
 namespace aplace::legal {
 
-IlpDetailedPlacer::IlpDetailedPlacer(const netlist::CompiledCircuit& compiled,
+IlpDetailedPlacer::IlpDetailedPlacer(netlist::CompiledRef compiled,
                                      IlpOptions opts)
-    : circuit_(&compiled.circuit()), compiled_(&compiled), opts_(opts) {
+    : compiled_(std::move(compiled)), opts_(opts) {
   APLACE_CHECK(opts.grid_pitch > 0);
   APLACE_CHECK(opts.utilization > 0 && opts.utilization <= 1.0);
 }
 
-IlpDetailedPlacer::IlpDetailedPlacer(
-    std::shared_ptr<const netlist::CompiledCircuit> compiled, IlpOptions opts)
-    : IlpDetailedPlacer(*compiled, opts) {
-  keep_ = std::move(compiled);
-}
-
-IlpDetailedPlacer::IlpDetailedPlacer(const netlist::Circuit& circuit,
-                                     IlpOptions opts)
-    : IlpDetailedPlacer(
-          std::make_shared<const netlist::CompiledCircuit>(circuit), opts) {}
-
 IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
-  const netlist::Circuit& c = *circuit_;
+  const netlist::Circuit& c = compiled_->circuit();
   const std::size_t n = c.num_devices();
   APLACE_CHECK(gp_positions.size() == 2 * n);
   const double gu = opts_.grid_pitch;  // um per grid unit
@@ -288,8 +277,9 @@ solver::MilpSolution IlpDetailedPlacer::solve_round(
 void IlpDetailedPlacer::finish_placement(const solver::MilpSolution& sol,
                                          const RoundVars& vars,
                                          IlpResult& result) const {
-  SolvedPlacement solved = placement_from_solution(
-      *circuit_, sol.x, vars.dev, opts_.grid_pitch, vars.fx, vars.fy);
+  SolvedPlacement solved =
+      placement_from_solution(compiled_->circuit(), sol.x, vars.dev,
+                              opts_.grid_pitch, vars.fx, vars.fy);
   result.placement = std::move(solved.placement);
   result.snapped = solved.snapped;
 }

@@ -12,7 +12,6 @@
 // the unsnapped (still feasible) solution is kept if snapping would break
 // legality.
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -70,15 +69,7 @@ struct IlpResult {
 
 class IlpDetailedPlacer {
  public:
-  /// Borrow a compiled snapshot the caller keeps alive.
-  IlpDetailedPlacer(const netlist::CompiledCircuit& compiled,
-                    IlpOptions opts = {});
-  /// Share ownership of a compiled snapshot.
-  explicit IlpDetailedPlacer(
-      std::shared_ptr<const netlist::CompiledCircuit> compiled,
-      IlpOptions opts = {});
-  /// Convenience: compile privately from a raw circuit.
-  explicit IlpDetailedPlacer(const netlist::Circuit& circuit,
+  explicit IlpDetailedPlacer(netlist::CompiledRef compiled,
                              IlpOptions opts = {});
 
   /// Legalize + detail-place starting from GP device centers (x.., y..).
@@ -101,9 +92,7 @@ class IlpDetailedPlacer {
   void finish_placement(const solver::MilpSolution& sol, const RoundVars& vars,
                         IlpResult& result) const;
 
-  const netlist::Circuit* circuit_;
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  netlist::CompiledRef compiled_;
   IlpOptions opts_;
 };
 

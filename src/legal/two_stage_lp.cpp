@@ -5,27 +5,15 @@
 
 namespace aplace::legal {
 
-TwoStageLpLegalizer::TwoStageLpLegalizer(
-    const netlist::CompiledCircuit& compiled, TwoStageOptions opts)
-    : circuit_(&compiled.circuit()), compiled_(&compiled), opts_(opts) {
+TwoStageLpLegalizer::TwoStageLpLegalizer(netlist::CompiledRef compiled,
+                                         TwoStageOptions opts)
+    : compiled_(std::move(compiled)), opts_(opts) {
   APLACE_CHECK(opts.grid_pitch > 0);
 }
 
-TwoStageLpLegalizer::TwoStageLpLegalizer(
-    std::shared_ptr<const netlist::CompiledCircuit> compiled,
-    TwoStageOptions opts)
-    : TwoStageLpLegalizer(*compiled, opts) {
-  keep_ = std::move(compiled);
-}
-
-TwoStageLpLegalizer::TwoStageLpLegalizer(const netlist::Circuit& circuit,
-                                         TwoStageOptions opts)
-    : TwoStageLpLegalizer(
-          std::make_shared<const netlist::CompiledCircuit>(circuit), opts) {}
-
 TwoStageResult TwoStageLpLegalizer::place(
     std::span<const double> gp_positions) const {
-  const netlist::Circuit& c = *circuit_;
+  const netlist::Circuit& c = compiled_->circuit();
   APLACE_CHECK(gp_positions.size() == 2 * c.num_devices());
   const std::vector<PairOrder> orders = start_orders(c, gp_positions);
 
@@ -86,7 +74,7 @@ void TwoStageLpLegalizer::run_stages(const std::vector<PairOrder>& orders,
     return;
   }
   result.placement =
-      placement_from_solution(*circuit_, sol2.x, v2, gu).placement;
+      placement_from_solution(compiled_->circuit(), sol2.x, v2, gu).placement;
   result.outcome = {};
 }
 

@@ -9,7 +9,6 @@
 // (paper Sec. IV-B): two sequential objectives instead of one integrated
 // one, and no device flipping.
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -49,15 +48,7 @@ struct TwoStageResult {
 
 class TwoStageLpLegalizer {
  public:
-  /// Borrow a compiled snapshot the caller keeps alive.
-  TwoStageLpLegalizer(const netlist::CompiledCircuit& compiled,
-                      TwoStageOptions opts = {});
-  /// Share ownership of a compiled snapshot.
-  explicit TwoStageLpLegalizer(
-      std::shared_ptr<const netlist::CompiledCircuit> compiled,
-      TwoStageOptions opts = {});
-  /// Convenience: compile privately from a raw circuit.
-  explicit TwoStageLpLegalizer(const netlist::Circuit& circuit,
+  explicit TwoStageLpLegalizer(netlist::CompiledRef compiled,
                                TwoStageOptions opts = {});
 
   [[nodiscard]] TwoStageResult place(
@@ -69,9 +60,7 @@ class TwoStageLpLegalizer {
   void run_stages(const std::vector<PairOrder>& orders,
                   TwoStageResult& result) const;
 
-  const netlist::Circuit* circuit_;
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  netlist::CompiledRef compiled_;
   TwoStageOptions opts_;
 };
 

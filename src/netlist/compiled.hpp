@@ -10,15 +10,19 @@
 // they index these tables. See docs/DATA_MODEL.md.
 //
 // Lifetime: CompiledCircuit borrows the Circuit it was compiled from (the
-// Circuit must outlive it). Engines either borrow a CompiledCircuit the
-// caller owns, or hold a shared_ptr keep-alive (the flow/batch layer caches
-// snapshots in core::CompileCache keyed by Circuit::digest()).
+// Circuit must outlive it). Engines hold their snapshot through a
+// CompiledRef, which shares ownership: the flow/batch layer passes the
+// snapshots it caches in core::CompileCache (keyed by Circuit::digest()),
+// other callers may pass a Circuit and get a private compile.
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "base/aligned.hpp"
+#include "base/check.hpp"
 #include "geom/orientation.hpp"
 #include "netlist/circuit.hpp"
 #include "netlist/placement.hpp"
@@ -245,6 +249,31 @@ class CompiledCircuit {
   std::vector<std::size_t> order_dev_off_;
   std::vector<std::uint32_t> order_devs_;
   std::vector<std::uint32_t> cent_a1_, cent_a2_, cent_b1_, cent_b2_;
+};
+
+/// The handle every engine keeps its snapshot through: shared ownership of
+/// one CompiledCircuit. Both constructors are implicit so an engine's one
+/// constructor accepts either a shared snapshot (shared, not copied) or a
+/// Circuit (compiled privately here). Sub-engines take their parent's
+/// handle, so one snapshot backs a whole placer; copies happen only at
+/// construction, and hot loops dereference the same single pointer.
+class CompiledRef {
+ public:
+  CompiledRef(std::shared_ptr<const CompiledCircuit> compiled)
+      : compiled_(std::move(compiled)) {
+    APLACE_CHECK(compiled_ != nullptr);
+  }
+  CompiledRef(const Circuit& circuit)
+      : compiled_(std::make_shared<const CompiledCircuit>(circuit)) {}
+
+  [[nodiscard]] const CompiledCircuit& operator*() const { return *compiled_; }
+  [[nodiscard]] const CompiledCircuit* operator->() const {
+    return compiled_.get();
+  }
+  [[nodiscard]] const CompiledCircuit* get() const { return compiled_.get(); }
+
+ private:
+  std::shared_ptr<const CompiledCircuit> compiled_;
 };
 
 }  // namespace aplace::netlist

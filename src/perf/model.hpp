@@ -10,7 +10,6 @@
 // to added poles — so the *shape* of placement-vs-performance comparisons is
 // preserved even though absolute numbers are synthetic.
 
-#include <memory>
 #include <optional>
 
 #include "netlist/compiled.hpp"
@@ -39,14 +38,7 @@ struct PerformanceResult {
 
 class PerformanceModel {
  public:
-  /// Borrow a compiled snapshot the caller keeps alive.
-  PerformanceModel(const netlist::CompiledCircuit& compiled,
-                   PerformanceSpec spec);
-  /// Share ownership of a compiled snapshot.
-  PerformanceModel(std::shared_ptr<const netlist::CompiledCircuit> compiled,
-                   PerformanceSpec spec);
-  /// Convenience: compile privately from a raw circuit.
-  PerformanceModel(const netlist::Circuit& circuit, PerformanceSpec spec);
+  PerformanceModel(netlist::CompiledRef compiled, PerformanceSpec spec);
 
   [[nodiscard]] const PerformanceSpec& spec() const { return spec_; }
 
@@ -63,8 +55,7 @@ class PerformanceModel {
   [[nodiscard]] PerformanceResult evaluate_features(const Features& f) const;
 
  private:
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  netlist::CompiledRef compiled_;
   PerformanceSpec spec_;
 };
 

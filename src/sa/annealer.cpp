@@ -43,13 +43,11 @@ std::size_t draw_distinct(numeric::Rng& rng, std::size_t i,
 
 }  // namespace
 
-SaPlacer::SaPlacer(const netlist::CompiledCircuit& compiled, SaOptions options)
-    : circuit_(&compiled.circuit()),
-      compiled_(&compiled),
+SaPlacer::SaPlacer(netlist::CompiledRef compiled, SaOptions options)
+    : compiled_(std::move(compiled)),
       opts_(std::move(options)),
-      eval_(compiled.circuit()),
-      engine_(compiled) {
-  const netlist::Circuit& circuit = compiled.circuit();
+      engine_(compiled_) {
+  const netlist::Circuit& circuit = compiled_->circuit();
   const std::size_t n = circuit.num_devices();
   single_block_of_.assign(n, kNoBlock);
   device_orient_.assign(n, {});
@@ -83,16 +81,6 @@ SaPlacer::SaPlacer(const netlist::CompiledCircuit& compiled, SaOptions options)
   engine_.configure_blocks(block_members());
 }
 
-SaPlacer::SaPlacer(std::shared_ptr<const netlist::CompiledCircuit> compiled,
-                   SaOptions options)
-    : SaPlacer(*compiled, std::move(options)) {
-  keep_ = std::move(compiled);
-}
-
-SaPlacer::SaPlacer(const netlist::Circuit& circuit, SaOptions options)
-    : SaPlacer(std::make_shared<const netlist::CompiledCircuit>(circuit),
-               std::move(options)) {}
-
 std::vector<std::vector<Island::Member>> SaPlacer::block_members() const {
   std::vector<std::vector<Island::Member>> blocks(num_blocks());
   for (std::size_t b = 0; b < islands_.size(); ++b) {
@@ -113,11 +101,12 @@ void SaPlacer::reset_anneal_state() {
   // every place() call on this instance) starts from the pristine state —
   // previously a second run inherited the island permutations and flips the
   // first one ended in.
-  device_orient_.assign(circuit_->num_devices(), {});
+  const netlist::Circuit& circuit = compiled_->circuit();
+  device_orient_.assign(circuit.num_devices(), {});
   islands_.clear();
   for (const netlist::SymmetryGroup& g :
-       circuit_->constraints().symmetry_groups) {
-    islands_.emplace_back(*circuit_, g);
+       circuit.constraints().symmetry_groups) {
+    islands_.emplace_back(circuit, g);
   }
 }
 
@@ -145,41 +134,20 @@ void SaPlacer::realize(const SequencePair::Packing& pk,
   }
 }
 
-double SaPlacer::cost_of(const netlist::Placement& pl) const {
-  const double hpwl = pl.total_hpwl();
-  const double area = pl.layout_area();
-  double penalty = 0;
-  for (const netlist::AlignmentPair& a : circuit_->constraints().alignments) {
-    penalty += eval_.alignment_residual(pl, a);
-  }
-  for (const netlist::OrderingConstraint& o :
-       circuit_->constraints().orderings) {
-    penalty += eval_.ordering_residual(pl, o);
-  }
-  for (const netlist::CommonCentroidQuad& q :
-       circuit_->constraints().common_centroids) {
-    penalty += eval_.centroid_residual(pl, q);
-  }
-  double cost = opts_.area_weight * area / area0_ +
-                (1.0 - opts_.area_weight) * hpwl / hpwl0_ +
-                opts_.constraint_weight * penalty / penalty0_;
-  if (opts_.extra_cost) cost += opts_.extra_cost(pl);
-  return cost;
-}
-
 netlist::Placement SaPlacer::sample_random(numeric::Rng& rng) {
   // Sampling walks island permutations and orientations cumulatively (the
   // GNN dataset relies on that diversity), but on dedicated copies: the
   // annealing members stay pristine, so a later place() — or interleaved
   // sampling and annealing on one instance — no longer starts from leaked
   // state. For a fixed rng the sampled sequence is unchanged.
+  const netlist::Circuit& circuit = compiled_->circuit();
   if (!sample_state_ready_) {
     sample_islands_.clear();
     for (const netlist::SymmetryGroup& g :
-         circuit_->constraints().symmetry_groups) {
-      sample_islands_.emplace_back(*circuit_, g);
+         circuit.constraints().symmetry_groups) {
+      sample_islands_.emplace_back(circuit, g);
     }
-    sample_orient_.assign(circuit_->num_devices(), {});
+    sample_orient_.assign(circuit.num_devices(), {});
     sample_state_ready_ = true;
   }
 
@@ -201,7 +169,7 @@ netlist::Placement SaPlacer::sample_random(numeric::Rng& rng) {
               rng.uniform_int(0, static_cast<int>(island.num_rows()) - 1)));
     }
   }
-  netlist::Placement pl(*circuit_);
+  netlist::Placement pl(circuit);
   realize(sp.pack(block_w_, block_h_), sample_islands_, sample_orient_, pl);
   pl.normalize_to_origin();
   return pl;
@@ -212,16 +180,16 @@ SaResult SaPlacer::place() {
   if (chains == 1) return run_chain(numeric::split_seed(opts_.seed, 0));
 
   // Multi-chain: each chain anneals on its own placer instance (a chain
-  // mutates island and orientation state) with an RNG stream split from the
-  // master seed, then the best final cost wins with ties broken by the
-  // lowest chain index — an ordered reduction, so the outcome is identical
-  // for every thread count.
+  // mutates island and orientation state) over the shared snapshot, with an
+  // RNG stream split from the master seed, then the best final cost wins
+  // with ties broken by the lowest chain index — an ordered reduction, so
+  // the outcome is identical for every thread count.
   std::vector<std::optional<SaResult>> results(
       static_cast<std::size_t>(chains));
   auto run_one = [&](int c) {
     SaOptions chain_opts = opts_;
     chain_opts.num_chains = 1;
-    SaPlacer chain(*circuit_, std::move(chain_opts));
+    SaPlacer chain(compiled_, std::move(chain_opts));
     results[static_cast<std::size_t>(c)] =
         chain.run_chain(numeric::split_seed(opts_.seed, static_cast<std::uint64_t>(c)));
   };
@@ -327,14 +295,6 @@ void SaPlacer::undo_move(const Move& mv) {
   }
 }
 
-void SaPlacer::pack_current(SequencePair::Packing& out) const {
-  if (opts_.naive_pack) {
-    out = sp_.pack_naive(block_w_, block_h_);
-  } else {
-    sp_.pack_into(block_w_, block_h_, out);
-  }
-}
-
 void SaPlacer::stage_trial(const Move& mv) {
   // Flip and island-permutation moves (kinds 2-4) leave the sequence pair
   // and every block dimension unchanged — block dims are fixed at
@@ -344,7 +304,7 @@ void SaPlacer::stage_trial(const Move& mv) {
   // block's internals go dirty.
   const bool structural = mv.kind == 0 || mv.kind == 1;
   if (structural) {
-    pack_current(pack_trial_);
+    sp_.pack_into(block_w_, block_h_, pack_trial_);
     engine_.begin_trial(pack_trial_.x.data(), pack_trial_.y.data(),
                         pack_trial_.width, pack_trial_.height);
   } else {
@@ -385,62 +345,44 @@ SaResult SaPlacer::run_chain(std::uint64_t chain_seed) {
   const std::size_t nb = num_blocks();
   sp_ = SequencePair(nb);
   sp_.shuffle(rng);
-  pack_current(pack_);
+  sp_.pack_into(block_w_, block_h_, pack_);
 
-  netlist::Placement pl(*circuit_);
+  netlist::Placement pl(compiled_->circuit());
   realize(pack_, pl);
   // Normalizers: initial state metrics (penalty scale = layout half-perimeter
-  // so residuals in microns are comparable). The incremental engine's area
-  // metric is the packing extent (identical to the block bounding box);
-  // the legacy path keeps the device bounding box it always used.
-  const bool inc = opts_.incremental;
+  // so residuals in microns are comparable). The area metric is the packing
+  // extent (identical to the block bounding box).
   hpwl0_ = std::max(pl.total_hpwl(), 1e-9);
-  area0_ = inc ? std::max(pack_.width * pack_.height, 1e-9)
-               : std::max(pl.layout_area(), 1e-9);
+  area0_ = std::max(pack_.width * pack_.height, 1e-9);
   penalty0_ = std::max(std::sqrt(area0_), 1e-9);
 
-  if (inc) {
-    engine_.set_weights({opts_.area_weight, opts_.constraint_weight, hpwl0_,
-                         area0_, penalty0_});
-    engine_.reset(block_members(), pack_.x.data(), pack_.y.data(),
-                  pack_.width, pack_.height);
-  }
-  const auto extra = [&](const netlist::Placement& p) {
-    return opts_.extra_cost ? opts_.extra_cost(p) : 0.0;
-  };
+  engine_.set_weights({opts_.area_weight, opts_.constraint_weight, hpwl0_,
+                       area0_, penalty0_});
+  engine_.reset(block_members(), pack_.x.data(), pack_.y.data(), pack_.width,
+                pack_.height);
 
-  double cur_cost =
-      inc ? engine_.cost() + extra(engine_.placement()) : cost_of(pl);
+  double cur_cost = engine_.cost();
+  if (opts_.extra_cost) cur_cost += opts_.extra_cost(engine_.placement());
   SaResult best{pl, cur_cost, 0, 0};
 
   // Calibrate T0 by sampling swap-move deltas from the initial state. The
   // 40-probe pool used to shrink whenever i == j came up; draw_distinct
   // keeps it full.
   std::vector<double> deltas;
-  netlist::Placement tmp(*circuit_);
   if (nb >= 2) {
     for (int k = 0; k < 40; ++k) {
-      const std::size_t i = draw_index(rng, nb);
-      const std::size_t j = draw_distinct(rng, i, nb);
-      sp_.swap_in_both(i, j);
-      double probe;
-      if (inc) {
-        Move mv;
-        mv.kind = 1;
-        mv.i = i;
-        mv.j = j;
-        stage_trial(mv);
-        probe = engine_.trial_cost();
-        if (opts_.extra_cost) {
-          probe += opts_.extra_cost(engine_.trial_placement());
-        }
-        engine_.rollback();
-      } else {
-        pack_current(pack_trial_);
-        realize(pack_trial_, tmp);
-        probe = cost_of(tmp);
+      Move mv;
+      mv.kind = 1;
+      mv.i = draw_index(rng, nb);
+      mv.j = draw_distinct(rng, mv.i, nb);
+      sp_.swap_in_both(mv.i, mv.j);
+      stage_trial(mv);
+      double probe = engine_.trial_cost();
+      if (opts_.extra_cost) {
+        probe += opts_.extra_cost(engine_.trial_placement());
       }
-      sp_.swap_in_both(i, j);  // undo
+      engine_.rollback();
+      sp_.swap_in_both(mv.i, mv.j);  // undo
       deltas.push_back(std::abs(probe - cur_cost));
     }
   }
@@ -460,7 +402,6 @@ SaResult SaPlacer::run_chain(std::uint64_t chain_seed) {
   long moves = 0;
   long temp_steps = 0;
 
-  netlist::Placement trial(*circuit_);  // legacy-path scratch
   while (temp > t_stop && !best.deadline_hit && !best.cancelled) {
     for (long m = 0; m < moves_per_temp; ++m) {
       if (opts_.max_moves > 0 && moves >= opts_.max_moves) break;
@@ -484,17 +425,10 @@ SaResult SaPlacer::run_chain(std::uint64_t chain_seed) {
       ++moves;
 
       // --- evaluate --------------------------------------------------------
-      double new_cost;
-      if (inc) {
-        stage_trial(mv);  // packs internally for structural moves
-        new_cost = engine_.trial_cost();
-        if (opts_.extra_cost) {
-          new_cost += opts_.extra_cost(engine_.trial_placement());
-        }
-      } else {
-        pack_current(pack_trial_);
-        realize(pack_trial_, trial);
-        new_cost = cost_of(trial);
+      stage_trial(mv);  // packs internally for structural moves
+      double new_cost = engine_.trial_cost();
+      if (opts_.extra_cost) {
+        new_cost += opts_.extra_cost(engine_.trial_placement());
       }
       const double delta = new_cost - cur_cost;
       const bool accept =
@@ -502,19 +436,14 @@ SaResult SaPlacer::run_chain(std::uint64_t chain_seed) {
       if (accept) {
         cur_cost = new_cost;
         ++best.moves_accepted;
-        if (inc) {
-          engine_.commit();
-          commit_trial(mv);
-          if (new_cost < best.cost) {
-            best.cost = new_cost;
-            best.placement = engine_.placement();  // new-best snapshot only
-          }
-        } else if (new_cost < best.cost) {
+        engine_.commit();
+        commit_trial(mv);
+        if (new_cost < best.cost) {
           best.cost = new_cost;
-          best.placement = trial;
+          best.placement = engine_.placement();  // new-best snapshot only
         }
       } else {
-        if (inc) engine_.rollback();
+        engine_.rollback();
         undo_move(mv);
       }
     }
@@ -530,7 +459,7 @@ SaResult SaPlacer::run_chain(std::uint64_t chain_seed) {
       best.anneal_seconds > 0
           ? static_cast<double>(moves) / best.anneal_seconds
           : 0.0;
-  if (inc) best.eval_stats = engine_.stats();
+  best.eval_stats = engine_.stats();
 
   obs::counter("sa/chains").inc();
   obs::counter("sa/moves").add(static_cast<std::uint64_t>(std::max(moves, 0L)));
@@ -538,23 +467,20 @@ SaResult SaPlacer::run_chain(std::uint64_t chain_seed) {
       .add(static_cast<std::uint64_t>(std::max(best.moves_accepted, 0L)));
   obs::counter("sa/temp_steps")
       .add(static_cast<std::uint64_t>(std::max(temp_steps, 0L)));
-  if (inc) {
-    obs::counter("sa/net_evals").add(best.eval_stats.nets_evaluated);
-    obs::counter("sa/cost_evals").add(best.eval_stats.evals);
-  }
+  obs::counter("sa/net_evals").add(best.eval_stats.nets_evaluated);
+  obs::counter("sa/cost_evals").add(best.eval_stats.evals);
   return best;
 }
 
 double SaPlacer::verify_incremental(std::uint64_t seed, int steps) {
-  APLACE_CHECK(opts_.incremental);
   numeric::Rng rng(seed);
   reset_anneal_state();
   const std::size_t nb = num_blocks();
   sp_ = SequencePair(nb);
   sp_.shuffle(rng);
-  pack_current(pack_);
+  sp_.pack_into(block_w_, block_h_, pack_);
 
-  netlist::Placement pl(*circuit_);
+  netlist::Placement pl(compiled_->circuit());
   realize(pack_, pl);
   hpwl0_ = std::max(pl.total_hpwl(), 1e-9);
   area0_ = std::max(pack_.width * pack_.height, 1e-9);
@@ -565,7 +491,7 @@ double SaPlacer::verify_incremental(std::uint64_t seed, int steps) {
                 pack_.height);
 
   double max_dev = 0.0;
-  netlist::Placement chk(*circuit_);
+  netlist::Placement chk(compiled_->circuit());
   for (int s = 0; s < steps; ++s) {
     const Move mv = propose_move(rng);
     if (mv.kind < 0) continue;
@@ -586,7 +512,7 @@ double SaPlacer::verify_incremental(std::uint64_t seed, int steps) {
     const double hp = chk.total_hpwl();
     max_dev =
         std::max(max_dev, std::abs(engine_.hpwl() - hp) / std::max(1.0, hp));
-    for (std::size_t d = 0; d < circuit_->num_devices(); ++d) {
+    for (std::size_t d = 0; d < compiled_->num_devices(); ++d) {
       const geom::Point a = engine_.placement().position(DeviceId{d});
       const geom::Point b = chk.position(DeviceId{d});
       max_dev = std::max({max_dev, std::abs(a.x - b.x), std::abs(a.y - b.y)});

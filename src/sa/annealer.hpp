@@ -10,20 +10,18 @@
 // optional caller-supplied term (the performance-driven variant plugs the
 // GNN's failure probability in here, as in Li et al. ICCAD'20 [19]).
 //
-// Evaluation engines: the default incremental engine packs with the
-// O(n log n) LCS packer, diffs block positions against the committed
-// packing, and re-evaluates only the nets/constraints of devices that
-// moved (IncrementalCost); trial placements are never materialized. The
-// pre-existing full-recompute path (naive O(n^2) pack + realize + whole
-// netlist cost) is kept behind SaOptions::incremental=false as the oracle
-// and the "before" side of the throughput benches.
+// Evaluation: each move packs with the O(n log n) LCS packer, diffs block
+// positions against the committed packing, and re-evaluates only the
+// nets/constraints of devices that moved (IncrementalCost); trial
+// placements are never materialized. verify_incremental() checks the
+// engine against IncrementalCost::full_cost() and a freshly realized
+// placement.
 
 #include <functional>
 #include <optional>
 
 #include "base/cancel.hpp"
 #include "base/deadline.hpp"
-#include "netlist/evaluator.hpp"
 #include "netlist/placement.hpp"
 #include "numeric/rng.hpp"
 #include "sa/incremental_cost.hpp"
@@ -55,18 +53,10 @@ struct SaOptions {
   double area_weight = 0.38;      ///< vs. (1 - area_weight) wirelength
   double constraint_weight = 8.0; ///< alignment / ordering penalty weight
 
-  /// Delta-cost evaluation via IncrementalCost (default). false = legacy
-  /// full recompute per move: realize a trial Placement and re-evaluate the
-  /// whole netlist — the bench/test oracle.
-  bool incremental = true;
-  /// Use the O(n^2) longest-path packer instead of the O(n log n) LCS
-  /// packer (bit-identical coordinates; kept for A/B benchmarking).
-  bool naive_pack = false;
-
   /// Optional extra cost term evaluated on candidate placements (already
-  /// weighted by the caller). Used for performance-driven SA. With the
-  /// incremental engine the trial placement is materialized from the block
-  /// origins only when this is set (plain SA never builds one per move).
+  /// weighted by the caller). Used for performance-driven SA. The trial
+  /// placement is materialized from the block origins only when this is
+  /// set (plain SA never builds one per move).
   std::function<double(const netlist::Placement&)> extra_cost;
 };
 
@@ -85,13 +75,7 @@ struct SaResult {
 
 class SaPlacer {
  public:
-  /// Borrow a compiled snapshot the caller keeps alive.
-  SaPlacer(const netlist::CompiledCircuit& compiled, SaOptions options);
-  /// Share ownership of a compiled snapshot.
-  SaPlacer(std::shared_ptr<const netlist::CompiledCircuit> compiled,
-           SaOptions options);
-  /// Convenience: compile privately from a raw circuit.
-  SaPlacer(const netlist::Circuit& circuit, SaOptions options);
+  SaPlacer(netlist::CompiledRef compiled, SaOptions options);
 
   /// Run `num_chains` independent annealing chains from shuffled initial
   /// states; returns the best result found (see SaOptions::num_chains).
@@ -139,8 +123,6 @@ class SaPlacer {
   /// instead of burning the move budget.
   [[nodiscard]] Move propose_move(numeric::Rng& rng);
   void undo_move(const Move& mv);
-  /// Pack the current sequence pair into `out` honoring naive_pack.
-  void pack_current(SequencePair::Packing& out) const;
   /// Stage a proposed move on the engine: repack into `pack_trial_` for
   /// sequence moves and mark every block the repack translated (origin diff
   /// against `pack_`); flip/island moves skip the repack — the packing is
@@ -154,13 +136,9 @@ class SaPlacer {
                const std::vector<Island>& islands,
                const std::vector<geom::Orientation>& orient,
                netlist::Placement& pl) const;
-  [[nodiscard]] double cost_of(const netlist::Placement& pl) const;
 
-  const netlist::Circuit* circuit_;
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  netlist::CompiledRef compiled_;
   SaOptions opts_;
-  netlist::Evaluator eval_;
 
   // Blocks: first all islands, then single devices.
   std::vector<Island> islands_;

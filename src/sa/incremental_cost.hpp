@@ -46,7 +46,6 @@
 // property-test oracle (tests assert agreement within 1e-9).
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -98,13 +97,7 @@ class IncrementalCost {
     }
   };
 
-  /// Borrow a compiled snapshot the caller keeps alive.
-  explicit IncrementalCost(const netlist::CompiledCircuit& compiled);
-  /// Share ownership of a compiled snapshot.
-  explicit IncrementalCost(
-      std::shared_ptr<const netlist::CompiledCircuit> compiled);
-  /// Convenience: compile privately from a raw circuit.
-  explicit IncrementalCost(const netlist::Circuit& circuit);
+  explicit IncrementalCost(netlist::CompiledRef compiled);
 
   void set_weights(const Weights& w) { weights_ = w; }
   [[nodiscard]] const Weights& weights() const { return weights_; }
@@ -200,9 +193,7 @@ class IncrementalCost {
   void refresh_rel_boxes(std::size_t b);
   void materialize(const double* ox, const double* oy, netlist::Placement& pl);
 
-  const netlist::Circuit* circuit_;
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  netlist::CompiledRef compiled_;
   netlist::Evaluator eval_;
   Weights weights_;
 

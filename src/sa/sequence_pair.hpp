@@ -6,13 +6,13 @@
 // below c iff b succeeds c in gamma+ and precedes it in gamma-. Packing
 // computes the minimal left/bottom-compacted positions.
 //
-// The default packer is the Tang–Wong longest-common-subsequence
-// formulation (DAC'01 "FAST-SP"): block positions are weighted-LCS lengths,
-// computed in O(n log n) with a Fenwick prefix-max structure indexed by
-// gamma- position. The original O(n^2) longest-path packer is kept as
-// `pack_naive` — it is the test oracle (both produce bit-identical
-// coordinates: the same max/+ reductions over the same operand sets) and
-// the "before" side of the SA throughput benchmarks.
+// The packer is the Tang–Wong longest-common-subsequence formulation
+// (DAC'01 "FAST-SP"): block positions are weighted-LCS lengths, computed in
+// O(n log n) with a Fenwick prefix-max structure indexed by gamma-
+// position. The original O(n^2) longest-path packer is kept as
+// `pack_naive`, the test oracle (both produce bit-identical coordinates:
+// the same max/+ reductions over the same operand sets) and the reference
+// row of the packing micro-benchmark. The annealer never calls it.
 
 #include <vector>
 
@@ -51,8 +51,8 @@ class SequencePair {
                              const std::vector<double>& heights) const;
 
   /// Reference O(n^2) longest-path packer (pre-LCS implementation); the
-  /// test oracle and throughput baseline. Produces coordinates bit-identical
-  /// to pack().
+  /// test oracle and packing-bench baseline. Produces coordinates
+  /// bit-identical to pack().
   [[nodiscard]] Packing pack_naive(const std::vector<double>& widths,
                                    const std::vector<double>& heights) const;
 

@@ -322,22 +322,13 @@ double lse_extent_simd(const double* coords, std::size_t k, double gamma,
 
 }  // namespace
 
-SmoothWirelength::SmoothWirelength(const netlist::CompiledCircuit& compiled)
-    : compiled_(&compiled), use_simd_(simd::default_enabled()) {
-  for (std::size_t ni = 0; ni < compiled.num_wl_nets(); ++ni) {
-    max_net_pins_ = std::max(max_net_pins_, compiled.wl_pin_device(ni).size());
+SmoothWirelength::SmoothWirelength(netlist::CompiledRef compiled)
+    : compiled_(std::move(compiled)), use_simd_(simd::default_enabled()) {
+  for (std::size_t ni = 0; ni < compiled_->num_wl_nets(); ++ni) {
+    max_net_pins_ =
+        std::max(max_net_pins_, compiled_->wl_pin_device(ni).size());
   }
 }
-
-SmoothWirelength::SmoothWirelength(
-    std::shared_ptr<const netlist::CompiledCircuit> compiled)
-    : SmoothWirelength(*compiled) {
-  keep_ = std::move(compiled);
-}
-
-SmoothWirelength::SmoothWirelength(const netlist::Circuit& circuit)
-    : SmoothWirelength(
-          std::make_shared<const netlist::CompiledCircuit>(circuit)) {}
 
 double SmoothWirelength::exact_hpwl(std::span<const double> v) const {
   const netlist::CompiledCircuit& cc = *compiled_;

@@ -25,7 +25,6 @@
 // relative on every registry circuit (tests/simd_test.cpp). Within one
 // build+path, results stay bit-identical at any thread count.
 
-#include <memory>
 #include <span>
 
 #include "netlist/compiled.hpp"
@@ -35,13 +34,7 @@ namespace aplace::wirelength {
 
 class SmoothWirelength {
  public:
-  /// Borrow a compiled snapshot the caller keeps alive.
-  explicit SmoothWirelength(const netlist::CompiledCircuit& compiled);
-  /// Share ownership of a compiled snapshot (flow/batch cache path).
-  explicit SmoothWirelength(
-      std::shared_ptr<const netlist::CompiledCircuit> compiled);
-  /// Convenience: compile privately from a raw circuit.
-  explicit SmoothWirelength(const netlist::Circuit& circuit);
+  explicit SmoothWirelength(netlist::CompiledRef compiled);
   virtual ~SmoothWirelength() = default;
 
   /// Smoothing parameter gamma (um). Smaller = closer to exact HPWL but
@@ -91,8 +84,7 @@ class SmoothWirelength {
  private:
   static constexpr std::size_t kNetGrain = 128;
 
-  const netlist::CompiledCircuit* compiled_;
-  std::shared_ptr<const netlist::CompiledCircuit> keep_;
+  netlist::CompiledRef compiled_;
   std::size_t max_net_pins_ = 0;
   bool use_simd_;
 

@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "circuits/testcases.hpp"
 #include "core/compile_cache.hpp"
+#include "gp/eplace_gp.hpp"
 #include "netlist/compiled.hpp"
 #include "numeric/rng.hpp"
 
@@ -278,6 +280,40 @@ TEST(CompileCacheTest, NullCacheCompilesPrivately) {
   const auto snap = core::compile_or_fetch(nullptr, tc.circuit);
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(&snap->circuit(), &tc.circuit);
+}
+
+// The handle every engine holds its snapshot through: it shares a snapshot
+// it is given, compiles a private one from a Circuit, and keeps whichever
+// it holds alive for as long as the engine lives.
+TEST(CompiledRefTest, SharesCompilesAndOwnsItsSnapshot) {
+  circuits::TestCase tc = circuits::make_testcase("Adder");
+
+  const auto shared = std::make_shared<const CompiledCircuit>(tc.circuit);
+  const long before = shared.use_count();
+  {
+    const netlist::CompiledRef ref(shared);
+    EXPECT_EQ(ref.get(), shared.get());
+    EXPECT_EQ(&*ref, shared.get());
+    EXPECT_EQ(shared.use_count(), before + 1);
+  }
+  EXPECT_EQ(shared.use_count(), before);
+
+  const netlist::CompiledRef own(tc.circuit);
+  EXPECT_EQ(&own->circuit(), &tc.circuit);
+  EXPECT_EQ(own->num_devices(), tc.circuit.num_devices());
+
+  // The engine must own the snapshot: the caller's last pointer goes away
+  // before run(), which then reads only what the engine keeps alive.
+  gp::EPlaceGpOptions opts;
+  opts.num_starts = 1;
+  opts.max_iters = 20;
+  opts.min_iters = 5;
+  auto temp = std::make_shared<const CompiledCircuit>(tc.circuit);
+  gp::EPlaceGlobalPlacer placer(temp, opts);
+  temp.reset();
+  const gp::GpResult r = placer.run();
+  ASSERT_EQ(r.positions.size(), 2 * tc.circuit.num_devices());
+  for (const double x : r.positions) EXPECT_TRUE(std::isfinite(x));
 }
 
 }  // namespace

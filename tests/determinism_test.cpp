@@ -79,27 +79,6 @@ TEST_F(DeterminismTest, MultiChainSaIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(DeterminismTest, MultiChainSaLegacyEngineIdenticalAcrossThreadCounts) {
-  // Same contract for the legacy full-recompute evaluator: the engine flag
-  // changes per-move evaluation only, never the reduction order.
-  circuits::TestCase tc = circuits::make_testcase("SCF");
-  core::SaFlowOptions opts;
-  opts.sa.seed = 19;
-  opts.sa.num_chains = 3;
-  opts.sa.max_moves = 2500;
-  opts.sa.incremental = false;
-
-  std::vector<core::FlowResult> results;
-  for (unsigned threads : kThreadCounts) {
-    base::ThreadPool::set_global_threads(threads);
-    results.push_back(core::run_sa(tc.circuit, opts));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    expect_same_quality(results[0].quality, results[i].quality, "sa-legacy",
-                        kThreadCounts[i]);
-  }
-}
-
 TEST_F(DeterminismTest, PriorWorkIdenticalAcrossThreadCounts) {
   circuits::TestCase tc = circuits::make_testcase("CM-OTA1");
   core::PriorWorkOptions opts;

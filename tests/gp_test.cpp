@@ -172,11 +172,11 @@ TEST(EPlaceGpTest, ExtraTermReceivesCalls) {
   opts.min_iters = 10;
   EPlaceGlobalPlacer placer(tc.circuit, opts);
   int calls = 0;
-  placer.set_extra_term(
-      [&](std::span<const double>, std::span<double>) {
+  placer.set_extra_term(std::make_shared<FunctionTerm>(
+      "extra", [&](std::span<const double>, std::span<double>) {
         ++calls;
         return 0.0;
-      });
+      }));
   (void)placer.run();
   EXPECT_GT(calls, 10);
 }

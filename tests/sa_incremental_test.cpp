@@ -1,6 +1,6 @@
 // Incremental SA cost engine: property tests against from-scratch
-// recomputation on every circuit, LCS-vs-naive packer trajectory identity,
-// and the no-leaked-state contract of sample_random.
+// recomputation on every circuit and the no-leaked-state contract of
+// sample_random. (LCS-vs-naive packer identity is checked in sa_test.)
 
 #include <gtest/gtest.h>
 
@@ -61,43 +61,6 @@ INSTANTIATE_TEST_SUITE_P(AllCircuits, IncrementalAllCircuitsTest,
                            }
                            return n;
                          });
-
-// The LCS packer is bit-identical to the naive longest-path packer, so the
-// whole annealing trajectory — every cost, every accept decision, every RNG
-// draw — must coincide move for move.
-TEST(SaIncrementalTest, NaivePackFlagReproducesLcsTrajectory) {
-  circuits::TestCase tc = circuits::make_testcase("CM-OTA2");
-  SaOptions lcs;
-  lcs.seed = 17;
-  lcs.max_moves = 3000;
-  SaOptions naive = lcs;
-  naive.naive_pack = true;
-  const SaResult a = SaPlacer(tc.circuit, lcs).place();
-  const SaResult b = SaPlacer(tc.circuit, naive).place();
-  EXPECT_DOUBLE_EQ(a.cost, b.cost);
-  EXPECT_EQ(a.moves_accepted, b.moves_accepted);
-  for (std::size_t i = 0; i < tc.circuit.num_devices(); ++i) {
-    EXPECT_EQ(a.placement.position(DeviceId{i}),
-              b.placement.position(DeviceId{i}));
-  }
-}
-
-// Legacy full-recompute path still anneals to a legal, deterministic result
-// (it is the oracle side of the throughput benches).
-TEST(SaIncrementalTest, LegacyEngineStillWorks) {
-  circuits::TestCase tc = circuits::make_testcase("Comp1");
-  SaOptions opts;
-  opts.seed = 23;
-  opts.max_moves = 3000;
-  opts.incremental = false;
-  const SaResult a = SaPlacer(tc.circuit, opts).place();
-  const SaResult b = SaPlacer(tc.circuit, opts).place();
-  EXPECT_DOUBLE_EQ(a.cost, b.cost);
-  const netlist::QualityReport q =
-      netlist::Evaluator(tc.circuit).evaluate(a.placement);
-  EXPECT_TRUE(q.legal(1e-6));
-  EXPECT_EQ(a.eval_stats.evals, 0u);  // stats belong to the delta engine
-}
 
 // sample_random used to permanently mutate the placer's island/orientation
 // state, so annealing after sampling started from a different configuration
