@@ -16,6 +16,7 @@
 #include "density/electro.hpp"
 #include "gnn/graph.hpp"
 #include "gnn/model.hpp"
+#include "kernel_oracle.hpp"
 #include "netlist/compiled.hpp"
 #include "netlist/evaluator.hpp"
 #include "numeric/fft.hpp"
@@ -412,14 +413,15 @@ void print_compiled_core_table(bench::JsonReport& json) {
   }
 }
 
-// Quick-mode SIMD kernel table: scalar reference vs. Vec4d path of the
-// three analytical hot kernels, each timed best-of-3 on the largest paper
-// circuit (docs/PERFORMANCE.md explains how to read the rows):
+// Quick-mode SIMD kernel table: scalar reference (tests/kernel_oracle.hpp)
+// vs. the production Vec4d kernel, each timed best-of-3 on the largest
+// paper circuit (docs/PERFORMANCE.md explains how to read the rows):
 //   wa-grad-*  WA wirelength value+gradient over the compiled pin CSR
 //   splat-*    electrostatic charge build (bilinear splat + normalize) on
 //              a 256x256 bin grid
-//   fft-*      dct2+dct3+dst3 trio at n=256 (the Poisson solve's inner 1D
-//              transforms)
+//   fft-simd   dct2+dct3+dst3 trio at n=256 (the Poisson solve's inner 1D
+//              transforms); its oracle is the O(n^2) dense basis, so the
+//              row has no scalar counterpart
 // The rows land in BENCH_micro_kernels.json and the *_simd_speedup metrics
 // are gated by scripts/check_bench_regression.py, so losing the vector
 // path (or a build change silently disabling it) fails CI.
@@ -436,9 +438,10 @@ void print_simd_kernel_table(bench::JsonReport& json) {
     }
   }
   circuits::TestCase tc = circuits::make_testcase(largest);
-  std::printf("\n==== SIMD kernels: scalar vs %s (%s, %zu devices) ====\n",
-              simd::dispatch_name(), largest.c_str(), most);
-  std::printf("%-12s %14s %14s %10s\n", "kernel", "scalar (us)", "simd (us)",
+  std::printf(
+      "\n==== SIMD kernels: scalar oracle vs %s (%s, %zu devices) ====\n",
+      simd::dispatch_name(), largest.c_str(), most);
+  std::printf("%-12s %14s %14s %10s\n", "kernel", "oracle (us)", "simd (us)",
               "speedup");
 
   // Best of three timed repetitions of `reps` calls: the run least
@@ -471,18 +474,20 @@ void print_simd_kernel_table(bench::JsonReport& json) {
 
   // WA wirelength value + gradient over the full circuit.
   {
+    const netlist::CompiledCircuit cc(tc.circuit);
     wirelength::WaWirelength wl(tc.circuit);
     wl.set_gamma(1.0);
     std::vector<double> g(v.size(), 0.0);
-    const auto once = [&] {
+    const int reps = bench::quick_mode() ? 300 : 1000;
+    const double scalar_us = best_of3(reps, [&] {
+      std::fill(g.begin(), g.end(), 0.0);
+      sink += oracle::wirelength_value_and_grad(cc, oracle::Smoothing::kWa,
+                                                1.0, v, g);
+    });
+    const double simd_us = best_of3(reps, [&] {
       std::fill(g.begin(), g.end(), 0.0);
       sink += wl.value_and_grad(v, g);
-    };
-    const int reps = bench::quick_mode() ? 300 : 1000;
-    wl.set_use_simd(false);
-    const double scalar_us = best_of3(reps, once);
-    wl.set_use_simd(true);
-    const double simd_us = best_of3(reps, once);
+    });
     row("wa-grad", largest, scalar_us, simd_us);
   }
 
@@ -491,13 +496,14 @@ void print_simd_kernel_table(bench::JsonReport& json) {
   // bin columns, which is exactly the regime the 256x256 grids of the
   // production flows put the splat in.
   {
+    const netlist::CompiledCircuit cc(tc.circuit);
     density::ElectroDensity ed(tc.circuit, {0, 0, 16, 16}, 256, 256, 0.85);
-    const auto once = [&] { ed.build_density(v); };
+    numeric::Matrix rho(256, 256), occupancy(256, 256);
     const int reps = bench::quick_mode() ? 30 : 100;
-    ed.set_use_simd(false);
-    const double scalar_us = best_of3(reps, once);
-    ed.set_use_simd(true);
-    const double simd_us = best_of3(reps, once);
+    const double scalar_us = best_of3(reps, [&] {
+      sink += oracle::build_density(cc, ed.grid(), v, rho, occupancy);
+    });
+    const double simd_us = best_of3(reps, [&] { ed.build_density(v); });
     row("splat", largest, scalar_us, simd_us);
   }
 
@@ -509,18 +515,15 @@ void print_simd_kernel_table(bench::JsonReport& json) {
     for (std::size_t i = 0; i < n; ++i) {
       in[i] = std::sin(0.7 * static_cast<double>(i));
     }
-    const auto once = [&] {
+    const int reps = bench::quick_mode() ? 2000 : 10000;
+    const double simd_us = best_of3(reps, [&] {
       plan.dct2(in.data(), 1, spec.data(), 1);
       plan.dct3(spec.data(), 1, out.data(), 1);
       plan.dst3(spec.data(), 1, out.data(), 1);
       sink += out[1];
-    };
-    const int reps = bench::quick_mode() ? 2000 : 10000;
-    plan.set_use_simd(false);
-    const double scalar_us = best_of3(reps, once);
-    plan.set_use_simd(true);
-    const double simd_us = best_of3(reps, once);
-    row("fft", "n=256", scalar_us, simd_us);
+    });
+    std::printf("%-12s %14s %14.2f %10s\n", "fft", "-", simd_us, "-");
+    json.add_timing("n=256", "fft-simd", simd_us / 1e6);
   }
   benchmark::DoNotOptimize(sink);
 }

@@ -21,13 +21,13 @@ for each matched pair the checker fails when:
     matching current run — a silently dropped metric is a hard failure,
     never a skip, so schema drift can't blind the gate;
   * a top-level "metrics" entry ending in "_speedup" (higher is better,
-    e.g. the scalar-vs-SIMD kernel ratios) drops below
+    e.g. the oracle-vs-SIMD kernel ratios) drops below
     baseline * (1 - --rate-tol), or is present in the baseline but
     missing from the current file;
   * a --metric-floor NAME=VALUE requirement is violated: the named
     metric must be present somewhere in the current results and be
     >= VALUE. Floors are absolute contracts (e.g. "the SIMD wirelength
-    kernel stays at least 2x faster than its scalar twin"), independent
+    kernel stays at least 2x faster than its scalar test oracle"), independent
     of whatever the baseline happened to record.
 
 New runs (present now, absent from the baseline) are reported but do not

@@ -1,18 +1,19 @@
 #pragma once
 // Portable fixed-width SIMD layer: one 4-lane double vector type
-// (simd::Vec4d) with compile-time dispatch to AVX2+FMA, SSE2, NEON or a
+// (simd::Vec4d) with compile-time dispatch to AVX2, SSE2, NEON or a
 // plain-scalar fallback. Every backend implements the same operations with
 // the same lane semantics, so a kernel written against Vec4d compiles on
 // all four paths and CI can run the full test suite on each.
 //
-// Determinism contract (see docs/PERFORMANCE.md):
-//  * Within one build configuration the kernels built on this layer are
-//    bit-deterministic: lane order is fixed, horizontal reductions are
-//    ordered (((l0+l1)+l2)+l3), and nothing here depends on thread count.
-//  * Across build configurations (scalar vs SSE2 vs AVX2) results may
-//    differ in the last bits — fma() fuses only where the hardware does,
-//    and exp4() is an approximation — but every kernel pair is property-
-//    tested to agree to <= 1e-12 relative (tests/simd_test.cpp).
+// Rounding contract (see docs/PERFORMANCE.md): every backend rounds the
+// same way, so a kernel built on this layer gives bit-identical results on
+// the scalar, SSE2 and AVX2 builds:
+//  * mul_add() is a * b + c with two roundings everywhere (no fused
+//    multiply-add, and the build disables FMA contraction of plain C++);
+//  * hsum_ordered() sums ((l0+l1)+l2)+l3 and hsum4() sums
+//    (l0+l2)+(l1+l3) on every backend;
+//  * lane order is fixed and nothing here depends on thread count.
+// NEON follows the same code but is not verified bit-for-bit.
 //
 // exp4() is a Cephes-style exp: Cody-Waite range reduction, a degree-2/3
 // Pade approximant, exponent reassembly by integer bit manipulation. Its
@@ -23,20 +24,16 @@
 // indistinguishable from the underflow-to-zero of std::exp at 1e-12.
 //
 // Compile-time kill switch: -DAPLACE_SIMD=OFF (CMake) defines
-// APLACE_SIMD_DISABLED and forces the scalar backend everywhere. Runtime
-// default: simd::default_enabled() is true unless APLACE_SIMD=0/off is in
-// the environment; kernels expose per-instance setters on top of it.
+// APLACE_SIMD_DISABLED and forces the scalar backend everywhere.
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <cmath>
 
 #include "base/aligned.hpp"
 
 #if !defined(APLACE_SIMD_DISABLED)
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__)
 #define APLACE_SIMD_AVX2 1
 #include <immintrin.h>
 #elif defined(__SSE2__) || defined(_M_X64)
@@ -65,23 +62,7 @@ inline constexpr std::size_t kLanes = 4;
 #endif
 }
 
-/// True when a vector backend (not the scalar fallback) is compiled in.
-[[nodiscard]] constexpr bool compiled_vector() {
-#if defined(APLACE_SIMD_AVX2) || defined(APLACE_SIMD_SSE2) || \
-    defined(APLACE_SIMD_NEON)
-  return true;
-#else
-  return false;
-#endif
-}
-
 namespace detail {
-// -1 = not yet resolved from the environment; 0/1 = off/on.
-inline std::atomic<int>& default_flag() {
-  static std::atomic<int> flag{-1};
-  return flag;
-}
-
 // Bit masks for Vec4d::keep_first: row n keeps lanes [0, n). Kept as a
 // table so masking is one aligned load + AND (a store/reload round-trip
 // here shows up as a store-forwarding stall in the per-net tail blocks).
@@ -93,29 +74,6 @@ alignas(32) inline constexpr std::uint64_t kKeepMask[5][4] = {
     {~0ull, ~0ull, ~0ull, ~0ull},
 };
 }  // namespace detail
-
-/// Runtime default for the kernels' use_simd flags: true unless the
-/// APLACE_SIMD environment variable is "0"/"off"/"OFF" or
-/// set_default_enabled(false) was called. Engines sample this at
-/// construction; the per-instance set_use_simd() setters override it.
-[[nodiscard]] inline bool default_enabled() {
-  int v = detail::default_flag().load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* e = std::getenv("APLACE_SIMD");
-    const bool on =
-        e == nullptr || e[0] == '\0' ||
-        !(e[0] == '0' || e[0] == 'o' || e[0] == 'O');
-    v = on ? 1 : 0;
-    detail::default_flag().store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
-}
-
-/// Override the process-wide default (tests pinning one path, e.g. the
-/// golden-quality regression runs the scalar reference on every build).
-inline void set_default_enabled(bool on) {
-  detail::default_flag().store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 struct Vec4d {
 #if defined(APLACE_SIMD_AVX2)
@@ -297,17 +255,11 @@ struct Vec4d {
 #endif
   }
 
-  /// a * b + c. Fused (single rounding) on AVX2/NEON; mul+add (two
-  /// roundings) on SSE2 and the scalar fallback — a documented cross-build
-  /// difference inside the 1e-12 contract.
-  [[nodiscard]] static Vec4d fma(Vec4d a, Vec4d b, Vec4d c) {
-#if defined(APLACE_SIMD_AVX2)
-    return {_mm256_fmadd_pd(a.v, b.v, c.v)};
-#elif defined(APLACE_SIMD_NEON)
-    return {vfmaq_f64(c.lo, a.lo, b.lo), vfmaq_f64(c.hi, a.hi, b.hi)};
-#else
+  /// a * b + c with two roundings (multiply, then add) on every backend.
+  /// Deliberately not fused: a fused multiply-add rounds once, so results
+  /// would depend on whether the target has FMA hardware.
+  [[nodiscard]] static Vec4d mul_add(Vec4d a, Vec4d b, Vec4d c) {
     return a * b + c;
-#endif
   }
 
   [[nodiscard]] static Vec4d min(Vec4d a, Vec4d b) {
@@ -447,20 +399,21 @@ struct Vec4d {
 #endif
 }
 
-/// Four horizontal sums at once: {sum(a), sum(b), sum(c), sum(d)}. Uses a
-/// pairwise association (deterministic per build, but backend-specific and
-/// different from hsum_ordered's left-to-right chain), so use it only where
-/// the 1e-12 cross-dispatch contract — not bit-identity — is required. The
-/// shuffle tree keeps all four reductions in registers and pipelines them,
-/// unlike four serial hsum_ordered chains.
+/// Four horizontal sums at once: {sum(a), sum(b), sum(c), sum(d)}, each
+/// associated (l0+l2)+(l1+l3) on every backend — pairwise, so it differs
+/// from hsum_ordered's left-to-right chain, but it is the same on every
+/// build. The shuffle tree keeps all four reductions in registers and
+/// pipelines them, unlike four serial hsum_ordered chains.
 [[nodiscard]] inline Vec4d hsum4(Vec4d a, Vec4d b, Vec4d c, Vec4d d) {
   Vec4d r;
 #if defined(APLACE_SIMD_AVX2)
-  const __m256d t0 = _mm256_hadd_pd(a.v, b.v);  // {a0+a1, b0+b1, a2+a3, b2+b3}
-  const __m256d t1 = _mm256_hadd_pd(c.v, d.v);
-  const __m256d lo = _mm256_permute2f128_pd(t0, t1, 0x20);
-  const __m256d hi = _mm256_permute2f128_pd(t0, t1, 0x31);
-  r.v = _mm256_add_pd(lo, hi);  // (l0+l1) + (l2+l3)
+  // {a0+a2, a1+a3, c0+c2, c1+c3} and the same for (b, d); hadd then adds
+  // adjacent pairs, giving {sum a, sum b, sum c, sum d} in lane order.
+  const __m256d sac = _mm256_add_pd(_mm256_permute2f128_pd(a.v, c.v, 0x20),
+                                    _mm256_permute2f128_pd(a.v, c.v, 0x31));
+  const __m256d sbd = _mm256_add_pd(_mm256_permute2f128_pd(b.v, d.v, 0x20),
+                                    _mm256_permute2f128_pd(b.v, d.v, 0x31));
+  r.v = _mm256_hadd_pd(sac, sbd);
 #elif defined(APLACE_SIMD_SSE2)
   const __m128d sa = _mm_add_pd(a.lo, a.hi);  // {a0+a2, a1+a3}
   const __m128d sb = _mm_add_pd(b.lo, b.hi);
@@ -555,17 +508,17 @@ inline constexpr double kExpQ3 = 2.00000000000000000005e0;
   x = Vec4d::min(Vec4d::max(x, Vec4d::broadcast(-kExpClamp)),
                  Vec4d::broadcast(kExpClamp));
   const Vec4d n = Vec4d::round_nearest(x * Vec4d::broadcast(kLog2E));
-  Vec4d r = Vec4d::fma(n, Vec4d::broadcast(-kLn2Hi), x);
-  r = Vec4d::fma(n, Vec4d::broadcast(-kLn2Lo), r);
+  Vec4d r = Vec4d::mul_add(n, Vec4d::broadcast(-kLn2Hi), x);
+  r = Vec4d::mul_add(n, Vec4d::broadcast(-kLn2Lo), r);
   const Vec4d rr = r * r;
-  Vec4d px = Vec4d::fma(Vec4d::broadcast(kExpP0), rr,
+  Vec4d px = Vec4d::mul_add(Vec4d::broadcast(kExpP0), rr,
                         Vec4d::broadcast(kExpP1));
-  px = Vec4d::fma(px, rr, Vec4d::broadcast(kExpP2));
+  px = Vec4d::mul_add(px, rr, Vec4d::broadcast(kExpP2));
   px = px * r;
-  Vec4d qx = Vec4d::fma(Vec4d::broadcast(kExpQ0), rr,
+  Vec4d qx = Vec4d::mul_add(Vec4d::broadcast(kExpQ0), rr,
                         Vec4d::broadcast(kExpQ1));
-  qx = Vec4d::fma(qx, rr, Vec4d::broadcast(kExpQ2));
-  qx = Vec4d::fma(qx, rr, Vec4d::broadcast(kExpQ3));
+  qx = Vec4d::mul_add(qx, rr, Vec4d::broadcast(kExpQ2));
+  qx = Vec4d::mul_add(qx, rr, Vec4d::broadcast(kExpQ3));
   const Vec4d e =
       Vec4d::broadcast(1.0) + (px + px) / (qx - px);
   return e * detail::pow2_int(n);

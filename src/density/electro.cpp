@@ -18,7 +18,7 @@ using simd::Vec4d;
 // Per-column overlap lengths of `rect` against x-bins [c0, c1], written to
 // ov[0..count) with zeroed pad lanes; mirrors bin_rect()/overlap_area()
 // arithmetic exactly (min(xhi) - max(xlo), clamped at 0), so the separable
-// product ov_x * ov_y is bit-identical to the scalar per-bin overlap.
+// product ov_x * ov_y is bit-identical to BinGrid's per-bin overlap.
 std::size_t fill_overlaps(double region_lo, double bin_len, std::size_t b0,
                           std::size_t b1, double rect_lo, double rect_hi,
                           double* ov) {
@@ -35,9 +35,9 @@ std::size_t fill_overlaps(double region_lo, double bin_len, std::size_t b0,
 // 4-lane separable splat: into(r, c) += (amount/area) * ov_y(r) * ov_x(c),
 // streaming each bin row left to right (rows are contiguous in the
 // row-major matrix, so this is cache-blocked by construction).
-void splat_simd(const BinGrid& grid, const geom::Rect& rect, double amount,
-                numeric::Matrix& into,
-                std::pair<base::AlignedVec&, base::AlignedVec&> scratch) {
+void splat(const BinGrid& grid, const geom::Rect& rect, double amount,
+           numeric::Matrix& into,
+           std::pair<base::AlignedVec&, base::AlignedVec&> scratch) {
   if (rect.area() <= 0) return;
   const auto [cx0, cx1] = grid.x_range(rect.xlo(), rect.xhi());
   const auto [cy0, cy1] = grid.y_range(rect.ylo(), rect.yhi());
@@ -55,7 +55,7 @@ void splat_simd(const BinGrid& grid, const geom::Rect& rect, double amount,
     const Vec4d wv = Vec4d::broadcast(w);
     std::size_t j = 0;
     for (; j + 4 <= nxd; j += 4) {
-      Vec4d::fma(wv, Vec4d::load(ovx + j), Vec4d::loadu(row + j))
+      Vec4d::mul_add(wv, Vec4d::load(ovx + j), Vec4d::loadu(row + j))
           .storeu(row + j);
     }
     for (; j < nxd; ++j) row[j] += w * ovx[j];
@@ -70,10 +70,10 @@ struct ForceAcc {
 // per-column overlaps against the psi/ex/ey rows (three fused accumulators
 // sharing one ovx load), each scaled by the row overlap; the overlapped
 // area factors into (sum ov_x) * (sum ov_y).
-ForceAcc force_simd(const BinGrid& grid, const numeric::Matrix& psi,
-                    const numeric::Matrix& exm, const numeric::Matrix& eym,
-                    const geom::Rect& rect,
-                    std::pair<base::AlignedVec&, base::AlignedVec&> scratch) {
+ForceAcc force(const BinGrid& grid, const numeric::Matrix& psi,
+               const numeric::Matrix& exm, const numeric::Matrix& eym,
+               const geom::Rect& rect,
+               std::pair<base::AlignedVec&, base::AlignedVec&> scratch) {
   ForceAcc acc;
   const auto [cx0, cx1] = grid.x_range(rect.xlo(), rect.xhi());
   const auto [cy0, cy1] = grid.y_range(rect.ylo(), rect.yhi());
@@ -98,18 +98,18 @@ ForceAcc force_simd(const BinGrid& grid, const numeric::Matrix& psi,
     std::size_t j = 0;
     for (; j + 4 <= nxd; j += 4) {
       const Vec4d w = Vec4d::load(ovx + j);
-      ap = Vec4d::fma(w, Vec4d::loadu(prow + j), ap);
-      ax = Vec4d::fma(w, Vec4d::loadu(xrow + j), ax);
-      ay = Vec4d::fma(w, Vec4d::loadu(yrow + j), ay);
+      ap = Vec4d::mul_add(w, Vec4d::loadu(prow + j), ap);
+      ax = Vec4d::mul_add(w, Vec4d::loadu(xrow + j), ax);
+      ay = Vec4d::mul_add(w, Vec4d::loadu(yrow + j), ay);
     }
     if (j < nxd) {
       // Masked tail: ovx pad lanes are zero, matrix rows are loaded through
       // a partial copy so the read never crosses the row's end.
       const std::size_t rem = nxd - j;
       const Vec4d w = Vec4d::load(ovx + j);
-      ap = Vec4d::fma(w, Vec4d::load_partial(prow + j, rem), ap);
-      ax = Vec4d::fma(w, Vec4d::load_partial(xrow + j, rem), ax);
-      ay = Vec4d::fma(w, Vec4d::load_partial(yrow + j, rem), ay);
+      ap = Vec4d::mul_add(w, Vec4d::load_partial(prow + j, rem), ap);
+      ax = Vec4d::mul_add(w, Vec4d::load_partial(xrow + j, rem), ax);
+      ay = Vec4d::mul_add(w, Vec4d::load_partial(yrow + j, rem), ay);
     }
     acc.psi += wy * simd::hsum_ordered(ap);
     acc.ex += wy * simd::hsum_ordered(ax);
@@ -128,7 +128,6 @@ ElectroDensity::ElectroDensity(netlist::CompiledRef compiled,
       target_(target_density),
       basis_x_(nx),
       basis_y_(ny),
-      use_simd_(simd::default_enabled()),
       rho_(ny, nx),
       psi_(ny, nx),
       ex_(ny, nx),
@@ -188,7 +187,6 @@ void ElectroDensity::build_density(std::span<const double> v) {
   // by the wirelength pull still deposits charge into the boundary bins
   // (and in the force pass, samples the field there), so its Neumann mirror
   // image produces the force that pulls it back inside.
-  const bool use_simd = use_simd_;
   auto splat_range = [&](std::size_t lo, std::size_t hi, numeric::Matrix& rho,
                          numeric::Matrix& occ, DevScratch& s) {
     for (std::size_t i = lo; i < hi; ++i) {
@@ -196,13 +194,8 @@ void ElectroDensity::build_density(std::span<const double> v) {
       const geom::Point c = clamped_center({v[i], v[n + i]}, d);
       const geom::Rect eff = geom::Rect::centered(c, d.w, d.h);
       const geom::Rect real = geom::Rect::centered(c, d.real_w, d.real_h);
-      if (use_simd) {
-        splat_simd(grid_, eff, d.charge, rho, {s.ovx, s.ovy});
-        splat_simd(grid_, real, d.charge, occ, {s.ovx, s.ovy});
-      } else {
-        grid_.splat(eff, d.charge, rho);
-        grid_.splat(real, d.charge, occ);
-      }
+      splat(grid_, eff, d.charge, rho, {s.ovx, s.ovy});
+      splat(grid_, real, d.charge, occ, {s.ovx, s.ovy});
     }
   };
   const std::size_t chunks = base::ThreadPool::chunk_count(n, kDeviceGrain);
@@ -305,40 +298,18 @@ double ElectroDensity::value_and_grad(std::span<const double> v,
   // Gradient entries are disjoint per device; the energy sum keeps one
   // partial per fixed chunk and reduces them in chunk order (bit-identical
   // for any thread count).
-  const bool use_simd = use_simd_;
   auto force_range = [&](std::size_t lo, std::size_t hi, DevScratch& s) {
     double energy_acc = 0;
     for (std::size_t i = lo; i < hi; ++i) {
       const DeviceInfo& d = devices_[i];
       const geom::Point c = clamped_center({v[i], v[n + i]}, d);
       const geom::Rect rect = geom::Rect::centered(c, d.w, d.h);
-      double psi_acc = 0, ex_acc = 0, ey_acc = 0, area_acc = 0;
-      if (use_simd) {
-        const ForceAcc acc =
-            force_simd(grid_, psi_, ex_, ey_, rect, {s.ovx, s.ovy});
-        psi_acc = acc.psi;
-        ex_acc = acc.ex;
-        ey_acc = acc.ey;
-        area_acc = acc.area;
-      } else {
-        const auto [cx0, cx1] = grid_.x_range(rect.xlo(), rect.xhi());
-        const auto [cy0, cy1] = grid_.y_range(rect.ylo(), rect.yhi());
-        for (std::size_t r = cy0; r <= cy1; ++r) {
-          for (std::size_t cc = cx0; cc <= cx1; ++cc) {
-            const double ov = grid_.bin_rect(r, cc).overlap_area(rect);
-            if (ov <= 0) continue;
-            psi_acc += ov * psi_(r, cc);
-            ex_acc += ov * ex_(r, cc);
-            ey_acc += ov * ey_(r, cc);
-            area_acc += ov;
-          }
-        }
-      }
-      if (area_acc <= 0) continue;  // region degenerate beyond clamping
-      const double q_over_a = d.charge / area_acc;
-      energy_acc += 0.5 * q_over_a * psi_acc;
-      grad[i] += scale * (-q_over_a * ex_acc);
-      grad[n + i] += scale * (-q_over_a * ey_acc);
+      const ForceAcc acc = force(grid_, psi_, ex_, ey_, rect, {s.ovx, s.ovy});
+      if (acc.area <= 0) continue;  // region degenerate beyond clamping
+      const double q_over_a = d.charge / acc.area;
+      energy_acc += 0.5 * q_over_a * acc.psi;
+      grad[i] += scale * (-q_over_a * acc.ex);
+      grad[n + i] += scale * (-q_over_a * acc.ey);
     }
     return energy_acc;
   };

@@ -15,15 +15,15 @@
 // placement objective; its gradient w.r.t. a device center is -q_i * E
 // averaged over the device footprint.
 //
-// The bilinear splat and the force interpolation exist twice: the scalar
-// per-bin reference (BinGrid::splat / overlap_area loops) and a 4-lane
-// simd::Vec4d kernel that exploits separability — overlap(bin, rect) =
-// ov_x(col) * ov_y(row) exactly — precomputing per-column overlaps once per
-// device and streaming each bin row 4 columns at a time (cache-blocked by
-// construction: rows are contiguous in the row-major matrices).
-// set_use_simd() switches per instance at runtime; both paths keep the
-// chunk-ordered ThreadPool reduction, so each is bit-identical at any
-// thread count, and they agree to <= 1e-12 relative (tests/simd_test.cpp).
+// The bilinear splat and the force interpolation are 4-lane simd::Vec4d
+// kernels that exploit separability — overlap(bin, rect) = ov_x(col) *
+// ov_y(row) exactly — precomputing per-column overlaps once per device and
+// streaming each bin row 4 columns at a time (cache-blocked by
+// construction: rows are contiguous in the row-major matrices). The chunk-
+// ordered ThreadPool reduction makes results bit-identical at any thread
+// count. The per-bin reference (BinGrid::splat and the overlap_area force
+// loop) lives in tests/kernel_oracle.hpp; the two agree to <= 1e-12
+// relative (tests/simd_test.cpp).
 
 #include <span>
 
@@ -41,11 +41,6 @@ class ElectroDensity {
 
   [[nodiscard]] const BinGrid& grid() const { return grid_; }
   [[nodiscard]] double target_density() const { return target_; }
-
-  /// Select the vectorized (true) or scalar-reference (false) splat/force
-  /// kernels. Defaults to simd::default_enabled().
-  void set_use_simd(bool on) { use_simd_ = on; }
-  [[nodiscard]] bool use_simd() const { return use_simd_; }
 
   /// Phase 1 of value_and_grad: splat charge + occupancy at v, normalize
   /// rho, refresh overflow(). Exposed so the splat kernel can be timed in
@@ -83,7 +78,7 @@ class ElectroDensity {
     double real_w, real_h;
   };
 
-  // Per-chunk SIMD scratch: padded per-column / per-row overlap lengths of
+  // Per-chunk scratch: padded per-column / per-row overlap lengths of
   // the device being processed (separable splat/force kernels).
   struct DevScratch {
     base::AlignedVec ovx, ovy;
@@ -99,7 +94,6 @@ class ElectroDensity {
   double target_;
   numeric::spectral::Basis basis_x_, basis_y_;
   std::vector<DeviceInfo> devices_;
-  bool use_simd_;
 
   // Scratch matrices reused across evaluations: value_and_grad performs no
   // heap allocation after construction (the Nesterov hot loop).

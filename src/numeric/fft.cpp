@@ -19,7 +19,6 @@ std::size_t next_pow2(std::size_t n) {
 
 FftPlan::FftPlan(std::size_t n)
     : n_(n),
-      use_simd_(simd::default_enabled()),
       rev_(n),
       qre_(n),
       qim_(n),
@@ -69,7 +68,7 @@ void FftPlan::transform(bool inverse) const {
     const std::size_t len = half << 1;
     const double* wr = &wre_[half - 1];
     const double* wi = &wim_[half - 1];
-    if (use_simd_ && half >= 4) {
+    if (half >= 4) {
       // 4-lane butterflies: for half >= 4 the m-loop touches contiguous
       // runs of re/im/twiddles (half is a power of two, so no tail).
       const Vec4d sign = Vec4d::broadcast(inverse ? -1.0 : 1.0);
@@ -124,11 +123,12 @@ void FftPlan::dct2(const double* in, std::size_t in_stride, double* out,
   const double s = 2.0 / static_cast<double>(n_);
   out[0] = (0.5 * s) * re_[0];
   std::size_t k = 1;
-  if (use_simd_ && out_stride == 1) {
+  if (out_stride == 1) {
     const Vec4d sv = Vec4d::broadcast(s);
     for (; k + 4 <= n_; k += 4) {
-      const Vec4d c = Vec4d::fma(Vec4d::loadu(&qre_[k]), Vec4d::loadu(&re_[k]),
-                                 Vec4d::loadu(&qim_[k]) * Vec4d::loadu(&im_[k]));
+      const Vec4d c =
+          Vec4d::mul_add(Vec4d::loadu(&qre_[k]), Vec4d::loadu(&re_[k]),
+                         Vec4d::loadu(&qim_[k]) * Vec4d::loadu(&im_[k]));
       (sv * c).storeu(out + k);
     }
   }
@@ -156,7 +156,7 @@ void FftPlan::dct3(const double* in, std::size_t in_stride, double* out,
   re_[0] = in[0];
   im_[0] = 0.0;
   std::size_t k = 1;
-  if (use_simd_ && in_stride == 1) {
+  if (in_stride == 1) {
     const Vec4d half = Vec4d::broadcast(0.5);
     for (; k + 4 <= n_; k += 4) {
       const Vec4d x = half * Vec4d::loadu(in + k);
@@ -164,7 +164,7 @@ void FftPlan::dct3(const double* in, std::size_t in_stride, double* out,
       const Vec4d y = half * Vec4d::loadu(in + n_ - k - 3).reverse();
       const Vec4d qr = Vec4d::loadu(&qre_[k]);
       const Vec4d qi = Vec4d::loadu(&qim_[k]);
-      Vec4d::fma(qr, x, qi * y).storeu(&re_[k]);
+      Vec4d::mul_add(qr, x, qi * y).storeu(&re_[k]);
       (qi * x - qr * y).storeu(&im_[k]);
     }
   }
@@ -185,14 +185,14 @@ void FftPlan::dst3(const double* in, std::size_t in_stride, double* out,
   re_[0] = 0.0;
   im_[0] = 0.0;
   std::size_t k = 1;
-  if (use_simd_ && in_stride == 1) {
+  if (in_stride == 1) {
     const Vec4d half = Vec4d::broadcast(0.5);
     for (; k + 4 <= n_; k += 4) {
       const Vec4d x = half * Vec4d::loadu(in + n_ - k - 3).reverse();
       const Vec4d y = half * Vec4d::loadu(in + k);
       const Vec4d qr = Vec4d::loadu(&qre_[k]);
       const Vec4d qi = Vec4d::loadu(&qim_[k]);
-      Vec4d::fma(qr, x, qi * y).storeu(&re_[k]);
+      Vec4d::mul_add(qr, x, qi * y).storeu(&re_[k]);
       (qi * x - qr * y).storeu(&im_[k]);
     }
   }

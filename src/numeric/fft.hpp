@@ -23,6 +23,12 @@
 // same plan runs row transforms (stride 1) and column transforms
 // (stride = row length) of a row-major matrix in place. Scratch is
 // mutable, so a plan must not be shared across threads concurrently.
+//
+// Butterfly stages with half-size >= 4 and the stride-1 quarter-wave
+// twiddle loops run on 4-lane simd::Vec4d kernels; the first two stages and
+// strided (column) twiddles take plain scalar loops, picked by the input's
+// shape alone. The dense-basis transforms of spectral::Basis (naive_*) are
+// the test oracle (tests/simd_test.cpp).
 
 #include <cstddef>
 #include <vector>
@@ -46,13 +52,6 @@ class FftPlan {
 
   [[nodiscard]] std::size_t size() const { return n_; }
 
-  /// Select the 4-lane butterfly/twiddle kernels (true) or the scalar
-  /// reference (false). Defaults to simd::default_enabled(). The SIMD path
-  /// vectorizes stages with half-size >= 4 and the stride-1 quarter-wave
-  /// twiddle loops; both paths agree to <= 1e-12 relative.
-  void set_use_simd(bool on) { use_simd_ = on; }
-  [[nodiscard]] bool use_simd() const { return use_simd_; }
-
   // Each transform reads n values at `in[t * in_stride]` and writes n
   // values at `out[t * out_stride]`. `in == out` (any strides) is fine:
   // the input is fully gathered into scratch before outputs are written.
@@ -72,7 +71,6 @@ class FftPlan {
   void synthesize(double* out, std::size_t out_stride, bool alternate) const;
 
   std::size_t n_;
-  bool use_simd_;
   std::vector<std::size_t> rev_;     // bit-reversal permutation
   base::AlignedVec wre_, wim_;       // stage twiddles e^{-2 pi i m / len},
                                      // stage with half-size h at offset h - 1

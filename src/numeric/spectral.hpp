@@ -45,13 +45,6 @@ class Basis {
   /// True when the O(n log n) FFT path backs dct/idct/sine_synthesis.
   [[nodiscard]] bool uses_fft() const { return plan_ != nullptr; }
 
-  /// Forwarded to the FFT plan's SIMD toggle (see fft::FftPlan). No-op on
-  /// the dense naive path.
-  void set_use_simd(bool on) {
-    if (plan_) plan_->set_use_simd(on);
-  }
-  [[nodiscard]] bool use_simd() const { return plan_ && plan_->use_simd(); }
-
   /// cos(pi k (2j+1) / (2n)); builds the dense table on first use.
   [[nodiscard]] double cosine(std::size_t k, std::size_t j) const;
   /// sin(pi k (2j+1) / (2n)); builds the dense table on first use.

@@ -39,7 +39,7 @@ void gather_padded(std::span<const double> v, std::size_t dim_offset,
 
 // Per-chunk aligned scratch: one padded row per array, sized once to the
 // longest net of the snapshot. ep/em cache the exp values between the value
-// and gradient passes of the SIMD kernels.
+// and gradient passes of the long-net kernels.
 struct NetScratch {
   base::AlignedVec coords, dcoord, coords_y, dcoord_y, ep, em;
   explicit NetScratch(std::size_t max_pins) { ensure(max_pins); }
@@ -66,73 +66,11 @@ struct NetScratch {
   }
 };
 
-// ---- scalar reference kernels ----------------------------------------------
-// Loop order and arithmetic are the pre-SIMD originals, element by element,
-// so the scalar path reproduces historical results bit-for-bit.
-
-// Weighted-average smooth max minus smooth min over coords[0..k), with
-// gradient d(WA)/d(coord_i) written to dcoord. Numerically stabilized by
-// shifting exponents by the max/min coordinate: den_p/den_m always contain
-// an exp(0) = 1 term, so no finite coordinate spread can overflow — extreme
-// spreads only underflow far-away pins to weight 0 (see the 1e6-spread
-// regression in tests/simd_test.cpp).
-double wa_extent_scalar(const double* coords, std::size_t k, double gamma,
-                        double* dcoord) {
-  const double cmax = *std::max_element(coords, coords + k);
-  const double cmin = *std::min_element(coords, coords + k);
-
-  double num_p = 0, den_p = 0, num_m = 0, den_m = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const double c = coords[i];
-    const double ep = std::exp((c - cmax) / gamma);
-    const double em = std::exp(-(c - cmin) / gamma);
-    num_p += c * ep;
-    den_p += ep;
-    num_m += c * em;
-    den_m += em;
-  }
-  const double f_max = num_p / den_p;
-  const double f_min = num_m / den_m;
-
-  for (std::size_t i = 0; i < k; ++i) {
-    const double c = coords[i];
-    const double ap = std::exp((c - cmax) / gamma) / den_p;
-    const double am = std::exp(-(c - cmin) / gamma) / den_m;
-    const double dmax = ap * (1.0 + (c - f_max) / gamma);
-    const double dmin = am * (1.0 - (c - f_min) / gamma);
-    dcoord[i] = dmax - dmin;
-  }
-  return f_max - f_min;
-}
-
-// LSE smooth extent: gamma*ln(sum e^{c/g}) + gamma*ln(sum e^{-c/g}).
-double lse_extent_scalar(const double* coords, std::size_t k, double gamma,
-                         double* dcoord) {
-  const double cmax = *std::max_element(coords, coords + k);
-  const double cmin = *std::min_element(coords, coords + k);
-
-  double sp = 0, sm = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const double c = coords[i];
-    sp += std::exp((c - cmax) / gamma);
-    sm += std::exp(-(c - cmin) / gamma);
-  }
-  const double f_max = cmax + gamma * std::log(sp);
-  const double f_min = cmin - gamma * std::log(sm);
-  for (std::size_t i = 0; i < k; ++i) {
-    const double c = coords[i];
-    dcoord[i] = std::exp((c - cmax) / gamma) / sp -
-                std::exp(-(c - cmin) / gamma) / sm;
-  }
-  return f_max - f_min;
-}
-
 // ---- 4-lane kernels --------------------------------------------------------
 // coords is the padded row written by gather_padded (pad lanes = coords[0],
 // so they are neutral for max/min). The exp values are computed once,
 // masked to zero on the tail block, and cached in ep/em for the gradient
-// pass — the scalar reference recomputes them, so the SIMD path saves a
-// full exp sweep on top of the 4-wide evaluation.
+// pass, so each pin costs one exp sweep, not two.
 
 // Shared first pass: cmax/cmin over the padded row, then
 // ep[i] = exp4((c-cmax)/g), em[i] = exp4((cmin-c)/g) with zeroed tail lanes.
@@ -176,9 +114,9 @@ ExpSums exp_pass(const double* coords, std::size_t k, double inv_gamma,
     }
     vep.store(ep + i);
     vem.store(em + i);
-    s.sum_cep = Vec4d::fma(v, vep, s.sum_cep);
+    s.sum_cep = Vec4d::mul_add(v, vep, s.sum_cep);
     s.sum_ep = s.sum_ep + vep;
-    s.sum_cem = Vec4d::fma(v, vem, s.sum_cem);
+    s.sum_cem = Vec4d::mul_add(v, vem, s.sum_cem);
     s.sum_em = s.sum_em + vem;
   }
   return s;
@@ -269,8 +207,8 @@ double lse_extent_block2(const double* cx, const double* cy, std::size_t k,
           (ymin - gamma * std::log(sums.lane(3))));
 }
 
-double wa_extent_simd(const double* coords, std::size_t k, double gamma,
-                      NetScratch& scratch) {
+double wa_extent(const double* coords, std::size_t k, double gamma,
+                 NetScratch& scratch) {
   double* ep = scratch.ep.data();
   double* em = scratch.em.data();
   const double inv_gamma = 1.0 / gamma;
@@ -299,8 +237,8 @@ double wa_extent_simd(const double* coords, std::size_t k, double gamma,
   return f_max - f_min;
 }
 
-double lse_extent_simd(const double* coords, std::size_t k, double gamma,
-                       NetScratch& scratch) {
+double lse_extent(const double* coords, std::size_t k, double gamma,
+                  NetScratch& scratch) {
   double* ep = scratch.ep.data();
   double* em = scratch.em.data();
   const ExpSums s = exp_pass(coords, k, 1.0 / gamma, ep, em);
@@ -323,7 +261,7 @@ double lse_extent_simd(const double* coords, std::size_t k, double gamma,
 }  // namespace
 
 SmoothWirelength::SmoothWirelength(netlist::CompiledRef compiled)
-    : compiled_(std::move(compiled)), use_simd_(simd::default_enabled()) {
+    : compiled_(std::move(compiled)) {
   for (std::size_t ni = 0; ni < compiled_->num_wl_nets(); ++ni) {
     max_net_pins_ =
         std::max(max_net_pins_, compiled_->wl_pin_device(ni).size());
@@ -351,7 +289,6 @@ double SmoothWirelength::accumulate(std::span<const double> v,
   const netlist::CompiledCircuit& cc = *compiled_;
   const std::size_t n = num_devices();
   const std::size_t num_nets = cc.num_wl_nets();
-  const bool use_simd = use_simd_;
   const Kind k = kind;
   // One chunk of nets, accumulated into `g` (either the caller's gradient
   // directly, or a per-chunk partial on the parallel path).
@@ -362,12 +299,8 @@ double SmoothWirelength::accumulate(std::span<const double> v,
     double* coords = scratch.coords.data();
     double* dcoord = scratch.dcoord.data();
     auto extent = [&](std::size_t pins) {
-      if (use_simd) {
-        return k == Kind::kWa ? wa_extent_simd(coords, pins, gamma_, scratch)
-                              : lse_extent_simd(coords, pins, gamma_, scratch);
-      }
-      return k == Kind::kWa ? wa_extent_scalar(coords, pins, gamma_, dcoord)
-                            : lse_extent_scalar(coords, pins, gamma_, dcoord);
+      return k == Kind::kWa ? wa_extent(coords, pins, gamma_, scratch)
+                            : lse_extent(coords, pins, gamma_, scratch);
     };
     double* coords_y = scratch.coords_y.data();
     double* dcoord_y = scratch.dcoord_y.data();
@@ -375,7 +308,7 @@ double SmoothWirelength::accumulate(std::span<const double> v,
       const std::span<const std::uint32_t> devs = cc.wl_pin_device(ni);
       const std::size_t pins = devs.size();
       const double weight = cc.wl_weight()[ni];
-      if (use_simd && pins <= 4) {
+      if (pins <= 4) {
         // Fused x/y block: both dimensions of a short net in one call so the
         // four exp4 dependency chains overlap (see wa_extent_block2).
         gather_padded(v, 0, devs, cc.wl_pin_dx(ni), coords);

@@ -17,13 +17,13 @@
 // (non-degenerate nets, center-relative pin offsets) — no adjacency is
 // built here.
 //
-// Each net's per-pin inner loops exist twice: a scalar reference and a
-// 4-lane simd::Vec4d kernel (per-net max/min shift kept, exp values cached
-// between the value and gradient passes, masked tail for the remainder
-// pins). set_use_simd() switches per instance at runtime — the default
-// follows simd::default_enabled() — and the two paths agree to <= 1e-12
-// relative on every registry circuit (tests/simd_test.cpp). Within one
-// build+path, results stay bit-identical at any thread count.
+// Each net's per-pin inner loops are one 4-lane simd::Vec4d kernel
+// (per-net max/min shift, exp values cached between the value and gradient
+// passes, masked tail for the remainder pins). A serial scalar reference of
+// the same math lives in tests/kernel_oracle.hpp; the two agree to <= 1e-12
+// relative on every registry circuit (tests/simd_test.cpp). Results are
+// bit-identical at any thread count and across the scalar/SSE2/AVX2
+// builds.
 
 #include <span>
 
@@ -44,12 +44,6 @@ class SmoothWirelength {
     gamma_ = gamma;
   }
   [[nodiscard]] double gamma() const { return gamma_; }
-
-  /// Select the vectorized (true) or scalar-reference (false) inner loops.
-  /// Defaults to simd::default_enabled(). Either path is deterministic;
-  /// they agree to <= 1e-12 relative.
-  void set_use_simd(bool on) { use_simd_ = on; }
-  [[nodiscard]] bool use_simd() const { return use_simd_; }
 
   /// Evaluate at v (size 2n) and *add* the gradient into grad (size 2n).
   /// Returns the smoothed weighted wirelength.
@@ -86,7 +80,6 @@ class SmoothWirelength {
 
   netlist::CompiledRef compiled_;
   std::size_t max_net_pins_ = 0;
-  bool use_simd_;
 
   // Per-chunk scratch for the parallel path (empty until first used; each
   // instance is driven by one placement flow at a time, so `mutable` here

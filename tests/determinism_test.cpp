@@ -10,7 +10,6 @@
 #include <iterator>
 #include <vector>
 
-#include "base/simd.hpp"
 #include "base/thread_pool.hpp"
 #include "circuits/testcases.hpp"
 #include "core/batch.hpp"
@@ -96,17 +95,10 @@ TEST_F(DeterminismTest, PriorWorkIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(DeterminismTest, SimdKernelsIdenticalAcrossThreadCounts) {
-  // The SIMD kernels must honor the same thread-count contract as the
-  // scalar ones: per-net/per-device work is independent and the
-  // chunk-ordered reductions are untouched, so with SIMD explicitly ON the
-  // flow is bit-identical at 1/2/8 threads (regardless of the APLACE_SIMD
-  // environment this test process inherited).
-  struct SimdOnGuard {
-    bool saved = simd::default_enabled();
-    SimdOnGuard() { simd::set_default_enabled(true); }
-    ~SimdOnGuard() { simd::set_default_enabled(saved); }
-  } simd_on;
-
+  // The Vec4d kernels (wirelength, density splat/force, FFT) honor the
+  // thread-count contract: per-net/per-device work is independent and the
+  // reductions run in chunk order, so the flow is bit-identical at 1/2/8
+  // threads down to the placement text.
   circuits::TestCase tc = circuits::make_testcase("VCO2");
   core::EPlaceAOptions opts;
   opts.candidates = 2;
@@ -206,17 +198,8 @@ TEST_F(DeterminismTest, GoldenQualityPinnedAcrossFullCircuitRegistry) {
   // intentional algorithm change moves these numbers, regenerate the table
   // with the same flow/seed and say so in the commit message.
   //
-  // Pinned on the scalar kernel path: the SIMD kernels agree only to 1e-12
-  // per evaluation (and their bits differ between AVX2/SSE2/scalar builds),
-  // which the iterate trajectory amplifies, so exact cross-build pinning is
-  // only meaningful for the scalar reference. simd_test.cpp covers the
-  // scalar-vs-SIMD agreement contract.
-  struct SimdOffGuard {
-    bool saved = simd::default_enabled();
-    SimdOffGuard() { simd::set_default_enabled(false); }
-    ~SimdOffGuard() { simd::set_default_enabled(saved); }
-  } simd_off;
-
+  // Every Vec4d backend rounds the same way and the build disables FMA
+  // contraction, so one table holds on the scalar, SSE2 and AVX2 builds.
   struct Golden {
     const char* name;
     double hpwl, area, overlap_area;
@@ -225,8 +208,8 @@ TEST_F(DeterminismTest, GoldenQualityPinnedAcrossFullCircuitRegistry) {
       {"Adder", 59.199999999999996, 72, 0},
       {"CC-OTA", 83.400000000000006, 168, 0},
       {"Comp1", 78.900000000000006, 117, 0},
-      {"Comp2", 120, 217, 0},
-      {"CM-OTA1", 72.5, 156, 0},
+      {"Comp2", 146.80000000000001, 266, 0},
+      {"CM-OTA1", 74.699999999999989, 132, 0},
       {"CM-OTA2", 104.40000000000001, 204, 0},
       {"SCF", 352.50000000000006, 1935, 0},
       {"VGA", 105.09999999999999, 208, 0},
@@ -245,6 +228,33 @@ TEST_F(DeterminismTest, GoldenQualityPinnedAcrossFullCircuitRegistry) {
     EXPECT_EQ(r.quality.hpwl, g.hpwl) << g.name;
     EXPECT_EQ(r.quality.area, g.area) << g.name;
     EXPECT_EQ(r.quality.overlap_area, g.overlap_area) << g.name;
+  }
+}
+
+TEST_F(DeterminismTest, GoldenEPlaceAQualityPinned) {
+  // The prior-work goldens above run LSE wirelength plus bell density; this
+  // table pins the ePlace-A path (electrostatic splat/force, the FFT
+  // Poisson solve, the ILP legalizer) exactly, at gp.seed=7 with default
+  // options. Same cross-build contract and regeneration rule as above.
+  struct Golden {
+    const char* name;
+    double hpwl, area;
+  };
+  constexpr Golden kGolden[] = {
+      {"Adder", 55.049999999999997, 56},
+      {"CC-OTA", 102.90000000000001, 135},
+      {"CM-OTA1", 75.400000000000006, 120},
+      {"Comp2", 172.09999999999999, 182},
+  };
+  for (const Golden& g : kGolden) {
+    circuits::TestCase tc = circuits::make_testcase(g.name);
+    core::EPlaceAOptions opts;
+    opts.gp.seed = 7;
+    const core::FlowResult r = core::run_eplace_a(tc.circuit, opts);
+    ASSERT_TRUE(r.ok()) << g.name;
+    EXPECT_TRUE(r.legal(1e-6)) << g.name;
+    EXPECT_EQ(r.quality.hpwl, g.hpwl) << g.name;
+    EXPECT_EQ(r.quality.area, g.area) << g.name;
   }
 }
 

@@ -1,15 +1,16 @@
 // SIMD layer contract tests (tests/simd_test.cpp):
 //  * Vec4d lane-op semantics: masked loads/stores, ordered reductions,
 //    lane reversal, scatter-accumulate order, nearest-even rounding.
+//  * The rounding contract every backend shares: mul_add rounds twice and
+//    hsum_ordered/hsum4 use one fixed association each (exact tests).
 //  * exp4 accuracy (<= simd::kExpMaxRelError over the clamped domain) and
 //    saturation behaviour beyond the clamp.
-//  * Registry-wide property: every hot kernel pair (WA/LSE wirelength,
-//    electrostatic splat/force, DCT/DST butterflies) agrees between its
-//    scalar reference and its vectorized path to <= 1e-12 relative on all
-//    ten paper circuits.
-//  * Both GP flows run end-to-end with SIMD forced on and forced off.
-//  * Overflow regression: WA/LSE stay finite (and scalar/SIMD-consistent)
-//    at a 1e6-unit coordinate spread where naive exp() would overflow.
+//  * Registry-wide property: every hot kernel (WA/LSE wirelength,
+//    electrostatic splat/force, DCT/DST butterflies) agrees with its scalar
+//    reference in tests/kernel_oracle.hpp (the dense spectral basis for the
+//    FFT) to <= 1e-12 relative on all ten paper circuits.
+//  * Overflow regression: WA/LSE stay finite (and oracle-consistent) at a
+//    1e6-unit coordinate spread where naive exp() would overflow.
 
 #include <gtest/gtest.h>
 
@@ -23,9 +24,10 @@
 
 #include "base/simd.hpp"
 #include "circuits/testcases.hpp"
-#include "core/flow.hpp"
 #include "density/electro.hpp"
+#include "kernel_oracle.hpp"
 #include "numeric/fft.hpp"
+#include "numeric/spectral.hpp"
 #include "test_util.hpp"
 #include "wirelength/smooth_wl.hpp"
 
@@ -167,14 +169,30 @@ TEST(SimdTest, RoundNearestTiesToEven) {
   EXPECT_EQ(v.lane(3), 0.0);
 }
 
-TEST(SimdTest, FmaMatchesMulAddToContractTolerance) {
-  const Vec4d r = Vec4d::fma(Vec4d::set(1.25, -3.0, 0.5, 1e8),
-                             Vec4d::set(2.0, 0.25, -8.0, 1e-8),
-                             Vec4d::set(1.0, 1.0, 1.0, 1.0));
-  const double expect[4] = {3.5, 0.25, -3.0, 2.0};
-  for (std::size_t i = 0; i < 4; ++i) {
-    expect_rel_close(r.lane(i), expect[i]);
-  }
+TEST(SimdTest, MulAddRoundsTwiceOnEveryBackend) {
+  // (1+e)(1-e) = 1 - e^2 with e = 2^-27: the product rounds to exactly 1.0,
+  // so mul + add gives 0, while a fused multiply-add keeps -e^2 = -2^-54.
+  const double e = std::ldexp(1.0, -27);
+  const Vec4d r = Vec4d::mul_add(Vec4d::broadcast(1.0 + e),
+                                 Vec4d::broadcast(1.0 - e),
+                                 Vec4d::broadcast(-1.0));
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(r.lane(i), 0.0) << i;
+}
+
+TEST(SimdTest, Hsum4UsesPairwiseAssociationOnEveryBackend) {
+  // 1e16 has an ulp of 2, so 1e16 + 1 rounds back to 1e16 (ties to even).
+  // For a and b the documented (l0+l2)+(l1+l3) gives 2 where the
+  // (l0+l1)+(l2+l3) association gives 0; c is the other way round.
+  const double big = 1e16;
+  const Vec4d a = Vec4d::set(big, 1.0, -big, 1.0);
+  const Vec4d b = Vec4d::set(1.0, big, 1.0, -big);
+  const Vec4d c = Vec4d::set(big, -big, 1.0, 1.0);
+  const Vec4d d = Vec4d::set(0.5, 0.25, 0.125, 3.0);
+  const Vec4d r = simd::hsum4(a, b, c, d);
+  EXPECT_EQ(r.lane(0), 2.0);
+  EXPECT_EQ(r.lane(1), 2.0);
+  EXPECT_EQ(r.lane(2), 0.0);
+  EXPECT_EQ(r.lane(3), 3.875);
 }
 
 TEST(SimdTest, ZeroTailAndPadded4) {
@@ -226,13 +244,14 @@ TEST(SimdTest, Exp4ExactAtZeroAndSaturatesBeyondClamp) {
   EXPECT_EQ(big.lane(2), big.lane(3));
 }
 
-// ---- kernel scalar-vs-SIMD agreement (full registry) ------------------------
+// ---- kernel vs. scalar oracle (full registry) -------------------------------
 
 class SimdKernelParityTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SimdKernelParityTest, WirelengthScalarVsSimd) {
   circuits::TestCase tc = circuits::make_testcase(GetParam());
   const netlist::Circuit& c = tc.circuit;
+  const netlist::CompiledCircuit cc(c);
   const std::vector<double> v = registry_positions(c, 48.0);
 
   for (const bool lse : {false, true}) {
@@ -245,9 +264,9 @@ TEST_P(SimdKernelParityTest, WirelengthScalarVsSimd) {
     wl->set_gamma(0.8);
 
     std::vector<double> g_scalar(v.size(), 0.0), g_simd(v.size(), 0.0);
-    wl->set_use_simd(false);
-    const double val_scalar = wl->value_and_grad(v, g_scalar);
-    wl->set_use_simd(true);
+    const double val_scalar = oracle::wirelength_value_and_grad(
+        cc, lse ? oracle::Smoothing::kLse : oracle::Smoothing::kWa, 0.8, v,
+        g_scalar);
     const double val_simd = wl->value_and_grad(v, g_simd);
 
     ASSERT_TRUE(std::isfinite(val_scalar));
@@ -260,28 +279,28 @@ TEST_P(SimdKernelParityTest, WirelengthScalarVsSimd) {
 TEST_P(SimdKernelParityTest, ElectroDensityScalarVsSimd) {
   circuits::TestCase tc = circuits::make_testcase(GetParam());
   const netlist::Circuit& c = tc.circuit;
+  const netlist::CompiledCircuit cc(c);
   const double extent = 64.0;
   const std::vector<double> v = registry_positions(c, extent);
 
   density::ElectroDensity ed(c, {0, 0, extent, extent}, 64, 64, 0.8);
-
-  ed.set_use_simd(false);
-  std::vector<double> g_scalar(v.size(), 0.0);
-  const double val_scalar = ed.value_and_grad(v, g_scalar, 1.0);
-  const double ovf_scalar = ed.overflow();
-  const std::vector<double> rho_scalar(ed.rho().data().begin(),
-                                       ed.rho().data().end());
-
-  ed.set_use_simd(true);
   std::vector<double> g_simd(v.size(), 0.0);
   const double val_simd = ed.value_and_grad(v, g_simd, 1.0);
-  const double ovf_simd = ed.overflow();
   const std::vector<double> rho_simd(ed.rho().data().begin(),
                                      ed.rho().data().end());
 
+  // Charge build and force pass of the oracle; the force pass samples the
+  // potential/field the production solve just computed.
+  numeric::Matrix rho(64, 64), occupancy(64, 64);
+  const double ovf_scalar = oracle::build_density(cc, ed.grid(), v, rho,
+                                                  occupancy);
+  const std::vector<double> rho_scalar(rho.data().begin(), rho.data().end());
+  std::vector<double> g_scalar(v.size(), 0.0);
+  const double val_scalar = oracle::overlap_force(cc, ed, v, g_scalar, 1.0);
+
   ASSERT_TRUE(std::isfinite(val_scalar));
   expect_rel_close(val_scalar, val_simd);
-  expect_rel_close(ovf_scalar, ovf_simd);
+  expect_rel_close(ovf_scalar, ed.overflow());
   expect_vectors_close(rho_scalar, rho_simd);
   expect_vectors_close(g_scalar, g_simd);
 }
@@ -296,12 +315,13 @@ INSTANTIATE_TEST_SUITE_P(FullRegistry, SimdKernelParityTest,
                            return n;
                          });
 
-// ---- FFT/DCT scalar-vs-SIMD -------------------------------------------------
+// ---- FFT/DCT vs. the dense spectral basis -----------------------------------
 
 TEST(SimdFftTest, SpectralTransformsScalarVsSimd) {
   for (const std::size_t n : {std::size_t{4}, std::size_t{8}, std::size_t{32},
                               std::size_t{256}}) {
     numeric::fft::FftPlan plan(n);
+    const numeric::spectral::Basis basis(n);
     std::vector<double> in(n);
     for (std::size_t i = 0; i < n; ++i) {
       in[i] = std::sin(0.37 * static_cast<double>(i) + 0.2) +
@@ -309,26 +329,27 @@ TEST(SimdFftTest, SpectralTransformsScalarVsSimd) {
     }
     using Fn = void (numeric::fft::FftPlan::*)(const double*, std::size_t,
                                                double*, std::size_t) const;
-    for (const Fn fn : {static_cast<Fn>(&numeric::fft::FftPlan::dct2),
-                        static_cast<Fn>(&numeric::fft::FftPlan::dct3),
-                        static_cast<Fn>(&numeric::fft::FftPlan::dst3)}) {
-      std::vector<double> out_scalar(n), out_simd(n);
-      plan.set_use_simd(false);
-      (plan.*fn)(in.data(), 1, out_scalar.data(), 1);
-      plan.set_use_simd(true);
-      (plan.*fn)(in.data(), 1, out_simd.data(), 1);
-      expect_vectors_close(out_scalar, out_simd);
+    const struct {
+      Fn fft;
+      std::vector<double> ref;
+    } cases[] = {
+        {&numeric::fft::FftPlan::dct2, basis.naive_dct(in)},
+        {&numeric::fft::FftPlan::dct3, basis.naive_idct(in)},
+        {&numeric::fft::FftPlan::dst3, basis.naive_sine_synthesis(in)},
+    };
+    for (const auto& tc : cases) {
+      std::vector<double> out(n);
+      (plan.*tc.fft)(in.data(), 1, out.data(), 1);
+      expect_vectors_close(tc.ref, out);
 
-      // Strided (column-transform) layout: stride 3 exercises the scalar
-      // gather fallback of the quarter-wave loops on the SIMD path too.
-      std::vector<double> sin(3 * n, 0.0), s_scalar(3 * n, 0.0),
-          s_simd(3 * n, 0.0);
+      // Strided (column-transform) layout: stride 3 takes the scalar gather
+      // loops of the quarter-wave twiddles.
+      std::vector<double> sin(3 * n, 0.0), sout(3 * n, 0.0);
       for (std::size_t i = 0; i < n; ++i) sin[3 * i] = in[i];
-      plan.set_use_simd(false);
-      (plan.*fn)(sin.data(), 3, s_scalar.data(), 3);
-      plan.set_use_simd(true);
-      (plan.*fn)(sin.data(), 3, s_simd.data(), 3);
-      expect_vectors_close(s_scalar, s_simd);
+      (plan.*tc.fft)(sin.data(), 3, sout.data(), 3);
+      std::vector<double> strided(n);
+      for (std::size_t i = 0; i < n; ++i) strided[i] = sout[3 * i];
+      expect_vectors_close(tc.ref, strided);
     }
   }
 }
@@ -336,7 +357,6 @@ TEST(SimdFftTest, SpectralTransformsScalarVsSimd) {
 TEST(SimdFftTest, Dct2Dct3RoundTripWithSimd) {
   const std::size_t n = 64;
   numeric::fft::FftPlan plan(n);
-  plan.set_use_simd(true);
   std::vector<double> in(n), spec(n), back(n);
   for (std::size_t i = 0; i < n; ++i) {
     in[i] = std::cos(0.13 * static_cast<double>(i * i % 17));
@@ -350,9 +370,9 @@ TEST(SimdFftTest, Dct2Dct3RoundTripWithSimd) {
 
 TEST(SimdOverflowTest, WirelengthFiniteAtMillionUnitSpread) {
   // A chain net spanning 1e6 units: exp((c - min)/gamma) would overflow for
-  // any naive (unshifted) exponential at gamma ~ 1. Both paths must stay
-  // finite and agree — the scalar kernel max/min-shifts, the SIMD kernel
-  // additionally clamps inside exp4.
+  // any naive (unshifted) exponential at gamma ~ 1. The kernel and the
+  // oracle must stay finite and agree — the oracle max/min-shifts, the
+  // kernel additionally clamps inside exp4.
   netlist::Circuit c("spread");
   std::vector<DeviceId> devs;
   std::vector<PinId> pins;
@@ -367,6 +387,7 @@ TEST(SimdOverflowTest, WirelengthFiniteAtMillionUnitSpread) {
              c.add_pin(devs[6], "q", {0.5, 0.5})},
             /*weight=*/2.0);
   c.finalize();
+  const netlist::CompiledCircuit cc(c);
 
   const std::size_t n = c.num_devices();
   std::vector<double> v(2 * n);
@@ -386,9 +407,9 @@ TEST(SimdOverflowTest, WirelengthFiniteAtMillionUnitSpread) {
     wl->set_gamma(1.0);
 
     std::vector<double> g_scalar(v.size(), 0.0), g_simd(v.size(), 0.0);
-    wl->set_use_simd(false);
-    const double val_scalar = wl->value_and_grad(v, g_scalar);
-    wl->set_use_simd(true);
+    const double val_scalar = oracle::wirelength_value_and_grad(
+        cc, lse ? oracle::Smoothing::kLse : oracle::Smoothing::kWa, 1.0, v,
+        g_scalar);
     const double val_simd = wl->value_and_grad(v, g_simd);
 
     ASSERT_TRUE(std::isfinite(val_scalar));
@@ -403,46 +424,6 @@ TEST(SimdOverflowTest, WirelengthFiniteAtMillionUnitSpread) {
     const double exact = wl->exact_hpwl(v);
     EXPECT_NEAR(val_scalar, exact, 1e-6 * exact);
   }
-}
-
-// ---- GP flows end-to-end with SIMD forced on / off --------------------------
-
-struct DefaultSimdGuard {
-  bool saved = simd::default_enabled();
-  ~DefaultSimdGuard() { simd::set_default_enabled(saved); }
-};
-
-TEST(SimdFlowTest, BothGpFlowsLegalWithSimdOnAndOff) {
-  DefaultSimdGuard guard;
-  circuits::TestCase tc = circuits::make_testcase("Adder");
-
-  double hpwl_ep[2] = {0, 0}, hpwl_pw[2] = {0, 0};
-  for (const bool on : {false, true}) {
-    simd::set_default_enabled(on);
-
-    core::EPlaceAOptions eopts;
-    eopts.candidates = 1;
-    eopts.gp.seed = 3;
-    const core::FlowResult ep = core::run_eplace_a(tc.circuit, eopts);
-    EXPECT_TRUE(ep.legal(1e-6)) << "ePlace-A illegal, simd=" << on;
-    ASSERT_TRUE(std::isfinite(ep.hpwl()));
-    EXPECT_GT(ep.hpwl(), 0);
-    hpwl_ep[on ? 1 : 0] = ep.hpwl();
-
-    const core::FlowResult pw = core::run_prior_work(tc.circuit);
-    EXPECT_TRUE(pw.legal(1e-6)) << "prior work illegal, simd=" << on;
-    ASSERT_TRUE(std::isfinite(pw.hpwl()));
-    EXPECT_GT(pw.hpwl(), 0);
-    hpwl_pw[on ? 1 : 0] = pw.hpwl();
-  }
-
-  // The two paths agree to 1e-12 per evaluation but trajectories through
-  // the nonconvex optimizer may diverge; quality must stay in the same
-  // ballpark (loose 2x bracket, not bit equality).
-  EXPECT_LT(std::max(hpwl_ep[0], hpwl_ep[1]),
-            2.0 * std::min(hpwl_ep[0], hpwl_ep[1]));
-  EXPECT_LT(std::max(hpwl_pw[0], hpwl_pw[1]),
-            2.0 * std::min(hpwl_pw[0], hpwl_pw[1]));
 }
 
 }  // namespace
