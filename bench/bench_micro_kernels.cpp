@@ -21,7 +21,6 @@
 #include "netlist/evaluator.hpp"
 #include "numeric/fft.hpp"
 #include "numeric/rng.hpp"
-#include "numeric/spectral.hpp"
 #include "sa/annealer.hpp"
 #include "sa/sequence_pair.hpp"
 #include "solver/lp.hpp"
@@ -63,35 +62,34 @@ numeric::Matrix random_density(std::size_t bins) {
 }
 
 void spectral_solve_fft(const numeric::Matrix& m,
-                        const numeric::spectral::Basis& bx,
-                        const numeric::spectral::Basis& by,
+                        const numeric::fft::FftPlan& px,
+                        const numeric::fft::FftPlan& py,
                         numeric::Matrix& psi, numeric::Matrix& ex,
                         numeric::Matrix& ey) {
-  using namespace numeric::spectral;
+  using namespace numeric::fft;
   std::copy(m.data().begin(), m.data().end(), psi.data().begin());
-  dct2d_inplace(psi, bx, by);
+  dct2d_inplace(psi, px, py);
   std::copy(psi.data().begin(), psi.data().end(), ex.data().begin());
   std::copy(psi.data().begin(), psi.data().end(), ey.data().begin());
-  idct2d_inplace(psi, bx, by);
-  isxcy2d_inplace(ex, bx, by);
-  icxsy2d_inplace(ey, bx, by);
+  idct2d_inplace(psi, px, py);
+  isxcy2d_inplace(ex, px, py);
+  icxsy2d_inplace(ey, px, py);
 }
 
 void spectral_solve_naive(const numeric::Matrix& m,
-                          const numeric::spectral::Basis& bx,
-                          const numeric::spectral::Basis& by,
+                          const oracle::DenseBasis& bx,
+                          const oracle::DenseBasis& by,
                           numeric::Matrix& psi, numeric::Matrix& ex,
                           numeric::Matrix& ey) {
-  using namespace numeric::spectral;
-  const numeric::Matrix a = dct2d_naive(m, bx, by);
-  psi = idct2d_naive(a, bx, by);
-  ex = isxcy2d_naive(a, bx, by);
-  ey = icxsy2d_naive(a, bx, by);
+  const numeric::Matrix a = oracle::dct2d(m, bx, by);
+  psi = oracle::idct2d(a, bx, by);
+  ex = oracle::isxcy2d(a, bx, by);
+  ey = oracle::icxsy2d(a, bx, by);
 }
 
 void BM_SpectralSolveFft(benchmark::State& state) {
   const auto bins = static_cast<std::size_t>(state.range(0));
-  const numeric::spectral::Basis bx(bins), by(bins);
+  const numeric::fft::FftPlan bx(bins), by(bins);
   numeric::Matrix m = random_density(bins);
   numeric::Matrix psi(bins, bins), ex(bins, bins), ey(bins, bins);
   for (auto _ : state) {
@@ -103,7 +101,7 @@ BENCHMARK(BM_SpectralSolveFft)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_SpectralSolveNaive(benchmark::State& state) {
   const auto bins = static_cast<std::size_t>(state.range(0));
-  const numeric::spectral::Basis bx(bins), by(bins);
+  const oracle::DenseBasis bx(bins), by(bins);
   const numeric::Matrix m = random_density(bins);
   numeric::Matrix psi(bins, bins), ex(bins, bins), ey(bins, bins);
   for (auto _ : state) {
@@ -171,7 +169,7 @@ void BM_SequencePairPackNaive(benchmark::State& state) {
     h[i] = rng.uniform(1, 4);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sp.pack_naive(w, h));
+    benchmark::DoNotOptimize(oracle::pack_naive(sp, w, h));
   }
 }
 BENCHMARK(BM_SequencePairPackNaive)->Arg(10)->Arg(30)->Arg(60);
@@ -279,7 +277,7 @@ void print_sa_kernel_table(bench::JsonReport& json) {
     sa::SequencePair::Packing pk;
     const int reps = n >= 480 ? 200 : 2000;
     auto t0 = clock::now();
-    for (int i = 0; i < reps; ++i) pk = sp.pack_naive(w, h);
+    for (int i = 0; i < reps; ++i) pk = oracle::pack_naive(sp, w, h);
     const double naive_us =
         std::chrono::duration<double, std::micro>(clock::now() - t0).count() /
         reps;
@@ -539,18 +537,19 @@ void print_spectral_table() {
   std::printf("%8s %14s %14s %10s\n", "bins", "naive (ms)", "fft (ms)",
               "speedup");
   for (const std::size_t bins : {64u, 128u, 256u}) {
-    const numeric::spectral::Basis bx(bins), by(bins);
+    const oracle::DenseBasis dx(bins), dy(bins);
+    const numeric::fft::FftPlan px(bins), py(bins);
     numeric::Matrix m = random_density(bins);
     numeric::Matrix psi(bins, bins), ex(bins, bins), ey(bins, bins);
 
-    // One warm-up each (builds the lazy dense tables / touches caches).
-    spectral_solve_naive(m, bx, by, psi, ex, ey);
-    spectral_solve_fft(m, bx, by, psi, ex, ey);
+    // One warm-up each (touches caches).
+    spectral_solve_naive(m, dx, dy, psi, ex, ey);
+    spectral_solve_fft(m, px, py, psi, ex, ey);
 
     const int naive_reps = bins >= 256 ? 3 : 10;
     auto t0 = clock::now();
     for (int i = 0; i < naive_reps; ++i) {
-      spectral_solve_naive(m, bx, by, psi, ex, ey);
+      spectral_solve_naive(m, dx, dy, psi, ex, ey);
     }
     const double naive_ms =
         std::chrono::duration<double, std::milli>(clock::now() - t0).count() /
@@ -559,7 +558,7 @@ void print_spectral_table() {
     const int fft_reps = 50;
     t0 = clock::now();
     for (int i = 0; i < fft_reps; ++i) {
-      spectral_solve_fft(m, bx, by, psi, ex, ey);
+      spectral_solve_fft(m, px, py, psi, ex, ey);
     }
     const double fft_ms =
         std::chrono::duration<double, std::milli>(clock::now() - t0).count() /

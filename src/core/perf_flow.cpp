@@ -222,20 +222,10 @@ PerfFlowResult run_prior_work_perf(const netlist::Circuit& circuit,
 
 PerfFlowResult run_sa_perf(const netlist::Circuit& circuit, PerfContext& ctx,
                            SaFlowOptions opts, double alpha) {
-  const auto t0 = Clock::now();
-  sa::SaOptions sopts = opts.sa;
-  sopts.extra_cost = [&ctx, alpha](const netlist::Placement& pl) {
+  opts.sa.extra_cost = [&ctx, alpha](const netlist::Placement& pl) {
     return alpha * gnn_phi(ctx, pl);
   };
-  sa::SaPlacer placer(circuit, sopts);
-  sa::SaResult sar = placer.place();
-  const double total = seconds_since(t0);
-
-  PerfFlowResult out{FlowResult{std::move(sar.placement), {}, 0, 0, total},
-                     {}};
-  out.flow.quality = netlist::Evaluator(circuit).evaluate(out.flow.placement);
-  out.flow.sa_moves_per_second = sar.moves_per_second;
-  out.flow.sa_net_eval_ratio = sar.eval_stats.net_eval_ratio();
+  PerfFlowResult out{run_sa(circuit, std::move(opts)), {}};
   out.perf = evaluate_routed(ctx, out.flow.placement);
   return out;
 }

@@ -10,8 +10,10 @@
 //                      coordinates), same ILP detailed placement.
 //   * run_prior_work_perf — the paper's Perf* extension of [11]: same GNN
 //                      term added to the CG objective.
-//   * run_sa_perf    — performance-driven SA [19]: Phi inference added to
-//                      the annealing cost.
+//   * run_sa_perf    — performance-driven SA [19]: run_sa with alpha * Phi
+//                      inference added to the annealing cost (same deadline,
+//                      cancellation, validation and repair), then
+//                      evaluate_routed.
 //   * evaluate_routed — route the placement, extract parasitics, run the
 //                      surrogate "SPICE" and report metric values + FOM.
 

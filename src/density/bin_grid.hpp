@@ -2,7 +2,7 @@
 // Uniform bin grid over the placement region, shared by both density models.
 //
 // Matrix convention: rho(r, c) with r = y-bin row and c = x-bin column,
-// matching numeric::spectral's (rows = y, cols = x) layout.
+// matching the 2D transforms' (rows = y, cols = x) layout in numeric/fft.
 
 #include "geom/rect.hpp"
 #include "numeric/matrix.hpp"

@@ -126,8 +126,8 @@ ElectroDensity::ElectroDensity(netlist::CompiledRef compiled,
     : compiled_(std::move(compiled)),
       grid_(region, nx, ny),
       target_(target_density),
-      basis_x_(nx),
-      basis_y_(ny),
+      plan_x_(nx),
+      plan_y_(ny),
       rho_(ny, nx),
       psi_(ny, nx),
       ex_(ny, nx),
@@ -265,12 +265,12 @@ double ElectroDensity::value_and_grad(std::span<const double> v,
   // All transforms run in place on the member matrices: psi_ temporarily
   // holds the DCT coefficients a, from which the three synthesis inputs are
   // produced, so the whole solve allocates nothing.
-  using namespace numeric::spectral;
+  using namespace numeric::fft;
   const std::size_t nx = grid_.nx(), ny = grid_.ny();
   const double pi = std::numbers::pi;
 
   std::copy(rho_.data().begin(), rho_.data().end(), psi_.data().begin());
-  dct2d_inplace(psi_, basis_x_, basis_y_);
+  dct2d_inplace(psi_, plan_x_, plan_y_);
   for (std::size_t r = 0; r < ny; ++r) {
     const double wv = pi * static_cast<double>(r) / static_cast<double>(ny) /
                       grid_.bin_h();
@@ -290,9 +290,9 @@ double ElectroDensity::value_and_grad(std::span<const double> v,
       ey_(r, c) = coef * wv;
     }
   }
-  idct2d_inplace(psi_, basis_x_, basis_y_);
-  isxcy2d_inplace(ex_, basis_x_, basis_y_);
-  icxsy2d_inplace(ey_, basis_x_, basis_y_);
+  idct2d_inplace(psi_, plan_x_, plan_y_);
+  isxcy2d_inplace(ex_, plan_x_, plan_y_);
+  icxsy2d_inplace(ey_, plan_x_, plan_y_);
 
   // --- energy and per-device forces ----------------------------------------
   // Gradient entries are disjoint per device; the energy sum keeps one

@@ -3,7 +3,7 @@
 //
 // Devices are positive charges with magnitude = footprint area. The charge
 // density rho on a bin grid drives a Poisson solve with Neumann boundary
-// conditions via 2D DCT (numeric/spectral):
+// conditions via 2D DCT (numeric/fft's row/column passes on two FftPlans):
 //
 //   a_{u,v}   = DCT2(rho)
 //   psi_{x,y} = sum a_{u,v} / (w_u^2 + w_v^2) cos(w_u x) cos(w_v y)
@@ -30,12 +30,14 @@
 #include "base/aligned.hpp"
 #include "density/bin_grid.hpp"
 #include "netlist/compiled.hpp"
-#include "numeric/spectral.hpp"
+#include "numeric/fft.hpp"
 
 namespace aplace::density {
 
 class ElectroDensity {
  public:
+  /// nx and ny must be powers of two (checked): the Poisson solve runs on
+  /// one FftPlan per axis.
   ElectroDensity(netlist::CompiledRef compiled, const geom::Rect& region,
                  std::size_t nx, std::size_t ny, double target_density);
 
@@ -92,7 +94,7 @@ class ElectroDensity {
   netlist::CompiledRef compiled_;
   BinGrid grid_;
   double target_;
-  numeric::spectral::Basis basis_x_, basis_y_;
+  numeric::fft::FftPlan plan_x_, plan_y_;
   std::vector<DeviceInfo> devices_;
 
   // Scratch matrices reused across evaluations: value_and_grad performs no

@@ -21,8 +21,8 @@ geom::Rect make_region(const netlist::CompiledCircuit& cc,
   return {0, 0, side, side};
 }
 
-// Validate the density bin count and round it up to a power of two, which
-// keeps ElectroDensity on the FFT-backed spectral path.
+// Validate the density bin count and round it up to a power of two, as
+// ElectroDensity's FFT-backed Poisson solve requires.
 EPlaceGpOptions normalized(EPlaceGpOptions opts) {
   APLACE_CHECK_MSG(opts.bins >= 2, "ePlace-A needs >= 2 density bins");
   if (!numeric::fft::is_pow2(opts.bins)) {

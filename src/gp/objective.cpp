@@ -137,9 +137,7 @@ double CompositeObjective::value_and_grad(std::span<const double> v,
     if (!e.enabled) continue;
     // Snapshot the running gradient so the term's own (weighted)
     // contribution can be measured without perturbing the accumulation.
-    if (observe_grad_norms_) {
-      std::copy(grad.begin(), grad.end(), scratch_.begin());
-    }
+    std::copy(grad.begin(), grad.end(), scratch_.begin());
     const auto t0 = Clock::now();
     const double val = e.term->value_and_grad(v, grad, e.weight);
     TermStats& st = trace_.terms[i];
@@ -147,7 +145,7 @@ double CompositeObjective::value_and_grad(std::span<const double> v,
     ++st.evals;
     st.value = val;
     st.weight = e.weight;
-    if (observe_grad_norms_) st.grad_norm = mean_abs_diff(grad, scratch_);
+    st.grad_norm = mean_abs_diff(grad, scratch_);
     total += e.weight * val;
   }
   return total;
@@ -192,18 +190,6 @@ void CompositeObjective::sample(int iter) {
     trace_.samples = std::move(kept);
     trace_.sample_stride *= 2;
   }
-}
-
-void CompositeObjective::reset_trace() {
-  for (TermStats& t : trace_.terms) {
-    t.evals = 0;
-    t.seconds = 0;
-    t.value = 0;
-    t.grad_norm = 0;
-  }
-  trace_.samples.clear();
-  trace_.sample_stride = 1;
-  sample_calls_ = 0;
 }
 
 // ---- WeightScheduler --------------------------------------------------------

@@ -168,13 +168,6 @@ class CompositeObjective {
   void sample(int iter);
 
   [[nodiscard]] const TermTrace& trace() const { return trace_; }
-  /// Reset eval counts, seconds and the sample history (weights stay).
-  void reset_trace();
-
-  /// Per-eval gradient-norm probing costs two extra O(n) passes per term;
-  /// it is on by default (the benches want it) but can be disabled for
-  /// pure speed runs.
-  void set_observe_grad_norms(bool on) { observe_grad_norms_ = on; }
 
   static constexpr int kMaxSamples = 96;
 
@@ -191,7 +184,6 @@ class CompositeObjective {
   std::vector<Entry> terms_;
   TermTrace trace_;
   numeric::Vec scratch_;  ///< grad snapshot for the grad-norm probe
-  bool observe_grad_norms_ = true;
   int sample_calls_ = 0;
 };
 

@@ -17,6 +17,10 @@ namespace {
 
 using netlist::Axis;
 
+// Pack/project rounds before giving up. Each round re-derives the
+// separation directions from the current iterate.
+constexpr int kMaxRounds = 8;
+
 // Union-find over devices coupled by an equality-type constraint (symmetry
 // group, alignment pair, common-centroid quad). Coupled devices move as one
 // rigid cluster during packing, so the projected equalities — which are all
@@ -210,9 +214,8 @@ double violation_sum(const netlist::QualityReport& q) {
 
 }  // namespace
 
-GreedyShiftLegalizer::GreedyShiftLegalizer(const netlist::Circuit& circuit,
-                                           GreedyShiftOptions opts)
-    : circuit_(&circuit), opts_(opts) {
+GreedyShiftLegalizer::GreedyShiftLegalizer(const netlist::Circuit& circuit)
+    : circuit_(&circuit) {
   APLACE_CHECK(circuit.finalized());
 }
 
@@ -274,7 +277,7 @@ GreedyShiftResult GreedyShiftLegalizer::place(
   };
 
   double best_viol = std::numeric_limits<double>::infinity();
-  for (int round = 0; round < opts_.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     ++result.rounds;
 
     // 1. Equality constraints exact; intra-cluster overlap removed by the

@@ -15,12 +15,6 @@
 
 namespace aplace::legal {
 
-struct GreedyShiftOptions {
-  /// Pack/project rounds before giving up. Each round re-derives the
-  /// separation directions from the current iterate.
-  int max_rounds = 8;
-};
-
 struct GreedyShiftResult {
   netlist::Placement placement;
   /// Ok iff `placement` is legal; otherwise why the last resort gave up
@@ -34,8 +28,7 @@ struct GreedyShiftResult {
 
 class GreedyShiftLegalizer {
  public:
-  explicit GreedyShiftLegalizer(const netlist::Circuit& circuit,
-                                GreedyShiftOptions opts = {});
+  explicit GreedyShiftLegalizer(const netlist::Circuit& circuit);
 
   /// Legalize starting from device centers (x.., y..); non-finite inputs
   /// are sanitized first, so a diverged GP hand-off is acceptable.
@@ -44,7 +37,6 @@ class GreedyShiftLegalizer {
 
  private:
   const netlist::Circuit* circuit_;
-  GreedyShiftOptions opts_;
 };
 
 }  // namespace aplace::legal

@@ -6,6 +6,7 @@
 
 #include "base/check.hpp"
 #include "base/simd.hpp"
+#include "obs/metrics.hpp"
 
 namespace aplace::numeric::fft {
 
@@ -119,7 +120,7 @@ void FftPlan::dct2(const double* in, std::size_t in_stride, double* out,
   std::fill(im_.begin(), im_.end(), 0.0);
   transform(false);
   // c_k = Re(e^{-i pi k/(2n)} Y_k) = sum_j v_j cos(pi k (2j+1)/(2n)), then
-  // scale to the reconstruction-ready convention of spectral::Basis::dct.
+  // scale to the reconstruction-ready convention of the header.
   const double s = 2.0 / static_cast<double>(n_);
   out[0] = (0.5 * s) * re_[0];
   std::size_t k = 1;
@@ -203,6 +204,45 @@ void FftPlan::dst3(const double* in, std::size_t in_stride, double* out,
     im_[k] = qim_[k] * x - qre_[k] * y;
   }
   synthesize(out, out_stride, /*alternate=*/true);
+}
+
+namespace {
+
+using Transform1d = void (FftPlan::*)(const double*, std::size_t, double*,
+                                      std::size_t) const;
+
+// Rows with px (tx), then columns with py (ty), in place.
+void apply_2d(Matrix& m, const FftPlan& px, const FftPlan& py, Transform1d tx,
+              Transform1d ty) {
+  APLACE_CHECK(m.cols() == px.size() && m.rows() == py.size());
+  static const obs::Counter transforms = obs::counter("fft/transforms2d");
+  transforms.inc();
+  double* d = m.data().data();
+  const std::size_t cols = m.cols();
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    (px.*tx)(d + r * cols, 1, d + r * cols, 1);
+  }
+  for (std::size_t c = 0; c < cols; ++c) {
+    (py.*ty)(d + c, cols, d + c, cols);
+  }
+}
+
+}  // namespace
+
+void dct2d_inplace(Matrix& m, const FftPlan& px, const FftPlan& py) {
+  apply_2d(m, px, py, &FftPlan::dct2, &FftPlan::dct2);
+}
+
+void idct2d_inplace(Matrix& m, const FftPlan& px, const FftPlan& py) {
+  apply_2d(m, px, py, &FftPlan::dct3, &FftPlan::dct3);
+}
+
+void isxcy2d_inplace(Matrix& m, const FftPlan& px, const FftPlan& py) {
+  apply_2d(m, px, py, &FftPlan::dst3, &FftPlan::dct3);
+}
+
+void icxsy2d_inplace(Matrix& m, const FftPlan& px, const FftPlan& py) {
+  apply_2d(m, px, py, &FftPlan::dct3, &FftPlan::dst3);
 }
 
 }  // namespace aplace::numeric::fft

@@ -5,8 +5,8 @@
 // 1D transforms the electrostatic Poisson solve needs, each O(n log n):
 //
 //   dct2  : a_k = (2/n) w(k) sum_j v_j cos(pi k (2j+1) / (2n)),
-//           w(0) = 1/2, w(k>0) = 1   (forward analysis, matches
-//           spectral::Basis::dct exactly)
+//           w(0) = 1/2, w(k>0) = 1   (forward analysis producing
+//           reconstruction-ready coefficients)
 //   dct3  : v_j = a_0 + sum_{k>=1} a_k cos(pi k (2j+1) / (2n))
 //           (cosine synthesis, exact inverse of dct2)
 //   dst3  : s_j = sum_{k>=1} a_k sin(pi k (2j+1) / (2n))
@@ -27,13 +27,18 @@
 // Butterfly stages with half-size >= 4 and the stride-1 quarter-wave
 // twiddle loops run on 4-lane simd::Vec4d kernels; the first two stages and
 // strided (column) twiddles take plain scalar loops, picked by the input's
-// shape alone. The dense-basis transforms of spectral::Basis (naive_*) are
-// the test oracle (tests/simd_test.cpp).
+// shape alone. The dense cos/sin basis oracle::DenseBasis in
+// tests/kernel_oracle.hpp is the test oracle (tests/simd_test.cpp).
+//
+// The 2D transforms of the Poisson solve (density::ElectroDensity) apply a
+// 1D transform along every row with one plan, then along every column with
+// another, in place on a row-major Matrix (rows = y, cols = x).
 
 #include <cstddef>
 #include <vector>
 
 #include "base/aligned.hpp"
+#include "numeric/matrix.hpp"
 
 namespace aplace::numeric::fft {
 
@@ -77,5 +82,18 @@ class FftPlan {
   base::AlignedVec qre_, qim_;       // quarter-wave cos/sin(pi k / (2n))
   mutable base::AlignedVec re_, im_;  // complex work buffer
 };
+
+// 2D transforms of m (m.cols() == px.size(), m.rows() == py.size()): rows
+// with px, then columns with py, overwriting m with no heap allocation.
+// Each call bumps the fft/transforms2d counter.
+
+/// Forward DCT along x and y: m(r, c) -> a(v, u), v the y-frequency.
+void dct2d_inplace(Matrix& m, const FftPlan& px, const FftPlan& py);
+/// Cosine synthesis along x and y (exact inverse of dct2d_inplace).
+void idct2d_inplace(Matrix& m, const FftPlan& px, const FftPlan& py);
+/// Sine synthesis along x, cosine along y (x-field component).
+void isxcy2d_inplace(Matrix& m, const FftPlan& px, const FftPlan& py);
+/// Cosine synthesis along x, sine along y (y-field component).
+void icxsy2d_inplace(Matrix& m, const FftPlan& px, const FftPlan& py);
 
 }  // namespace aplace::numeric::fft

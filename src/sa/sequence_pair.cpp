@@ -52,7 +52,7 @@ void SequencePair::pack_into(const std::vector<double>& widths,
   // bit-walk, and the x pass (gamma+ forward) interleaves with the
   // independent y pass (gamma+ backward) so the two max-chains overlap.
   // max is exact regardless of scan order, so the coordinates are
-  // bit-identical to the Fenwick path (and to pack_naive).
+  // bit-identical to the Fenwick path.
   if (n <= 32) {
     fenwick_.assign(2 * n, 0.0);
     double* fx = fenwick_.data();
@@ -129,47 +129,6 @@ SequencePair::Packing SequencePair::pack(
     const std::vector<double>& heights) const {
   Packing out;
   pack_into(widths, heights, out);
-  return out;
-}
-
-SequencePair::Packing SequencePair::pack_naive(
-    const std::vector<double>& widths,
-    const std::vector<double>& heights) const {
-  const std::size_t n = size();
-  APLACE_CHECK(widths.size() == n && heights.size() == n);
-  Packing out;
-  out.x.assign(n, 0.0);
-  out.y.assign(n, 0.0);
-
-  // x: process blocks in gamma_minus order. Every block already processed
-  // that precedes the current one in gamma_plus is to its left.
-  for (std::size_t p = 0; p < n; ++p) {
-    const std::size_t b = seq_minus_[p];
-    double x = 0;
-    for (std::size_t q = 0; q < p; ++q) {
-      const std::size_t c = seq_minus_[q];
-      if (pos_plus_[c] < pos_plus_[b]) {
-        x = std::max(x, out.x[c] + widths[c]);
-      }
-    }
-    out.x[b] = x;
-    out.width = std::max(out.width, x + widths[b]);
-  }
-
-  // y: process in gamma_minus order; a processed block c is below b iff
-  // c succeeds b in gamma_plus.
-  for (std::size_t p = 0; p < n; ++p) {
-    const std::size_t b = seq_minus_[p];
-    double y = 0;
-    for (std::size_t q = 0; q < p; ++q) {
-      const std::size_t c = seq_minus_[q];
-      if (pos_plus_[c] > pos_plus_[b]) {
-        y = std::max(y, out.y[c] + heights[c]);
-      }
-    }
-    out.y[b] = y;
-    out.height = std::max(out.height, y + heights[b]);
-  }
   return out;
 }
 

@@ -9,10 +9,10 @@
 // The packer is the Tang–Wong longest-common-subsequence formulation
 // (DAC'01 "FAST-SP"): block positions are weighted-LCS lengths, computed in
 // O(n log n) with a Fenwick prefix-max structure indexed by gamma-
-// position. The original O(n^2) longest-path packer is kept as
-// `pack_naive`, the test oracle (both produce bit-identical coordinates:
-// the same max/+ reductions over the same operand sets) and the reference
-// row of the packing micro-benchmark. The annealer never calls it.
+// position. The O(n^2) longest-path packer it replaced is the test oracle
+// (oracle::pack_naive in tests/kernel_oracle.hpp): both produce
+// bit-identical coordinates, the same max/+ reductions over the same
+// operand sets.
 
 #include <vector>
 
@@ -49,12 +49,6 @@ class SequencePair {
   /// Convenience wrapper around pack_into.
   [[nodiscard]] Packing pack(const std::vector<double>& widths,
                              const std::vector<double>& heights) const;
-
-  /// Reference O(n^2) longest-path packer (pre-LCS implementation); the
-  /// test oracle and packing-bench baseline. Produces coordinates
-  /// bit-identical to pack().
-  [[nodiscard]] Packing pack_naive(const std::vector<double>& widths,
-                                   const std::vector<double>& heights) const;
 
   /// Does block a precede b in both sequences (a strictly left of b)?
   [[nodiscard]] bool left_of(std::size_t a, std::size_t b) const {

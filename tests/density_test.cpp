@@ -137,11 +137,18 @@ TEST(ElectroTest, EscapedDeviceFeelsRestoringForce) {
   EXPECT_GT(g[2], 0.0) << "escaped device must be pulled back down";
 }
 
+TEST(ElectroDensityTest, RejectsNonPowerOfTwoBins) {
+  // The Poisson solve runs on one FftPlan per axis, which needs a
+  // power-of-two length; there is no dense fallback.
+  const netlist::Circuit c = test::two_device_circuit();
+  EXPECT_THROW(ElectroDensity(c, {0, 0, 16, 16}, 12, 12, 0.8), CheckError);
+  EXPECT_THROW(ElectroDensity(c, {0, 0, 16, 16}, 16, 12, 0.8), CheckError);
+}
+
 TEST(ElectroTest, GradientMatchesFiniteDifferenceOnFftPath) {
-  // Finite-difference sanity of the gradient after the FFT rewiring, on a
-  // power-of-two grid (the FFT path) at a different size than the legacy
-  // test. Tolerances are loose for the same reason as above: the per-device
-  // field averaging is an approximation of dN/dv.
+  // Finite-difference sanity of the gradient at a finer grid than the test
+  // above. Tolerances are loose for the same reason as above: the
+  // per-device field averaging is an approximation of dN/dv.
   const netlist::Circuit c = test::two_device_circuit();
   ElectroDensity ed(c, {0, 0, 16, 16}, 64, 64, 0.8);
   const std::vector<double> v{6.5, 9.5, 8.5, 7.5};

@@ -258,6 +258,20 @@ TEST(PerfFlowTest, PerfDrivenVariantsRunForAllMethods) {
   EXPECT_TRUE(sp.flow.legal(1e-6));
 }
 
+TEST(PerfFlowTest, SaPerfHonorsCancellation) {
+  // run_sa_perf goes through run_sa, so a token cancelled before the flow
+  // starts stops it before any annealing.
+  circuits::TestCase tc = circuits::make_testcase("Adder");
+  auto ctx = build_perf_context(tc.circuit, tc.spec, quick_dataset(),
+                                quick_training());
+  SaFlowOptions sopts;
+  sopts.sa.max_moves = 2000;
+  sopts.cancel = base::CancelToken::make_cancellable();
+  sopts.cancel.request_cancel();
+  const PerfFlowResult r = run_sa_perf(tc.circuit, *ctx, sopts, 1.0);
+  EXPECT_EQ(r.flow.status.code(), StatusCode::Cancelled);
+}
+
 TEST(PerfFlowTest, GnnPhiIsProbability) {
   circuits::TestCase tc = circuits::make_testcase("Adder");
   auto ctx = build_perf_context(tc.circuit, tc.spec, quick_dataset(),

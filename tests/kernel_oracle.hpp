@@ -1,9 +1,8 @@
 #pragma once
-// Scalar reference implementations of the analytical hot kernels, kept out
-// of the production types: the placer runs one simd::Vec4d path per kernel,
-// and these serial loops are what the parity tests (tests/simd_test.cpp)
-// compare it against, and what bench_micro_kernels times as the "scalar"
-// rows of its SIMD table.
+// Scalar reference implementations of the placer's hot kernels, kept out
+// of the production types: the placer runs one path per kernel, and these
+// serial loops are what the parity tests compare it against, and what
+// bench_micro_kernels times as its "scalar" and "naive" rows.
 //
 //  * wirelength_value_and_grad — WA/LSE smoothed wirelength over the
 //    CompiledCircuit wirelength table, element by element with std::exp.
@@ -13,8 +12,13 @@
 //    them.
 //  * overlap_force — the per-bin overlap-weighted force loop over an
 //    ElectroDensity's last potential/field matrices.
-//
-// The FFT oracle is the dense basis of numeric::spectral::Basis (naive_*).
+//  * DenseBasis and dct2d/idct2d/isxcy2d/icxsy2d — O(n^2) dense cos/sin
+//    basis transforms, the oracle of numeric::fft's FftPlan and its 2D
+//    in-place passes (tests/numeric_test.cpp, tests/simd_test.cpp) and the
+//    "spectral-naive" rows of bench_micro_kernels.
+//  * pack_naive — the O(n^2) longest-path sequence-pair packer, the oracle
+//    of SequencePair's LCS packer (tests/sa_test.cpp) and the
+//    "seqpair-pack-naive" rows of bench_micro_kernels.
 
 #include <algorithm>
 #include <cmath>
@@ -28,6 +32,7 @@
 #include "geom/rect.hpp"
 #include "netlist/compiled.hpp"
 #include "numeric/matrix.hpp"
+#include "sa/sequence_pair.hpp"
 
 namespace aplace::oracle {
 
@@ -206,6 +211,167 @@ inline double overlap_force(const netlist::CompiledCircuit& cc,
     grad[n + i] += scale * (-q_over_a * ey_acc);
   }
   return energy;
+}
+
+// ---- spectral transforms ----------------------------------------------------
+
+/// Dense cos/sin basis of size n with the numeric::fft conventions:
+///   dct            a_k = (2/n) w(k) sum_j v_j cos(pi k (2j+1) / (2n)),
+///                  w(0) = 1/2, w(k>0) = 1
+///   idct           v_j = sum_k a_k cos(pi k (2j+1) / (2n))
+///   sine_synthesis s_j = sum_k a_k sin(pi k (2j+1) / (2n))
+/// O(n^2) per transform over precomputed tables; any n >= 1.
+class DenseBasis {
+ public:
+  explicit DenseBasis(std::size_t n) : n_(n), cos_(n * n), sin_(n * n) {
+    const double pi = std::numbers::pi;
+    for (std::size_t k = 0; k < n; ++k) {
+      for (std::size_t j = 0; j < n; ++j) {
+        const double arg = pi * static_cast<double>(k) *
+                           (2.0 * static_cast<double>(j) + 1.0) /
+                           (2.0 * static_cast<double>(n));
+        cos_[k * n + j] = std::cos(arg);
+        sin_[k * n + j] = std::sin(arg);
+      }
+    }
+  }
+
+  [[nodiscard]] std::size_t size() const { return n_; }
+  /// cos(pi k (2j+1) / (2n)).
+  [[nodiscard]] double cosine(std::size_t k, std::size_t j) const {
+    return cos_[k * n_ + j];
+  }
+  /// sin(pi k (2j+1) / (2n)).
+  [[nodiscard]] double sine(std::size_t k, std::size_t j) const {
+    return sin_[k * n_ + j];
+  }
+
+  [[nodiscard]] std::vector<double> dct(const std::vector<double>& v) const {
+    std::vector<double> a(n_);
+    for (std::size_t k = 0; k < n_; ++k) {
+      double s = 0;
+      for (std::size_t j = 0; j < n_; ++j) s += v[j] * cos_[k * n_ + j];
+      const double w = (k == 0) ? 0.5 : 1.0;
+      a[k] = (2.0 / static_cast<double>(n_)) * w * s;
+    }
+    return a;
+  }
+
+  [[nodiscard]] std::vector<double> idct(const std::vector<double>& a) const {
+    return synthesize(a, cos_, 0);
+  }
+
+  /// a_0 is ignored (sin(0) = 0).
+  [[nodiscard]] std::vector<double> sine_synthesis(
+      const std::vector<double>& a) const {
+    return synthesize(a, sin_, 1);
+  }
+
+ private:
+  [[nodiscard]] std::vector<double> synthesize(const std::vector<double>& a,
+                                               const std::vector<double>& table,
+                                               std::size_t k0) const {
+    std::vector<double> v(n_, 0.0);
+    for (std::size_t k = k0; k < n_; ++k) {
+      if (a[k] == 0.0) continue;
+      for (std::size_t j = 0; j < n_; ++j) v[j] += a[k] * table[k * n_ + j];
+    }
+    return v;
+  }
+
+  std::size_t n_;
+  std::vector<double> cos_, sin_;  // [k * n + j]
+};
+
+using DenseTransform =
+    std::vector<double> (DenseBasis::*)(const std::vector<double>&) const;
+
+/// Rows of m (x, with bx) then columns (y, with by), each copied into a
+/// vector and transformed on the dense basis.
+inline numeric::Matrix dense_2d(numeric::Matrix m, const DenseBasis& bx,
+                                const DenseBasis& by, DenseTransform tx,
+                                DenseTransform ty) {
+  std::vector<double> line;
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    line.resize(m.cols());
+    for (std::size_t c = 0; c < m.cols(); ++c) line[c] = m(r, c);
+    line = (bx.*tx)(line);
+    for (std::size_t c = 0; c < m.cols(); ++c) m(r, c) = line[c];
+  }
+  for (std::size_t c = 0; c < m.cols(); ++c) {
+    line.resize(m.rows());
+    for (std::size_t r = 0; r < m.rows(); ++r) line[r] = m(r, c);
+    line = (by.*ty)(line);
+    for (std::size_t r = 0; r < m.rows(); ++r) m(r, c) = line[r];
+  }
+  return m;
+}
+
+/// Reference of numeric::fft::dct2d_inplace.
+inline numeric::Matrix dct2d(const numeric::Matrix& m, const DenseBasis& bx,
+                             const DenseBasis& by) {
+  return dense_2d(m, bx, by, &DenseBasis::dct, &DenseBasis::dct);
+}
+
+/// Reference of numeric::fft::idct2d_inplace.
+inline numeric::Matrix idct2d(const numeric::Matrix& a, const DenseBasis& bx,
+                              const DenseBasis& by) {
+  return dense_2d(a, bx, by, &DenseBasis::idct, &DenseBasis::idct);
+}
+
+/// Reference of numeric::fft::isxcy2d_inplace.
+inline numeric::Matrix isxcy2d(const numeric::Matrix& a, const DenseBasis& bx,
+                               const DenseBasis& by) {
+  return dense_2d(a, bx, by, &DenseBasis::sine_synthesis, &DenseBasis::idct);
+}
+
+/// Reference of numeric::fft::icxsy2d_inplace.
+inline numeric::Matrix icxsy2d(const numeric::Matrix& a, const DenseBasis& bx,
+                               const DenseBasis& by) {
+  return dense_2d(a, bx, by, &DenseBasis::idct, &DenseBasis::sine_synthesis);
+}
+
+// ---- sequence-pair packing --------------------------------------------------
+
+/// O(n^2) longest-path packing of sp: block c is left of b iff it precedes
+/// b in both sequences, below b iff it succeeds b in gamma+ and precedes it
+/// in gamma-. The same max/+ reductions over the same operand sets as
+/// SequencePair::pack, so the coordinates are bit-identical.
+inline sa::SequencePair::Packing pack_naive(
+    const sa::SequencePair& sp, const std::vector<double>& widths,
+    const std::vector<double>& heights) {
+  const std::size_t n = sp.size();
+  const std::vector<std::size_t>& minus = sp.gamma_minus();
+  std::vector<std::size_t> pos_plus(n);
+  for (std::size_t p = 0; p < n; ++p) pos_plus[sp.gamma_plus()[p]] = p;
+
+  sa::SequencePair::Packing out;
+  out.x.assign(n, 0.0);
+  out.y.assign(n, 0.0);
+  // Process blocks in gamma- order: every processed block that precedes
+  // the current one in gamma+ is to its left, every one that succeeds it
+  // is below.
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::size_t b = minus[p];
+    double x = 0;
+    for (std::size_t q = 0; q < p; ++q) {
+      const std::size_t c = minus[q];
+      if (pos_plus[c] < pos_plus[b]) x = std::max(x, out.x[c] + widths[c]);
+    }
+    out.x[b] = x;
+    out.width = std::max(out.width, x + widths[b]);
+  }
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::size_t b = minus[p];
+    double y = 0;
+    for (std::size_t q = 0; q < p; ++q) {
+      const std::size_t c = minus[q];
+      if (pos_plus[c] > pos_plus[b]) y = std::max(y, out.y[c] + heights[c]);
+    }
+    out.y[b] = y;
+    out.height = std::max(out.height, y + heights[b]);
+  }
+  return out;
 }
 
 }  // namespace aplace::oracle

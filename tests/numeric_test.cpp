@@ -6,13 +6,13 @@
 #include <cmath>
 #include <numbers>
 
+#include "kernel_oracle.hpp"
 #include "numeric/adam.hpp"
 #include "numeric/cg.hpp"
 #include "numeric/fft.hpp"
 #include "numeric/matrix.hpp"
 #include "numeric/nesterov.hpp"
 #include "numeric/rng.hpp"
-#include "numeric/spectral.hpp"
 #include "numeric/vec.hpp"
 
 namespace aplace::numeric {
@@ -51,13 +51,23 @@ TEST(MatrixTest, MultiplyAndTranspose) {
 
 // --- spectral ---------------------------------------------------------------
 
+using Transform1d = void (fft::FftPlan::*)(const double*, std::size_t, double*,
+                                           std::size_t) const;
+
+std::vector<double> apply(const fft::FftPlan& plan, Transform1d t,
+                          const std::vector<double>& in) {
+  std::vector<double> out(in.size());
+  (plan.*t)(in.data(), 1, out.data(), 1);
+  return out;
+}
+
 TEST(SpectralTest, Dct1dRoundtrip) {
-  const spectral::Basis basis(16);
+  const fft::FftPlan plan(16);
   std::vector<double> v(16);
   Rng rng(5);
   for (double& x : v) x = rng.uniform(-2, 2);
-  const std::vector<double> a = basis.dct(v);
-  const std::vector<double> back = basis.idct(a);
+  const std::vector<double> a = apply(plan, &fft::FftPlan::dct2, v);
+  const std::vector<double> back = apply(plan, &fft::FftPlan::dct3, a);
   for (std::size_t i = 0; i < v.size(); ++i) {
     EXPECT_NEAR(back[i], v[i], 1e-10);
   }
@@ -65,25 +75,27 @@ TEST(SpectralTest, Dct1dRoundtrip) {
 
 TEST(SpectralTest, DctOfCosineIsImpulse) {
   const std::size_t n = 32;
-  const spectral::Basis basis(n);
+  const fft::FftPlan plan(n);
+  const oracle::DenseBasis basis(n);
   // v_j = cos(pi*k0*(2j+1)/(2n)) should produce a_k = delta_{k,k0}.
   const std::size_t k0 = 5;
   std::vector<double> v(n);
   for (std::size_t j = 0; j < n; ++j) v[j] = basis.cosine(k0, j);
-  const std::vector<double> a = basis.dct(v);
+  const std::vector<double> a = apply(plan, &fft::FftPlan::dct2, v);
   for (std::size_t k = 0; k < n; ++k) {
     EXPECT_NEAR(a[k], k == k0 ? 1.0 : 0.0, 1e-10) << k;
   }
 }
 
 TEST(SpectralTest, Dct2dRoundtrip) {
-  const std::size_t nx = 8, ny = 12;
-  const spectral::Basis bx(nx), by(ny);
+  const std::size_t nx = 8, ny = 16;
+  const fft::FftPlan px(nx), py(ny);
   Matrix m(ny, nx);
   Rng rng(7);
   for (double& x : m.data()) x = rng.uniform(-1, 1);
-  const Matrix a = spectral::dct2d(m, bx, by);
-  const Matrix back = spectral::idct2d(a, bx, by);
+  Matrix back = m;
+  fft::dct2d_inplace(back, px, py);
+  fft::idct2d_inplace(back, px, py);
   for (std::size_t r = 0; r < ny; ++r) {
     for (std::size_t c = 0; c < nx; ++c) {
       EXPECT_NEAR(back(r, c), m(r, c), 1e-10);
@@ -95,11 +107,12 @@ TEST(SpectralTest, SineSynthesisDifferentiatesCosine) {
   // d/dx of cos(w x) = -w sin(w x): sine synthesis of DCT coefficients
   // scaled by w must reproduce minus the derivative of the cosine series.
   const std::size_t n = 64;
-  const spectral::Basis basis(n);
+  const fft::FftPlan plan(n);
+  const oracle::DenseBasis basis(n);
   const std::size_t k0 = 3;
-  std::vector<double> v(n), a(n, 0.0);
+  std::vector<double> a(n, 0.0);
   a[k0] = 1.0;
-  const std::vector<double> synth = basis.sine_synthesis(a);
+  const std::vector<double> synth = apply(plan, &fft::FftPlan::dst3, a);
   for (std::size_t j = 0; j < n; ++j) {
     EXPECT_NEAR(synth[j], basis.sine(k0, j), 1e-12);
   }
@@ -129,18 +142,41 @@ void expect_matrix_near(const Matrix& a, const Matrix& b, double tol) {
   }
 }
 
+// All four in-place 2D transforms on a rows x cols grid against the
+// dense-basis oracle.
+void expect_2d_matches_oracle(std::size_t rows, std::size_t cols, Rng& rng) {
+  const fft::FftPlan px(cols), py(rows);
+  const oracle::DenseBasis bx(cols), by(rows);
+  const Matrix m = random_matrix(rows, cols, rng);
+  const struct {
+    void (*fft)(Matrix&, const fft::FftPlan&, const fft::FftPlan&);
+    Matrix (*ref)(const Matrix&, const oracle::DenseBasis&,
+                  const oracle::DenseBasis&);
+  } cases[] = {
+      {&fft::dct2d_inplace, &oracle::dct2d},
+      {&fft::idct2d_inplace, &oracle::idct2d},
+      {&fft::isxcy2d_inplace, &oracle::isxcy2d},
+      {&fft::icxsy2d_inplace, &oracle::icxsy2d},
+  };
+  for (const auto& tc : cases) {
+    Matrix out = m;
+    tc.fft(out, px, py);
+    expect_matrix_near(out, tc.ref(m, bx, by), 1e-10);
+  }
+}
+
 TEST(FftSpectralTest, Matches1dNaiveAcrossSizes) {
   Rng rng(11);
   for (const std::size_t n : {4u, 8u, 16u, 64u, 128u}) {
-    const spectral::Basis basis(n);
-    ASSERT_TRUE(basis.uses_fft()) << n;
+    const fft::FftPlan plan(n);
+    const oracle::DenseBasis basis(n);
     const std::vector<double> v = random_vec(n, rng);
-    const std::vector<double> fwd = basis.dct(v);
-    const std::vector<double> fwd_ref = basis.naive_dct(v);
-    const std::vector<double> cos_s = basis.idct(v);
-    const std::vector<double> cos_ref = basis.naive_idct(v);
-    const std::vector<double> sin_s = basis.sine_synthesis(v);
-    const std::vector<double> sin_ref = basis.naive_sine_synthesis(v);
+    const std::vector<double> fwd = apply(plan, &fft::FftPlan::dct2, v);
+    const std::vector<double> fwd_ref = basis.dct(v);
+    const std::vector<double> cos_s = apply(plan, &fft::FftPlan::dct3, v);
+    const std::vector<double> cos_ref = basis.idct(v);
+    const std::vector<double> sin_s = apply(plan, &fft::FftPlan::dst3, v);
+    const std::vector<double> sin_ref = basis.sine_synthesis(v);
     for (std::size_t j = 0; j < n; ++j) {
       EXPECT_NEAR(fwd[j], fwd_ref[j], 1e-10) << "dct n=" << n << " j=" << j;
       EXPECT_NEAR(cos_s[j], cos_ref[j], 1e-10) << "idct n=" << n << " j=" << j;
@@ -152,55 +188,21 @@ TEST(FftSpectralTest, Matches1dNaiveAcrossSizes) {
 TEST(FftSpectralTest, Matches2dNaiveAcrossSizes) {
   Rng rng(13);
   for (const std::size_t n : {4u, 8u, 16u, 64u, 128u}) {
-    const spectral::Basis bx(n), by(n);
-    const Matrix m = random_matrix(n, n, rng);
-    expect_matrix_near(spectral::dct2d(m, bx, by),
-                       spectral::dct2d_naive(m, bx, by), 1e-10);
-    expect_matrix_near(spectral::idct2d(m, bx, by),
-                       spectral::idct2d_naive(m, bx, by), 1e-10);
-    expect_matrix_near(spectral::isxcy2d(m, bx, by),
-                       spectral::isxcy2d_naive(m, bx, by), 1e-10);
-    expect_matrix_near(spectral::icxsy2d(m, bx, by),
-                       spectral::icxsy2d_naive(m, bx, by), 1e-10);
+    SCOPED_TRACE(n);
+    expect_2d_matches_oracle(n, n, rng);
   }
 }
 
 TEST(FftSpectralTest, RectangularGridsMatchNaive) {
   Rng rng(17);
-  const spectral::Basis bx(16), by(64);
-  const Matrix m = random_matrix(64, 16, rng);
-  expect_matrix_near(spectral::dct2d(m, bx, by),
-                     spectral::dct2d_naive(m, bx, by), 1e-10);
-  expect_matrix_near(spectral::isxcy2d(m, bx, by),
-                     spectral::isxcy2d_naive(m, bx, by), 1e-10);
-}
-
-TEST(FftSpectralTest, InplaceMatchesReturningVariants) {
-  Rng rng(19);
-  const spectral::Basis bx(32), by(8);
-  const Matrix m = random_matrix(8, 32, rng);
-  Matrix inplace = m;
-  spectral::dct2d_inplace(inplace, bx, by);
-  expect_matrix_near(inplace, spectral::dct2d(m, bx, by), 1e-12);
-  inplace = m;
-  spectral::icxsy2d_inplace(inplace, bx, by);
-  expect_matrix_near(inplace, spectral::icxsy2d(m, bx, by), 1e-12);
-}
-
-TEST(FftSpectralTest, NonPow2FallsBackToNaive) {
-  Rng rng(23);
-  const spectral::Basis b12(12);
-  EXPECT_FALSE(b12.uses_fft());
-  const std::vector<double> v = random_vec(12, rng);
-  const std::vector<double> back = b12.idct(b12.dct(v));
-  for (std::size_t j = 0; j < v.size(); ++j) {
-    EXPECT_NEAR(back[j], v[j], 1e-10);
+  {
+    SCOPED_TRACE("16x64");
+    expect_2d_matches_oracle(64, 16, rng);
   }
-  // Mixed grid: FFT along x (16 bins), dense fallback along y (12 bins).
-  const spectral::Basis bx(16);
-  const Matrix m = random_matrix(12, 16, rng);
-  const Matrix round = spectral::idct2d(spectral::dct2d(m, bx, b12), bx, b12);
-  expect_matrix_near(round, m, 1e-10);
+  {
+    SCOPED_TRACE("32x8");
+    expect_2d_matches_oracle(8, 32, rng);
+  }
 }
 
 TEST(FftSpectralTest, FftPlanRejectsNonPow2) {

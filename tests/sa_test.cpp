@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "circuits/testcases.hpp"
+#include "kernel_oracle.hpp"
 #include "netlist/evaluator.hpp"
 #include "sa/annealer.hpp"
 #include "sa/island.hpp"
@@ -89,7 +90,7 @@ TEST(SequencePairTest, LcsPackerMatchesNaiveBitForBit) {
       h[i] = rng.uniform(0.25, 7.0);
     }
     const auto fast = sp.pack(w, h);
-    const auto naive = sp.pack_naive(w, h);
+    const auto naive = oracle::pack_naive(sp, w, h);
     EXPECT_DOUBLE_EQ(fast.width, naive.width) << "trial " << trial;
     EXPECT_DOUBLE_EQ(fast.height, naive.height) << "trial " << trial;
     for (std::size_t i = 0; i < n; ++i) {

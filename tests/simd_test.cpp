@@ -7,8 +7,8 @@
 //    saturation behaviour beyond the clamp.
 //  * Registry-wide property: every hot kernel (WA/LSE wirelength,
 //    electrostatic splat/force, DCT/DST butterflies) agrees with its scalar
-//    reference in tests/kernel_oracle.hpp (the dense spectral basis for the
-//    FFT) to <= 1e-12 relative on all ten paper circuits.
+//    reference in tests/kernel_oracle.hpp (oracle::DenseBasis for the FFT)
+//    to <= 1e-12 relative on all ten paper circuits.
 //  * Overflow regression: WA/LSE stay finite (and oracle-consistent) at a
 //    1e6-unit coordinate spread where naive exp() would overflow.
 
@@ -27,7 +27,6 @@
 #include "density/electro.hpp"
 #include "kernel_oracle.hpp"
 #include "numeric/fft.hpp"
-#include "numeric/spectral.hpp"
 #include "test_util.hpp"
 #include "wirelength/smooth_wl.hpp"
 
@@ -321,7 +320,7 @@ TEST(SimdFftTest, SpectralTransformsScalarVsSimd) {
   for (const std::size_t n : {std::size_t{4}, std::size_t{8}, std::size_t{32},
                               std::size_t{256}}) {
     numeric::fft::FftPlan plan(n);
-    const numeric::spectral::Basis basis(n);
+    const oracle::DenseBasis basis(n);
     std::vector<double> in(n);
     for (std::size_t i = 0; i < n; ++i) {
       in[i] = std::sin(0.37 * static_cast<double>(i) + 0.2) +
@@ -333,9 +332,9 @@ TEST(SimdFftTest, SpectralTransformsScalarVsSimd) {
       Fn fft;
       std::vector<double> ref;
     } cases[] = {
-        {&numeric::fft::FftPlan::dct2, basis.naive_dct(in)},
-        {&numeric::fft::FftPlan::dct3, basis.naive_idct(in)},
-        {&numeric::fft::FftPlan::dst3, basis.naive_sine_synthesis(in)},
+        {&numeric::fft::FftPlan::dct2, basis.dct(in)},
+        {&numeric::fft::FftPlan::dct3, basis.idct(in)},
+        {&numeric::fft::FftPlan::dst3, basis.sine_synthesis(in)},
     };
     for (const auto& tc : cases) {
       std::vector<double> out(n);
