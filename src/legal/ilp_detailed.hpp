@@ -7,10 +7,12 @@
 // pin positions with device flipping binaries (4d), pairwise separation
 // directions derived from the GP solution (4e / Fig. 4a), hard symmetry
 // with free axis variables (4f), bottom / center alignment (4g, 4h),
-// monotone ordering (4i) and integrality (4j). Flipping binaries are solved
-// by branch-and-bound; coordinates are snapped to the grid afterwards and
-// the unsnapped (still feasible) solution is kept if snapping would break
-// legality.
+// monotone ordering (4i) and integrality (4j). Every row touches one axis
+// and the objective is a sum over the axes, so solver::solve_milp solves
+// each round as an independent x-problem and y-problem, each with its own
+// branch-and-bound over that axis's flipping binaries.
+// Coordinates are snapped to the grid afterwards and the unsnapped (still
+// feasible) solution is kept if snapping would break legality.
 
 #include <span>
 #include <vector>
@@ -32,7 +34,9 @@ struct IlpOptions {
   double mu = 1.0;           ///< area weight in objective (4a)
   double utilization = 0.55; ///< zeta, defines the W~/H~ constants
   bool enable_flipping = true;
-  long max_nodes = 24;       ///< branch-and-bound budget (round 0 only)
+  /// Branch-and-bound node budget of round 0, per axis. The final flip
+  /// re-optimization uses 8 per axis; the other rounds are single LPs.
+  long max_nodes = 24;
   /// Direction-refinement rounds: re-derive every pair's separation
   /// direction from the solved placement and re-solve while the objective
   /// improves (monotone). Rounds after the first are single LPs.
@@ -54,7 +58,7 @@ struct IlpResult {
   solver::LpStatus status = solver::LpStatus::IterLimit;
   double objective = 0.0;
   bool snapped = false;   ///< coordinates are on the integer grid
-  long bb_nodes = 0;
+  long bb_nodes = 0;  ///< branch-and-bound nodes of every round, both axes
   int reshape_accepted = 0;  ///< accepted critical-chain flips
   int reshape_chain_len = 0; ///< last binding-chain length (diagnostics)
   /// Structured outcome: Ok when `placement` holds a solved round, otherwise
@@ -84,7 +88,7 @@ class IlpDetailedPlacer {
 
   /// Build and solve one round. When `fixed_flips` is non-null the flipping
   /// variables are pinned (pure LP); otherwise they are binaries solved by
-  /// branch-and-bound.
+  /// branch-and-bound with `max_nodes` (0: opts_.max_nodes) per axis.
   [[nodiscard]] solver::MilpSolution solve_round(
       const std::vector<PairOrder>& orders,
       const std::vector<geom::Orientation>* fixed_flips, RoundVars& vars,

@@ -132,6 +132,9 @@ aplace::Status status_from_lp(solver::LpStatus s, std::string_view what) {
                                               " hit its iteration limit");
     case solver::LpStatus::Unbounded:
       return aplace::Status::internal(name + " is unbounded");
+    case solver::LpStatus::Uncertified:
+      return aplace::Status::internal(name +
+                                      " answer failed its residual check");
   }
   return aplace::Status::internal(name + " returned an unknown status");
 }

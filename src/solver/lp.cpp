@@ -4,6 +4,9 @@
 #include <cmath>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "solver/simplex.hpp"
+
 namespace aplace::solver {
 
 const char* to_string(LpStatus s) {
@@ -12,6 +15,7 @@ const char* to_string(LpStatus s) {
     case LpStatus::Infeasible: return "infeasible";
     case LpStatus::Unbounded: return "unbounded";
     case LpStatus::IterLimit: return "iteration-limit";
+    case LpStatus::Uncertified: return "uncertified";
   }
   return "?";
 }
@@ -128,12 +132,14 @@ Standard to_standard_form(const LpProblem& p) {
 // storage: a_[r * stride + c], last column = rhs.
 class Tableau {
  public:
-  explicit Tableau(const Standard& s)
-      : m_(s.rows.size()), n_struct_(s.n_cols) {
+  /// Takes the rows out of `s`, so they are freed once the tableau is built
+  /// instead of being held through the solve. The variable map and costs
+  /// stay for the caller.
+  explicit Tableau(Standard& s) : m_(s.rows.size()), n_struct_(s.n_cols) {
     // Normalize rows so rhs >= 0 first.
-    std::vector<std::vector<double>> rows = s.rows;
-    std::vector<Relation> rels = s.rels;
-    std::vector<double> rhs = s.rhs;
+    std::vector<std::vector<double>> rows = std::move(s.rows);
+    std::vector<Relation> rels = std::move(s.rels);
+    std::vector<double> rhs = std::move(s.rhs);
     for (std::size_t i = 0; i < m_; ++i) {
       if (rhs[i] < 0) {
         for (double& v : rows[i]) v = -v;
@@ -211,6 +217,8 @@ class Tableau {
     return iterate(/*phase1=*/false);
   }
 
+  [[nodiscard]] std::uint64_t pivots() const { return pivots_; }
+
   [[nodiscard]] std::vector<double> structural_values() const {
     std::vector<double> x(n_struct_, 0.0);
     for (std::size_t i = 0; i < m_; ++i) {
@@ -261,6 +269,7 @@ class Tableau {
       red_[c] = 0.0;
     }
     basis_[r] = static_cast<int>(c);
+    ++pivots_;
   }
 
   LpStatus iterate(bool phase1) {
@@ -309,6 +318,7 @@ class Tableau {
   std::size_t art_begin_ = 0;
   std::size_t stride_ = 0;
   long max_iters_ = 0;
+  std::uint64_t pivots_ = 0;
   std::vector<double> a_;  // flat row-major tableau, last column = rhs
   std::vector<double> cost_;
   std::vector<double> red_;  // reduced cost row
@@ -318,8 +328,57 @@ class Tableau {
 }  // namespace
 
 LpSolution solve_lp(const LpProblem& p) {
+  std::uint64_t pivots = 0;
+  LpSolution sol = detail::simplex(p, pivots);
+  detail::flush_counters(1, pivots, 0, 0);
+  if (sol.ok() && max_primal_residual(p, sol.x) > kResidualTol) {
+    sol.status = LpStatus::Uncertified;
+  }
+  return sol;
+}
+
+double max_primal_residual(const LpProblem& p, std::span<const double> x) {
+  APLACE_CHECK(x.size() == p.num_variables());
+  double worst = 0.0;
+  const auto note = [&worst](double violation) {
+    // A NaN anywhere leaves nothing to certify.
+    worst = std::isnan(violation) ? kInf : std::max(worst, violation);
+  };
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    const int v = static_cast<int>(j);
+    note(p.lower_bound(v) - x[j]);
+    note(x[j] - p.upper_bound(v));
+  }
+  for (const LpConstraint& c : p.constraints()) {
+    double lhs = 0.0;
+    for (const LpTerm& t : c.terms) lhs += t.coef * x[t.var];
+    const double over = lhs - c.rhs;
+    switch (c.relation) {
+      case Relation::LessEq: note(over); break;
+      case Relation::GreaterEq: note(-over); break;
+      case Relation::Equal: note(std::abs(over)); break;
+    }
+  }
+  return worst;
+}
+
+namespace detail {
+
+void flush_counters(std::uint64_t lp_solves, std::uint64_t pivots,
+                    std::uint64_t bb_nodes, std::uint64_t truncated) {
+  static const obs::Counter solves = obs::counter("solver/lp_solves");
+  static const obs::Counter pivot_count = obs::counter("solver/pivots");
+  static const obs::Counter nodes = obs::counter("solver/bb_nodes");
+  static const obs::Counter cut = obs::counter("solver/truncated");
+  solves.add(lp_solves);
+  pivot_count.add(pivots);
+  nodes.add(bb_nodes);
+  cut.add(truncated);
+}
+
+LpSolution simplex(const LpProblem& p, std::uint64_t& pivots) {
   LpSolution sol;
-  const Standard s = to_standard_form(p);
+  Standard s = to_standard_form(p);
   if (s.rows.empty()) {
     // Unconstrained: optimum is at a finite bound for every variable with
     // nonzero cost; infinite otherwise -> report unbounded.
@@ -346,6 +405,7 @@ LpSolution solve_lp(const LpProblem& p) {
 
   Tableau t(s);
   sol.status = t.solve();
+  pivots += t.pivots();
   if (sol.status != LpStatus::Optimal) return sol;
 
   const std::vector<double> xs = t.structural_values();
@@ -361,4 +421,5 @@ LpSolution solve_lp(const LpProblem& p) {
   return sol;
 }
 
+}  // namespace detail
 }  // namespace aplace::solver

@@ -5,13 +5,21 @@
 // bounds and a linear cost, constraints as sparse rows with <=, >= or ==
 // relations. solve_lp() runs a dense two-phase primal simplex; analog
 // placement problems have at most a few hundred variables and rows, so a
-// dense tableau is both simple and fast enough.
+// dense tableau is both simple and fast enough. Every answer is certified:
+// max_primal_residual() re-checks it against the problem as stated, and an
+// answer off by more than kResidualTol is reported Uncertified, never
+// Optimal.
 //
 // solve_milp() (see milp.hpp) adds branch-and-bound over variables marked
 // integer — in this project the device-flipping binaries of the ILP detailed
-// placer (paper Eq. 4d/4j).
+// placer (paper Eq. 4d/4j) — and solves each independent block of a problem
+// on its own.
+//
+// Counters (docs/OBSERVABILITY.md): solver/lp_solves and solver/pivots,
+// flushed once per solve_lp() / solve_milp() call.
 
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "base/check.hpp"
@@ -19,6 +27,8 @@
 namespace aplace::solver {
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Largest primal residual an Optimal answer may carry.
+inline constexpr double kResidualTol = 1e-6;
 
 enum class Relation : std::uint8_t { LessEq, GreaterEq, Equal };
 
@@ -38,6 +48,9 @@ enum class LpStatus : std::uint8_t {
   Infeasible,
   Unbounded,
   IterLimit,
+  /// The simplex finished, but its answer violates a row or bound of the
+  /// problem by more than kResidualTol.
+  Uncertified,
 };
 
 [[nodiscard]] const char* to_string(LpStatus s);
@@ -91,5 +104,11 @@ class LpProblem {
 /// Solve the LP relaxation (integrality marks ignored). Pivots use a 1e-9
 /// tolerance and stop at 60 * (rows + columns) + 2000 iterations.
 [[nodiscard]] LpSolution solve_lp(const LpProblem& p);
+
+/// Worst violation of `x` over every row and every variable bound of `p`
+/// (absolute, 0 when `x` satisfies all of them). `x` holds one value per
+/// variable.
+[[nodiscard]] double max_primal_residual(const LpProblem& p,
+                                         std::span<const double> x);
 
 }  // namespace aplace::solver

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <optional>
 #include <tuple>
 #include <vector>
+
+#include "solver/simplex.hpp"
 
 namespace aplace::solver {
 namespace {
@@ -33,15 +36,24 @@ std::optional<int> pick_branch_var(const LpProblem& p,
   return best;
 }
 
-}  // namespace
+// Work of one solve_milp call, for the solver/ counters.
+struct Work {
+  std::uint64_t lp_solves = 0;
+  std::uint64_t pivots = 0;
+  std::uint64_t truncated = 0;  ///< searches stopped with open nodes left
+};
 
-MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
+MilpSolution branch_and_bound(const LpProblem& p, const MilpOptions& opts,
+                              Work& done) {
+  const auto solve = [&done](const LpProblem& lp) {
+    ++done.lp_solves;
+    return detail::simplex(lp, done.pivots);
+  };
   MilpSolution best;
   best.status = LpStatus::Infeasible;
 
   std::vector<Node> stack;
   stack.push_back(Node{});
-  bool truncated = false;
 
   LpProblem work = p;  // bounds mutated per node, structure shared
 
@@ -71,7 +83,7 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
     }
     if (!bounds_ok) continue;
 
-    const LpSolution rel = solve_lp(work);
+    const LpSolution rel = solve(work);
     if (rel.status == LpStatus::Unbounded) {
       // MILP unbounded only if relaxation unbounded at the root.
       if (best.status == LpStatus::Infeasible && node.bounds.empty()) {
@@ -106,14 +118,15 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
     stack.push_back(std::move(up));
     stack.push_back(std::move(down));
   }
-  if (!stack.empty()) truncated = true;
+  const bool truncated = !stack.empty();
+  done.truncated += truncated ? 1 : 0;
   best.proven_optimal = best.status == LpStatus::Optimal && !truncated;
 
   if (best.status != LpStatus::Optimal) {
     // Rounding fallback: solve the relaxation, fix every integer variable to
     // its rounded value, re-solve. Guarantees an answer when fixing keeps
     // the problem feasible (flipping binaries always do).
-    const LpSolution rel = solve_lp(p);
+    const LpSolution rel = solve(p);
     if (rel.ok()) {
       bool roundable = true;
       for (std::size_t j = 0; j < p.num_variables(); ++j) {
@@ -134,7 +147,7 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
         }
       }
       if (!roundable) return best;
-      const LpSolution fixed = solve_lp(work);
+      const LpSolution fixed = solve(work);
       if (fixed.ok()) {
         best.status = LpStatus::Optimal;
         best.x = fixed.x;
@@ -144,6 +157,109 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
     }
   }
   return best;
+}
+
+// One independent block of a problem: its variables (original indices, in
+// original order) and the sub-problem over them.
+struct Block {
+  std::vector<int> vars;
+  LpProblem problem;
+};
+
+// Connected components of the variables, joined by shared constraint rows
+// (union-find). Blocks are numbered by their first variable and keep the
+// original variable and row order. Returns no blocks when there is only
+// one, so the caller solves `p` as it stands.
+std::vector<Block> split_blocks(const LpProblem& p) {
+  const std::size_t n = p.num_variables();
+  std::vector<int> root(n);
+  std::iota(root.begin(), root.end(), 0);
+  const auto find = [&root](int v) {
+    while (root[v] != v) v = root[v] = root[root[v]];
+    return v;
+  };
+  std::size_t blocks = n;
+  for (const LpConstraint& c : p.constraints()) {
+    for (std::size_t k = 1; k < c.terms.size(); ++k) {
+      const int a = find(c.terms[0].var);
+      const int b = find(c.terms[k].var);
+      if (a == b) continue;
+      root[std::max(a, b)] = std::min(a, b);  // the root is the first variable
+      --blocks;
+    }
+  }
+  if (blocks <= 1) return {};
+
+  std::vector<Block> out;
+  std::vector<int> block_of(n), local(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const int v = static_cast<int>(j);
+    const int r = find(v);
+    if (r == v) {
+      block_of[j] = static_cast<int>(out.size());
+      out.emplace_back();
+    } else {
+      block_of[j] = block_of[r];
+    }
+    Block& b = out[block_of[j]];
+    b.vars.push_back(v);
+    local[j] = b.problem.add_variable(p.lower_bound(v), p.upper_bound(v),
+                                      p.cost(v));
+    b.problem.set_integer(local[j], p.is_integer(v));
+  }
+  for (const LpConstraint& c : p.constraints()) {
+    // A row without terms constrains no variable; the first block keeps it.
+    Block& b = out[c.terms.empty() ? 0 : block_of[c.terms[0].var]];
+    std::vector<LpTerm> terms = c.terms;
+    for (LpTerm& t : terms) t.var = local[t.var];
+    b.problem.add_constraint(std::move(terms), c.relation, c.rhs);
+  }
+  return out;
+}
+
+}  // namespace
+
+MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
+  const std::vector<Block> blocks = split_blocks(p);
+  Work work;
+  MilpSolution merged;
+  if (blocks.empty()) {
+    merged = branch_and_bound(p, opts, work);
+  } else {
+    merged.status = LpStatus::Optimal;
+    merged.proven_optimal = true;
+    merged.x.assign(p.num_variables(), 0.0);
+    for (const Block& block : blocks) {
+      const MilpSolution s = branch_and_bound(block.problem, opts, work);
+      merged.nodes_explored += s.nodes_explored;
+      merged.deadline_hit = merged.deadline_hit || s.deadline_hit;
+      if (!s.ok()) {
+        // The first failing block decides; the rest need not be solved.
+        merged.status = s.status;
+        merged.x.clear();
+        merged.objective = 0.0;
+        merged.proven_optimal = false;
+        break;
+      }
+      merged.objective += s.objective;
+      merged.proven_optimal = merged.proven_optimal && s.proven_optimal;
+      for (std::size_t k = 0; k < s.x.size(); ++k) {
+        merged.x[block.vars[k]] = s.x[k];
+      }
+    }
+  }
+  if (merged.ok()) {
+    merged.max_residual = max_primal_residual(p, merged.x);
+    if (merged.max_residual > kResidualTol) {
+      merged.status = LpStatus::Uncertified;
+      merged.proven_optimal = false;
+    }
+  }
+
+  detail::flush_counters(work.lp_solves, work.pivots,
+                         static_cast<std::uint64_t>(merged.nodes_explored),
+                         work.truncated);
+  return merged;
 }
 
 }  // namespace aplace::solver

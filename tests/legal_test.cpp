@@ -263,6 +263,8 @@ class LegalizerPropertyTest : public ::testing::TestWithParam<std::string> {};
 // build their problems from one shared formulation; these pins hold every
 // row, variable and row order fixed. Regenerate them only for an intended
 // change to a formulation or the solver, and say so in the commit message.
+// `objective` sums the x- and y-block objectives and `bb_nodes` the nodes
+// of both blocks' searches (solve_milp solves the two axes separately).
 struct IlpPin {
   const char* name;
   double hpwl, area, objective;
@@ -270,16 +272,16 @@ struct IlpPin {
   bool snapped;
 };
 constexpr IlpPin kIlpPins[] = {
-    {"Adder", 82.450000000000003, 72, 458.45501265443494, 35, true},
-    {"CC-OTA", 131.40000000000001, 153, 905.43095587945766, 36, true},
-    {"Comp1", 153.44999999999999, 144, 890.77420812114201, 39, true},
-    {"Comp2", 172.90000000000001, 162, 1057.1457157196683, 38, true},
-    {"CM-OTA1", 95.700000000000003, 126, 749.63748611956453, 40, true},
-    {"CM-OTA2", 142.79999999999998, 176, 1035.2617419027913, 43, true},
-    {"SCF", 621.39999999999998, 1302, 6941.7325954315957, 41, true},
-    {"VGA", 145.89999999999998, 143, 892.01814216317894, 39, true},
-    {"VCO1", 233.20000000000002, 342, 1919.4826166839553, 11, true},
-    {"VCO2", 448.89999999999998, 490, 2995.5078399572672, 32, true},
+    {"Adder", 82.450000000000003, 72, 458.45501265443488, 37, true},
+    {"CC-OTA", 129.40000000000001, 153, 901.43095587945754, 52, true},
+    {"Comp1", 153.44999999999999, 144, 890.77420812114224, 51, true},
+    {"Comp2", 172.90000000000001, 162, 1057.1457157196683, 51, true},
+    {"CM-OTA1", 99.399999999999991, 108, 708.49509602221099, 75, true},
+    {"CM-OTA2", 142.79999999999998, 176, 1035.2617419027913, 62, true},
+    {"SCF", 621.39999999999998, 1302, 6941.7325954315966, 54, true},
+    {"VGA", 144.69999999999999, 143, 889.61814216317907, 58, true},
+    {"VCO1", 233.20000000000002, 342, 1919.4826166839553, 18, true},
+    {"VCO2", 447.09999999999997, 490, 2991.9078399572672, 43, true},
 };
 
 struct TwoStagePin {

@@ -1,17 +1,29 @@
 // LP/MILP solver: simplex on canonical cases (bounded, equality, free
-// variables, infeasible, unbounded, degenerate) and branch-and-bound on
-// small integer programs.
+// variables, infeasible, unbounded, degenerate), branch-and-bound on small
+// integer programs, the split into independent blocks, the primal-residual
+// certificate and the solver/ counters.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
 
+#include "obs/metrics.hpp"
 #include "solver/lp.hpp"
 #include "solver/milp.hpp"
 
 namespace aplace::solver {
 namespace {
+
+// Every optimal answer satisfies its own problem to well inside the
+// certificate's tolerance.
+void expect_certified(const LpProblem& p, const LpSolution& s) {
+  EXPECT_LE(max_primal_residual(p, s.x), 1e-7);
+}
+void expect_certified(const LpProblem& p, const MilpSolution& s) {
+  EXPECT_LE(s.max_residual, 1e-7);
+  EXPECT_EQ(s.max_residual, max_primal_residual(p, s.x));
+}
 
 TEST(LpTest, SimpleBounded) {
   // max x + y s.t. x + 2y <= 4, 3x + y <= 6, x,y >= 0
@@ -23,6 +35,7 @@ TEST(LpTest, SimpleBounded) {
   p.add_constraint({{x, 3}, {y, 1}}, Relation::LessEq, 6);
   const LpSolution s = solve_lp(p);
   ASSERT_TRUE(s.ok());
+  expect_certified(p, s);
   EXPECT_NEAR(s.x[x], 1.6, 1e-7);
   EXPECT_NEAR(s.x[y], 1.2, 1e-7);
   EXPECT_NEAR(s.objective, -2.8, 1e-7);
@@ -37,6 +50,7 @@ TEST(LpTest, EqualityConstraint) {
   p.add_constraint({{x, 1}, {y, -1}}, Relation::Equal, 1);
   const LpSolution s = solve_lp(p);
   ASSERT_TRUE(s.ok());
+  expect_certified(p, s);
   EXPECT_NEAR(s.x[x], 2, 1e-8);
   EXPECT_NEAR(s.x[y], 1, 1e-8);
 }
@@ -51,6 +65,7 @@ TEST(LpTest, FreeVariable) {
   p.add_constraint({{x, -1}, {t, -1}}, Relation::LessEq, -5);
   const LpSolution s = solve_lp(p);
   ASSERT_TRUE(s.ok());
+  expect_certified(p, s);
   EXPECT_NEAR(s.x[x], 5, 1e-7);
   EXPECT_NEAR(s.objective, 0, 1e-8);
 }
@@ -62,6 +77,7 @@ TEST(LpTest, NegativeLowerBounds) {
   p.add_constraint({{x, 1}}, Relation::LessEq, 10);
   const LpSolution s = solve_lp(p);
   ASSERT_TRUE(s.ok());
+  expect_certified(p, s);
   EXPECT_NEAR(s.x[x], -3, 1e-8);
 }
 
@@ -72,6 +88,7 @@ TEST(LpTest, UpperBoundedVariable) {
   p.add_constraint({{x, 1}}, Relation::GreaterEq, 0);
   const LpSolution s = solve_lp(p);
   ASSERT_TRUE(s.ok());
+  expect_certified(p, s);
   EXPECT_NEAR(s.x[x], 7, 1e-8);
 }
 
@@ -98,6 +115,7 @@ TEST(LpTest, UnconstrainedProblem) {
   const int y = p.add_variable(-4, 3, -1.0);
   const LpSolution s = solve_lp(p);
   ASSERT_TRUE(s.ok());
+  expect_certified(p, s);
   EXPECT_NEAR(s.x[x], 2, 1e-12);
   EXPECT_NEAR(s.x[y], 3, 1e-12);
 }
@@ -114,6 +132,7 @@ TEST(LpTest, DegenerateVertex) {
   p.add_constraint({{x, 1}, {y, 2}}, Relation::LessEq, 3);
   const LpSolution s = solve_lp(p);
   ASSERT_TRUE(s.ok());
+  expect_certified(p, s);
   EXPECT_NEAR(s.objective, -2.0, 1e-7);
 }
 
@@ -127,6 +146,7 @@ TEST(LpTest, SeparationChain) {
   p.add_constraint({{x2, 1}, {x3, -1}}, Relation::LessEq, -2);
   const LpSolution s = solve_lp(p);
   ASSERT_TRUE(s.ok());
+  expect_certified(p, s);
   EXPECT_NEAR(s.x[x3], 5, 1e-7);
 }
 
@@ -140,6 +160,7 @@ TEST(MilpTest, SimpleBinaryChoice) {
   p.add_constraint({{a, 1}, {b, 1}}, Relation::LessEq, 1);
   const MilpSolution s = solve_milp(p);
   ASSERT_TRUE(s.ok());
+  expect_certified(p, s);
   EXPECT_NEAR(s.x[a], 1, 1e-9);
   EXPECT_NEAR(s.x[b], 0, 1e-9);
   EXPECT_TRUE(s.proven_optimal);
@@ -158,6 +179,7 @@ TEST(MilpTest, KnapsackRequiresBranching) {
   p.add_constraint({{a, 5}, {b, 4}, {c, 3}}, Relation::LessEq, 7);
   const MilpSolution s = solve_milp(p);
   ASSERT_TRUE(s.ok());
+  expect_certified(p, s);
   EXPECT_NEAR(s.objective, -10.0, 1e-7);
   // Solution must be integral.
   for (int v : {a, b, c}) {
@@ -173,6 +195,7 @@ TEST(MilpTest, IntegerGeneral) {
   p.add_constraint({{x, 2}}, Relation::GreaterEq, 7);
   const MilpSolution s = solve_milp(p);
   ASSERT_TRUE(s.ok());
+  expect_certified(p, s);
   EXPECT_NEAR(s.x[x], 4, 1e-9);
 }
 
@@ -193,6 +216,7 @@ TEST(MilpTest, RelaxationAlreadyIntegral) {
   p.add_constraint({{x, 1}}, Relation::LessEq, 3);
   const MilpSolution s = solve_milp(p);
   ASSERT_TRUE(s.ok());
+  expect_certified(p, s);
   EXPECT_NEAR(s.x[x], 3, 1e-9);
   EXPECT_EQ(s.nodes_explored, 1);
 }
@@ -207,6 +231,7 @@ TEST(MilpTest, MixedIntegerContinuous) {
   p.add_constraint({{x, 1}, {y, 1}}, Relation::LessEq, 5.7);
   const MilpSolution s = solve_milp(p);
   ASSERT_TRUE(s.ok());
+  expect_certified(p, s);
   EXPECT_NEAR(s.x[x], 5, 1e-7);
   EXPECT_NEAR(s.x[y], 0.7, 1e-7);
   EXPECT_NEAR(s.objective, -5.7, 1e-7);
@@ -303,11 +328,211 @@ TEST(MilpPropertyTest, RelaxationBoundsInteger) {
     p.add_constraint({{vars[1], 1}, {vars[3], 4}}, Relation::LessEq, 9);
     const LpSolution rel = solve_lp(p);
     ASSERT_TRUE(rel.ok());
+    expect_certified(p, rel);
     for (int v : vars) p.set_integer(v);
     const MilpSolution s = solve_milp(p);
     ASSERT_TRUE(s.ok());
+    expect_certified(p, s);
     EXPECT_LE(rel.objective, s.objective + 1e-9);
   }
+}
+
+}  // namespace
+}  // namespace aplace::solver
+
+namespace aplace::solver {
+namespace {
+
+// ---- independent blocks ----------------------------------------------------
+
+// Block X: min -(3a + 2b), 3a + b <= 2.2, a binary, b in [0, 1]. The
+// relaxation has a = 0.4, so branch-and-bound branches (3 nodes).
+// Block Y: min -(4c + 1.5d), 5c + 2d <= 6.1, c binary, d in [0, 2]. The
+// relaxation is integral (1 node).
+// `both` interleaves their variables (a, c, b, d) and lists Y's row first.
+struct TwoBlocks {
+  LpProblem x_alone, y_alone, both;
+};
+
+TwoBlocks two_blocks() {
+  TwoBlocks t;
+  {
+    LpProblem& p = t.x_alone;
+    const int a = p.add_variable(0, 1, -3.0);
+    const int b = p.add_variable(0, 1, -2.0);
+    p.set_integer(a);
+    p.add_constraint({{a, 3}, {b, 1}}, Relation::LessEq, 2.2);
+  }
+  {
+    LpProblem& p = t.y_alone;
+    const int c = p.add_variable(0, 1, -4.0);
+    const int d = p.add_variable(0, 2, -1.5);
+    p.set_integer(c);
+    p.add_constraint({{c, 5}, {d, 2}}, Relation::LessEq, 6.1);
+  }
+  LpProblem& p = t.both;
+  const int a = p.add_variable(0, 1, -3.0);
+  const int c = p.add_variable(0, 1, -4.0);
+  const int b = p.add_variable(0, 1, -2.0);
+  const int d = p.add_variable(0, 2, -1.5);
+  p.set_integer(a);
+  p.set_integer(c);
+  p.add_constraint({{c, 5}, {d, 2}}, Relation::LessEq, 6.1);
+  p.add_constraint({{a, 3}, {b, 1}}, Relation::LessEq, 2.2);
+  return t;
+}
+
+TEST(MilpBlocksTest, TwoBlocksEqualEachBlockAlone) {
+  const TwoBlocks t = two_blocks();
+  // The default budget proves both blocks optimal; a one-node budget
+  // truncates block X only.
+  for (long max_nodes : {4000L, 1L}) {
+    MilpOptions o;
+    o.max_nodes = max_nodes;
+    const MilpSolution x = solve_milp(t.x_alone, o);
+    const MilpSolution y = solve_milp(t.y_alone, o);
+    const MilpSolution both = solve_milp(t.both, o);
+    ASSERT_TRUE(x.ok() && y.ok() && both.ok()) << max_nodes;
+    expect_certified(t.both, both);
+    EXPECT_EQ(both.x, (std::vector<double>{x.x[0], y.x[0], x.x[1], y.x[1]}));
+    EXPECT_EQ(both.objective, x.objective + y.objective);
+    EXPECT_EQ(both.nodes_explored, x.nodes_explored + y.nodes_explored);
+    EXPECT_EQ(both.proven_optimal, x.proven_optimal && y.proven_optimal);
+    EXPECT_TRUE(y.proven_optimal);
+    EXPECT_EQ(x.proven_optimal, max_nodes > 1);
+    EXPECT_NEAR(both.x[0], 0, 1e-9);
+    EXPECT_NEAR(both.x[1], 1, 1e-9);
+    EXPECT_NEAR(both.x[2], 1, 1e-9);
+    EXPECT_NEAR(both.x[3], 0.55, 1e-9);
+  }
+}
+
+// One block of each kind, each over two fresh variables.
+void add_feasible_block(LpProblem& p) {  // min -(a + b), a + b <= 1.5
+  const int a = p.add_variable(0, 1, -1.0);
+  const int b = p.add_variable(0, 1, -1.0);
+  p.set_integer(a);
+  p.add_constraint({{a, 1}, {b, 1}}, Relation::LessEq, 1.5);
+}
+void add_infeasible_block(LpProblem& p) {  // a + b >= 3 over [0, 1]^2
+  const int a = p.add_variable(0, 1, 0.0);
+  const int b = p.add_variable(0, 1, 0.0);
+  p.set_integer(a);
+  p.add_constraint({{a, 1}, {b, 1}}, Relation::GreaterEq, 3);
+}
+void add_unbounded_block(LpProblem& p) {  // min -a, a >= b >= 0
+  const int a = p.add_variable(0, kInf, -1.0);
+  const int b = p.add_variable(0, kInf, 0.0);
+  p.set_integer(b);
+  p.add_constraint({{a, 1}, {b, -1}}, Relation::GreaterEq, 0);
+}
+
+TEST(MilpBlocksTest, FirstFailingBlockDecidesTheStatus) {
+  using Add = void (*)(LpProblem&);
+  struct Case {
+    Add first, second;
+    LpStatus status;
+  };
+  const Case cases[] = {
+      {add_feasible_block, add_infeasible_block, LpStatus::Infeasible},
+      {add_unbounded_block, add_feasible_block, LpStatus::Unbounded},
+      {add_infeasible_block, add_unbounded_block, LpStatus::Infeasible},
+      {add_unbounded_block, add_infeasible_block, LpStatus::Unbounded},
+  };
+  for (const Case& c : cases) {
+    LpProblem p;
+    c.first(p);
+    c.second(p);
+    const MilpSolution s = solve_milp(p);
+    EXPECT_EQ(s.status, c.status) << to_string(s.status);
+    EXPECT_TRUE(s.x.empty());
+    EXPECT_FALSE(s.proven_optimal);
+  }
+}
+
+TEST(MilpBlocksTest, OneBlockProblemKeepsItsAnswer) {
+  // min -(3a + 2b + 0.7c), 0.3a + 0.6b + 0.45c <= 1.1, a + c <= 2.3,
+  // a, b integer in [0, 3], c in [0, 2]: one block, solved as it stands.
+  // The expected bits are what the solver returned before problems were
+  // split into blocks.
+  LpProblem p;
+  const int a = p.add_variable(0, 3, -3.0);
+  const int b = p.add_variable(0, 3, -2.0);
+  const int c = p.add_variable(0, 2, -0.7);
+  p.set_integer(a);
+  p.set_integer(b);
+  p.add_constraint({{a, 0.3}, {b, 0.6}, {c, 0.45}}, Relation::LessEq, 1.1);
+  p.add_constraint({{a, 1}, {c, 1}}, Relation::LessEq, 2.3);
+  const MilpSolution s = solve_milp(p);
+  ASSERT_TRUE(s.ok());
+  expect_certified(p, s);
+  EXPECT_EQ(s.x, (std::vector<double>{2, 0, 0.29999999999999982}));
+  EXPECT_EQ(s.objective, -6.21);
+  EXPECT_EQ(s.nodes_explored, 7);
+  EXPECT_TRUE(s.proven_optimal);
+}
+
+// ---- certificate -----------------------------------------------------------
+
+TEST(LpCertificateTest, MaxPrimalResidualIsTheWorstViolation) {
+  // x + y <= 3, x - y >= 1, y == 1, x in [0, 4], y free.
+  LpProblem p;
+  const int x = p.add_variable(0, 4, 1.0);
+  const int y = p.add_variable(-kInf, kInf, 0.0);
+  p.add_constraint({{x, 1}, {y, 1}}, Relation::LessEq, 3);
+  p.add_constraint({{x, 1}, {y, -1}}, Relation::GreaterEq, 1);
+  p.add_constraint({{y, 1}}, Relation::Equal, 1);
+  const auto residual = [&p](double vx, double vy) {
+    const double v[] = {vx, vy};
+    return max_primal_residual(p, v);
+  };
+  EXPECT_EQ(residual(2, 1), 0.0);        // feasible, two rows tight
+  EXPECT_EQ(residual(2.5, 1), 0.5);      // <= row
+  EXPECT_EQ(residual(1.75, 1), 0.25);    // >= row
+  EXPECT_EQ(residual(1.5, 0.5), 0.5);    // == row (and >= row by 0)
+  EXPECT_EQ(residual(2, 1.25), 0.25);    // all three rows by 0.25
+  EXPECT_EQ(residual(-0.125, -1.25), 2.25);  // == row beats the lower bound
+  EXPECT_EQ(residual(4.5, 1), 2.5);      // <= row beats the upper bound
+  EXPECT_EQ(residual(std::nan(""), 1), kInf);  // nothing to certify
+
+  const LpSolution s = solve_lp(p);
+  ASSERT_TRUE(s.ok());
+  expect_certified(p, s);
+}
+
+// ---- counters --------------------------------------------------------------
+
+TEST(SolverCountersTest, FlushedOncePerCall) {
+  if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  const bool saved = obs::enabled();
+  obs::set_enabled(true);
+  const auto value = [](const char* name) -> std::uint64_t {
+    const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().scrape();
+    const obs::MetricsSnapshot::CounterRow* row = snap.find_counter(name);
+    return row != nullptr ? row->value : 0;
+  };
+  const char* const names[] = {"solver/lp_solves", "solver/pivots",
+                               "solver/bb_nodes", "solver/truncated"};
+  std::uint64_t before[4];
+  for (int k = 0; k < 4; ++k) before[k] = value(names[k]);
+
+  // A one-node budget truncates block X: its root LP, then the rounding
+  // fallback's relaxation and fixed re-solve. Block Y takes one LP.
+  const TwoBlocks t = two_blocks();
+  MilpOptions o;
+  o.max_nodes = 1;
+  const MilpSolution s = solve_milp(t.both, o);
+  ASSERT_TRUE(s.ok());
+  EXPECT_EQ(value(names[0]) - before[0], 4u);
+  EXPECT_GT(value(names[1]) - before[1], 0u);
+  EXPECT_EQ(value(names[2]) - before[2],
+            static_cast<std::uint64_t>(s.nodes_explored));
+  EXPECT_EQ(value(names[3]) - before[3], 1u);
+
+  const std::uint64_t solves = value(names[0]);
+  ASSERT_TRUE(solve_lp(t.x_alone).ok());
+  EXPECT_EQ(value(names[0]) - solves, 1u);
+  obs::set_enabled(saved);
 }
 
 }  // namespace
