@@ -284,5 +284,44 @@ TEST(PerfFlowTest, GnnPhiIsProbability) {
   EXPECT_LT(phi, 1.0);
 }
 
+TEST(PerfFlowTest, AdderGnnAndPerfFlowsPinnedExactly) {
+  // Exact-value pins (EXPECT_EQ, no tolerance) on every user of the GNN:
+  // training, inference (core::gnn_phi), the gradient term the analytical
+  // placers descend through (gnn::PhiTerm, in ePlace-AP and Perf*) and
+  // SA's per-move Phi cost. A rewrite of the GNN kernel that keeps every
+  // sum in the same order must leave them unchanged, on every build (FMA
+  // contraction is off). If an intentional model change moves them,
+  // regenerate the values with the same options and say so in the commit.
+  circuits::TestCase tc = circuits::make_testcase("Adder");
+  auto ctx = build_perf_context(tc.circuit, tc.spec, quick_dataset(),
+                                quick_training());
+  EXPECT_EQ(ctx->training.final_loss, 0.41880775631252892);
+
+  netlist::Placement fixed(tc.circuit);
+  for (std::size_t i = 0; i < tc.circuit.num_devices(); ++i) {
+    const auto k = static_cast<double>(i);
+    fixed.set_position(DeviceId{i},
+                       {2.1 * static_cast<double>(i % 4) + 0.175 * k,
+                        1.75 * static_cast<double>(i / 4) + 0.35});
+  }
+  EXPECT_EQ(gnn_phi(*ctx, fixed), 0.25081484336843568);
+
+  EPlaceAOptions eopts;
+  eopts.candidates = 1;
+  const PerfFlowResult ap = run_eplace_ap(tc.circuit, *ctx, eopts);
+  EXPECT_EQ(ap.flow.hpwl(), 53.549999999999997);
+  EXPECT_EQ(ap.flow.area(), 56);
+
+  const PerfFlowResult pw = run_prior_work_perf(tc.circuit, *ctx);
+  EXPECT_EQ(pw.flow.hpwl(), 61.299999999999997);
+  EXPECT_EQ(pw.flow.area(), 99);
+
+  SaFlowOptions sopts;
+  sopts.sa.max_moves = 4000;
+  const PerfFlowResult sp = run_sa_perf(tc.circuit, *ctx, sopts, 1.0);
+  EXPECT_EQ(sp.flow.hpwl(), 99.25);
+  EXPECT_EQ(sp.flow.area(), 72);
+}
+
 }  // namespace
 }  // namespace aplace::core
