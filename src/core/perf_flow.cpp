@@ -19,14 +19,19 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-std::vector<double> positions_of(const netlist::Placement& pl) {
+void positions_into(const netlist::Placement& pl, std::vector<double>& v) {
   const std::size_t n = pl.circuit().num_devices();
-  std::vector<double> v(2 * n);
+  v.resize(2 * n);
   for (std::size_t i = 0; i < n; ++i) {
     const geom::Point p = pl.position(DeviceId{i});
     v[i] = p.x;
     v[n + i] = p.y;
   }
+}
+
+std::vector<double> positions_of(const netlist::Placement& pl) {
+  std::vector<double> v;
+  positions_into(pl, v);
   return v;
 }
 
@@ -127,9 +132,12 @@ perf::PerformanceResult evaluate_routed(const PerfContext& ctx,
 }
 
 double gnn_phi(const PerfContext& ctx, const netlist::Placement& placement) {
-  gnn::GnnModel::Activations act;
-  const numeric::Matrix x = ctx.graph.features(positions_of(placement));
-  return ctx.net.forward(ctx.graph.adjacency(), x, act);
+  // SA calls this on every move: per-thread buffers keep it allocation-free
+  // and let threads evaluate one context concurrently.
+  thread_local std::vector<double> v;
+  thread_local gnn::Workspace ws;
+  positions_into(placement, v);
+  return ctx.net.forward(ctx.graph, v, ws);
 }
 
 PerfFlowResult run_eplace_ap(const netlist::Circuit& circuit, PerfContext& ctx,

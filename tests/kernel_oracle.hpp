@@ -19,6 +19,10 @@
 //  * pack_naive — the O(n^2) longest-path sequence-pair packer, the oracle
 //    of SequencePair's LCS packer (tests/sa_test.cpp) and the
 //    "seqpair-pack-naive" rows of bench_micro_kernels.
+//  * DenseGnn — the GNN on a dense n x n A~, a full feature matrix and
+//    numeric::Matrix products for every layer, the bitwise oracle of
+//    gnn::CircuitGraph + gnn::GnnModel (tests/gnn_test.cpp) and the
+//    "oracle" column of bench_micro_kernels' GNN table.
 
 #include <algorithm>
 #include <cmath>
@@ -30,6 +34,8 @@
 #include "density/bin_grid.hpp"
 #include "density/electro.hpp"
 #include "geom/rect.hpp"
+#include "gnn/graph.hpp"
+#include "gnn/model.hpp"
 #include "netlist/compiled.hpp"
 #include "numeric/matrix.hpp"
 #include "sa/sequence_pair.hpp"
@@ -373,5 +379,297 @@ inline sa::SequencePair::Packing pack_naive(
   }
   return out;
 }
+
+// ---- GNN --------------------------------------------------------------------
+
+/// The dense forward/backward gnn::GnnModel ran before its sparse kernel:
+/// A~ as a dense n x n matrix, the full feature matrix per evaluation and
+/// a numeric::Matrix product (zero-skipping over ascending k) for every
+/// layer. Built from the same compiled circuit, coordinate scale and
+/// parameter vector as a CircuitGraph/GnnModel pair, it agrees with them
+/// bit for bit.
+class DenseGnn {
+ public:
+  static constexpr std::size_t kHidden = gnn::kHiddenDim;
+  static constexpr std::size_t kMlp = gnn::kMlpDim;
+
+  struct Features {
+    numeric::Matrix x;  ///< n x kFeatureDim
+    std::vector<double> lap_sign_x, lap_sign_y;
+  };
+  struct Activations {
+    numeric::Matrix x, ax, a1, h1, ah1, a2, h2;
+    std::vector<double> g, a3, u;
+    double logit = 0, phi = 0;
+  };
+
+  DenseGnn(const netlist::CompiledCircuit& cc, double coord_scale,
+           std::span<const double> params)
+      : n_(cc.num_devices()),
+        scale_(coord_scale),
+        adj_(n_, n_),
+        static_features_(n_, gnn::kFeatureDim),
+        w1_(gnn::kFeatureDim, kHidden),
+        w2_(kHidden, kHidden),
+        w3_(kHidden, kMlp),
+        b1_(kHidden),
+        b2_(kHidden),
+        b3_(kMlp),
+        w4_(kMlp) {
+    // Clique for nets with <= 6 devices, star from the first otherwise;
+    // self loops; row normalization.
+    numeric::Matrix a(n_, n_);
+    std::vector<double> degree(n_, 0.0);
+    for (std::size_t ni = 0; ni < cc.num_nets(); ++ni) {
+      const std::span<const std::uint32_t> devs = cc.net_devices(ni);
+      if (devs.size() < 2) continue;
+      auto connect = [&](std::size_t u, std::size_t w) {
+        if (u == w) return;
+        a(u, w) = 1.0;
+        a(w, u) = 1.0;
+      };
+      if (devs.size() <= 6) {
+        for (std::size_t i = 0; i < devs.size(); ++i)
+          for (std::size_t j = i + 1; j < devs.size(); ++j)
+            connect(devs[i], devs[j]);
+      } else {
+        for (std::size_t j = 1; j < devs.size(); ++j) connect(devs[0], devs[j]);
+      }
+    }
+    for (std::size_t i = 0; i < n_; ++i) a(i, i) = 1.0;
+    for (std::size_t i = 0; i < n_; ++i) {
+      double row = 0;
+      for (std::size_t j = 0; j < n_; ++j) row += a(i, j);
+      for (std::size_t j = 0; j < n_; ++j) adj_(i, j) = a(i, j) / row;
+      degree[i] = row - 1.0;
+    }
+
+    const std::span<const double> dev_w = cc.dev_width();
+    const std::span<const double> dev_h = cc.dev_height();
+    double max_dim = 1e-9;
+    for (std::size_t i = 0; i < n_; ++i) {
+      max_dim = std::max({max_dim, dev_w[i], dev_h[i]});
+    }
+    for (std::size_t i = 0; i < n_; ++i) {
+      static_features_(i, 2) = dev_w[i] / max_dim;
+      static_features_(i, 3) = dev_h[i] / max_dim;
+      static_features_(i, 4 + static_cast<std::size_t>(cc.dev_type()[i])) =
+          1.0;
+      static_features_(i, 4 + gnn::kNumDeviceTypes) =
+          degree[i] / static_cast<double>(std::max<std::size_t>(n_ - 1, 1));
+    }
+
+    set_parameters(params);
+  }
+
+  /// Loads a gnn::GnnModel::parameters() vector.
+  void set_parameters(std::span<const double> params) {
+    std::size_t k = 0;
+    auto pull_m = [&](numeric::Matrix& m) {
+      for (double& v : m.data()) v = params[k++];
+    };
+    auto pull_v = [&](std::vector<double>& v) {
+      for (double& x : v) x = params[k++];
+    };
+    pull_m(w1_);
+    pull_v(b1_);
+    pull_m(w2_);
+    pull_v(b2_);
+    pull_m(w3_);
+    pull_v(b3_);
+    pull_v(w4_);
+    b4_ = params[k++];
+  }
+
+  [[nodiscard]] const numeric::Matrix& adjacency() const { return adj_; }
+  [[nodiscard]] const numeric::Matrix& static_features() const {
+    return static_features_;
+  }
+
+  /// Feature matrix for the positions v = (x.., y..), with the laplacian
+  /// signs accumulate_position_grad needs.
+  [[nodiscard]] Features features(std::span<const double> v) const {
+    Features out{static_features_, std::vector<double>(n_),
+                 std::vector<double>(n_)};
+    numeric::Matrix& f = out.x;
+    const std::size_t lx = gnn::kFeatureDim - 4, ly = gnn::kFeatureDim - 3;
+    const std::size_t ax = gnn::kFeatureDim - 2, ay = gnn::kFeatureDim - 1;
+    for (std::size_t i = 0; i < n_; ++i) {
+      f(i, 0) = v[i] / scale_;
+      f(i, 1) = v[n_ + i] / scale_;
+      double mx = 0, my = 0;
+      for (std::size_t j = 0; j < n_; ++j) {
+        mx += adj_(i, j) * v[j];
+        my += adj_(i, j) * v[n_ + j];
+      }
+      f(i, lx) = (v[i] - mx) / scale_;
+      f(i, ly) = (v[n_ + i] - my) / scale_;
+      f(i, ax) = std::abs(f(i, lx));
+      f(i, ay) = std::abs(f(i, ly));
+      out.lap_sign_x[i] = f(i, lx) >= 0 ? 1.0 : -1.0;
+      out.lap_sign_y[i] = f(i, ly) >= 0 ? 1.0 : -1.0;
+    }
+    return out;
+  }
+
+  double forward(const numeric::Matrix& x, Activations& act) const {
+    using numeric::Matrix;
+    act.x = x;
+    act.ax = Matrix::multiply(adj_, x);
+    act.a1 = add_bias_rows(Matrix::multiply(act.ax, w1_), b1_);
+    act.h1 = relu(act.a1);
+    act.ah1 = Matrix::multiply(adj_, act.h1);
+    act.a2 = add_bias_rows(Matrix::multiply(act.ah1, w2_), b2_);
+    act.h2 = relu(act.a2);
+
+    act.g.assign(kHidden, 0.0);
+    for (std::size_t i = 0; i < n_; ++i)
+      for (std::size_t j = 0; j < kHidden; ++j)
+        act.g[j] += act.h2(i, j) / static_cast<double>(n_);
+
+    act.a3.assign(kMlp, 0.0);
+    for (std::size_t j = 0; j < kMlp; ++j) {
+      double s = b3_[j];
+      for (std::size_t k = 0; k < kHidden; ++k) s += act.g[k] * w3_(k, j);
+      act.a3[j] = s;
+    }
+    act.u = act.a3;
+    for (double& v : act.u) v = std::max(v, 0.0);
+
+    double logit = b4_;
+    for (std::size_t j = 0; j < kMlp; ++j) logit += act.u[j] * w4_[j];
+    act.logit = logit;
+    act.phi = 1.0 / (1.0 + std::exp(-logit));
+    return act.phi;
+  }
+
+  /// Adds the weight gradient into param_grad (parameters() layout) and,
+  /// when x_grad is non-null, writes d(loss)/dX into it.
+  void backward(const Activations& act, double dlogit,
+                std::span<double> param_grad,
+                numeric::Matrix* x_grad) const {
+    using numeric::Matrix;
+    const std::size_t off_w1 = 0;
+    const std::size_t off_b1 = off_w1 + w1_.size();
+    const std::size_t off_w2 = off_b1 + b1_.size();
+    const std::size_t off_b2 = off_w2 + w2_.size();
+    const std::size_t off_w3 = off_b2 + b2_.size();
+    const std::size_t off_b3 = off_w3 + w3_.size();
+    const std::size_t off_w4 = off_b3 + b3_.size();
+    const std::size_t off_b4 = off_w4 + w4_.size();
+
+    std::vector<double> du(kMlp);
+    for (std::size_t j = 0; j < kMlp; ++j) {
+      param_grad[off_w4 + j] += dlogit * act.u[j];
+      du[j] = dlogit * w4_[j];
+    }
+    param_grad[off_b4] += dlogit;
+
+    std::vector<double> da3(kMlp);
+    for (std::size_t j = 0; j < kMlp; ++j)
+      da3[j] = act.a3[j] > 0 ? du[j] : 0.0;
+
+    std::vector<double> dg(kHidden, 0.0);
+    for (std::size_t k = 0; k < kHidden; ++k) {
+      for (std::size_t j = 0; j < kMlp; ++j) {
+        param_grad[off_w3 + k * kMlp + j] += act.g[k] * da3[j];
+        dg[k] += w3_(k, j) * da3[j];
+      }
+    }
+    for (std::size_t j = 0; j < kMlp; ++j) param_grad[off_b3 + j] += da3[j];
+
+    Matrix dh2(n_, kHidden);
+    for (std::size_t i = 0; i < n_; ++i)
+      for (std::size_t j = 0; j < kHidden; ++j)
+        dh2(i, j) = dg[j] / static_cast<double>(n_);
+
+    const Matrix da2 = relu_backward(act.a2, std::move(dh2));
+    {
+      const Matrix dw2 = Matrix::multiply(act.ah1.transposed(), da2);
+      for (std::size_t k = 0; k < dw2.size(); ++k)
+        param_grad[off_w2 + k] += dw2.data()[k];
+      for (std::size_t i = 0; i < n_; ++i)
+        for (std::size_t j = 0; j < kHidden; ++j)
+          param_grad[off_b2 + j] += da2(i, j);
+    }
+    const Matrix adj_t = adj_.transposed();
+    const Matrix dh1 =
+        Matrix::multiply(Matrix::multiply(adj_t, da2), w2_.transposed());
+    const Matrix da1 = relu_backward(act.a1, dh1);
+    {
+      const Matrix dw1 = Matrix::multiply(act.ax.transposed(), da1);
+      for (std::size_t k = 0; k < dw1.size(); ++k)
+        param_grad[off_w1 + k] += dw1.data()[k];
+      for (std::size_t i = 0; i < n_; ++i)
+        for (std::size_t j = 0; j < kHidden; ++j)
+          param_grad[off_b1 + j] += da1(i, j);
+    }
+    if (x_grad != nullptr) {
+      *x_grad =
+          Matrix::multiply(Matrix::multiply(adj_t, da1), w1_.transposed());
+    }
+  }
+
+  /// Chain rule from feature gradients back to positions, added into
+  /// grad_v.
+  void accumulate_position_grad(const numeric::Matrix& fg, const Features& f,
+                                std::span<double> grad_v) const {
+    const std::size_t lx = gnn::kFeatureDim - 4, ly = gnn::kFeatureDim - 3;
+    const std::size_t ax = gnn::kFeatureDim - 2, ay = gnn::kFeatureDim - 1;
+    for (std::size_t i = 0; i < n_; ++i) {
+      grad_v[i] += fg(i, 0) / scale_;
+      grad_v[n_ + i] += fg(i, 1) / scale_;
+      const double gx = fg(i, lx) + fg(i, ax) * f.lap_sign_x[i];
+      const double gy = fg(i, ly) + fg(i, ay) * f.lap_sign_y[i];
+      grad_v[i] += gx / scale_;
+      grad_v[n_ + i] += gy / scale_;
+      for (std::size_t k = 0; k < n_; ++k) {
+        grad_v[k] -= gx * adj_(i, k) / scale_;
+        grad_v[n_ + k] -= gy * adj_(i, k) / scale_;
+      }
+    }
+  }
+
+  /// Phi(v), with dPhi/dv added into grad_v: what gnn::PhiTerm computed
+  /// (the weight gradient goes to a discarded buffer, as it did).
+  double phi_and_position_grad(std::span<const double> v,
+                               std::span<double> grad_v) const {
+    const Features f = features(v);
+    Activations act;
+    const double phi = forward(f.x, act);
+    std::vector<double> dummy(gnn::GnnModel::kNumParameters, 0.0);
+    numeric::Matrix x_grad;
+    backward(act, phi * (1.0 - phi), dummy, &x_grad);
+    accumulate_position_grad(x_grad, f, grad_v);
+    return phi;
+  }
+
+ private:
+  static numeric::Matrix add_bias_rows(numeric::Matrix m,
+                                       const std::vector<double>& b) {
+    for (std::size_t i = 0; i < m.rows(); ++i)
+      for (std::size_t j = 0; j < m.cols(); ++j) m(i, j) += b[j];
+    return m;
+  }
+  static numeric::Matrix relu(numeric::Matrix m) {
+    for (double& v : m.data()) v = std::max(v, 0.0);
+    return m;
+  }
+  // dA = dH masked where the pre-activation is <= 0.
+  static numeric::Matrix relu_backward(const numeric::Matrix& pre,
+                                       numeric::Matrix dh) {
+    for (std::size_t i = 0; i < pre.rows(); ++i)
+      for (std::size_t j = 0; j < pre.cols(); ++j)
+        if (pre(i, j) <= 0) dh(i, j) = 0;
+    return dh;
+  }
+
+  std::size_t n_;
+  double scale_;
+  numeric::Matrix adj_, static_features_;
+  numeric::Matrix w1_, w2_, w3_;
+  std::vector<double> b1_, b2_, b3_, w4_;
+  double b4_ = 0;
+};
 
 }  // namespace aplace::oracle
