@@ -194,8 +194,8 @@ SaResult SaPlacer::place() {
         chain.run_chain(numeric::split_seed(opts_.seed, static_cast<std::uint64_t>(c)));
   };
   if (opts_.extra_cost) {
-    // A caller-supplied cost callback (the GNN in perf-driven SA) is not
-    // guaranteed thread-safe; keep the chains sequential but still split.
+    // A caller-supplied cost callback (perf-driven SA passes one) is not
+    // known to be thread-safe; keep the chains sequential but still split.
     for (int c = 0; c < chains; ++c) run_one(c);
   } else {
     base::ThreadPool& pool = base::ThreadPool::global();
