@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the computational kernels: spectral
 // Poisson solve, WA wirelength gradient, LP solve, sequence-pair packing,
 // GNN forward+backward (plus a quick-mode GNN table against the dense
-// oracle). Useful for tracking performance regressions of the
-// inner loops that dominate the flows.
+// oracle and a quick-mode round-0 MILP row). Useful for tracking
+// performance regressions of the inner loops that dominate the flows.
 
 #include <benchmark/benchmark.h>
 
@@ -21,14 +21,18 @@
 #include "gnn/graph.hpp"
 #include "gnn/model.hpp"
 #include "gnn/workspace.hpp"
+#include "gp/eplace_gp.hpp"
 #include "kernel_oracle.hpp"
+#include "legal/ilp_detailed.hpp"
 #include "netlist/compiled.hpp"
 #include "netlist/evaluator.hpp"
 #include "numeric/fft.hpp"
 #include "numeric/rng.hpp"
+#include "obs/metrics.hpp"
 #include "sa/annealer.hpp"
 #include "sa/sequence_pair.hpp"
 #include "solver/lp.hpp"
+#include "solver/milp.hpp"
 #include "wirelength/smooth_wl.hpp"
 
 namespace {
@@ -409,6 +413,51 @@ void print_gnn_table(bench::JsonReport& json) {
   benchmark::DoNotOptimize(sink);
 }
 
+// ---- MILP round 0 -------------------------------------------------------
+// The x-block of VCO2's round-0 ILP, built from an ePlace global placement
+// (default options), solved by solve_milp() at the placer's round-0 node
+// budget. Reports the time and, from the solver/ counters, the
+// branch-and-bound nodes, LP solves and pivots of one call.
+void print_milp_table(bench::JsonReport& json) {
+  const std::string circuit = "VCO2";
+  circuits::TestCase tc = circuits::make_testcase(circuit);
+  const netlist::Circuit& c = tc.circuit;
+  const std::vector<double> v =
+      gp::EPlaceGlobalPlacer(c, gp::EPlaceGpOptions{}).run().positions;
+  const legal::IlpOptions iopts;
+  const solver::LpProblem round0 =
+      legal::IlpDetailedPlacer(c, iopts).round0_problem(v);
+  const solver::LpProblem block = solver::split_blocks(round0).at(0).problem;
+  solver::MilpOptions mopts;
+  mopts.max_nodes = iopts.max_nodes;
+
+  const auto counter = [](const char* name) -> double {
+    const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().scrape();
+    const obs::MetricsSnapshot::CounterRow* row = snap.find_counter(name);
+    return row != nullptr ? static_cast<double>(row->value) : 0.0;
+  };
+  const double solves0 = counter("solver/lp_solves");
+  const double pivots0 = counter("solver/pivots");
+  const solver::MilpSolution s = solver::solve_milp(block, mopts);
+  const double solves = counter("solver/lp_solves") - solves0;
+  const double pivots = counter("solver/pivots") - pivots0;
+
+  double sink = 0;
+  const double us = best_of3(bench::quick_mode() ? 1 : 5, [&] {
+    sink += solver::solve_milp(block, mopts).objective;
+  });
+  benchmark::DoNotOptimize(sink);
+  std::printf("\n==== MILP round 0 (%s x-block: %zu variables, %zu rows) ====\n",
+              circuit.c_str(), block.num_variables(), block.num_constraints());
+  std::printf("%-14s %12s %10s %10s %10s\n", "row", "time (ms)", "nodes",
+              "lp_solves", "pivots");
+  std::printf("%-14s %12.2f %10ld %10.0f %10.0f\n", "milp-round0", us / 1e3,
+              s.nodes_explored, solves, pivots);
+  json.add_timing(circuit, "milp-round0", us / 1e6);
+  json.add_metric("milp-round0_lp_solves", solves);
+  json.add_metric("milp-round0_pivots", pivots);
+}
+
 // Exact HPWL through the AoS path: walk Net/Pin objects and ask the
 // Placement for each pin position. This is what every engine did before the
 // compiled flat core existed — kept here as the "before" side of the
@@ -672,6 +721,7 @@ void print_spectral_table() {
   print_compiled_core_table(json);
   print_sa_kernel_table(json);
   print_gnn_table(json);
+  print_milp_table(json);
   print_gp_term_breakdown(json);
   json.write();
 }

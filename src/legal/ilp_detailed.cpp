@@ -204,10 +204,18 @@ IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
   return result;
 }
 
-solver::MilpSolution IlpDetailedPlacer::solve_round(
+solver::LpProblem IlpDetailedPlacer::round0_problem(
+    std::span<const double> gp_positions) const {
+  APLACE_CHECK(gp_positions.size() == 2 * compiled_->num_devices());
+  RoundVars vars;
+  return build_round(start_orders(compiled_->circuit(), gp_positions),
+                     nullptr, vars);
+}
+
+solver::LpProblem IlpDetailedPlacer::build_round(
     const std::vector<PairOrder>& orders,
-    const std::vector<geom::Orientation>* fixed_flips, RoundVars& vars,
-    IlpResult& result, long max_nodes) const {
+    const std::vector<geom::Orientation>* fixed_flips,
+    RoundVars& vars) const {
   const netlist::CompiledCircuit& cc = *compiled_;
   const std::size_t n = cc.num_devices();
   const double gu = opts_.grid_pitch;
@@ -262,7 +270,14 @@ solver::MilpSolution IlpDetailedPlacer::solve_round(
   add_symmetry(lp, cc, vars.dev);
   add_alignment(lp, cc, gu, vars.dev);
   add_centroid(lp, cc, vars.dev);
+  return lp;
+}
 
+solver::MilpSolution IlpDetailedPlacer::solve_round(
+    const std::vector<PairOrder>& orders,
+    const std::vector<geom::Orientation>* fixed_flips, RoundVars& vars,
+    IlpResult& result, long max_nodes) const {
+  const solver::LpProblem lp = build_round(orders, fixed_flips, vars);
   solver::MilpOptions mopts;
   mopts.max_nodes = max_nodes > 0 ? max_nodes : opts_.max_nodes;
   mopts.deadline = opts_.deadline;

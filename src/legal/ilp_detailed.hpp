@@ -79,6 +79,12 @@ class IlpDetailedPlacer {
   /// Legalize + detail-place starting from GP device centers (x.., y..).
   [[nodiscard]] IlpResult place(std::span<const double> gp_positions) const;
 
+  /// The MILP place() solves first (round 0: separation directions from
+  /// `gp_positions`, flipping binaries free), for solver tests and
+  /// benchmarks.
+  [[nodiscard]] solver::LpProblem round0_problem(
+      std::span<const double> gp_positions) const;
+
  private:
   /// LP variable indices of one round.
   struct RoundVars {
@@ -86,6 +92,12 @@ class IlpDetailedPlacer {
     std::vector<int> fx, fy;  ///< flip binaries per device, -1 where none
   };
 
+  /// The MILP of one round; fills `vars`. When `fixed_flips` is non-null
+  /// the flipping variables are pinned, otherwise they are binaries.
+  [[nodiscard]] solver::LpProblem build_round(
+      const std::vector<PairOrder>& orders,
+      const std::vector<geom::Orientation>* fixed_flips,
+      RoundVars& vars) const;
   /// Build and solve one round. When `fixed_flips` is non-null the flipping
   /// variables are pinned (pure LP); otherwise they are binaries solved by
   /// branch-and-bound with `max_nodes` (0: opts_.max_nodes) per axis.

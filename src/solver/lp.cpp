@@ -48,7 +48,7 @@ struct VarMap {
   double sign = 1.0;
   int col = -1;       ///< column of x' (or p)
   int col_neg = -1;   ///< column of q for free variables, else -1
-  double upper_row_rhs = kInf;  ///< finite => x' <= rhs row added
+  int upper_row = -1; ///< row of x' <= hi - lo when both bounds are finite
 };
 
 struct Standard {
@@ -59,7 +59,6 @@ struct Standard {
   std::vector<Relation> rels;
   std::vector<double> rhs;
   std::vector<double> cost;    // structural costs
-  double cost_offset = 0.0;
 };
 
 Standard to_standard_form(const LpProblem& p) {
@@ -78,7 +77,6 @@ Standard to_standard_form(const LpProblem& p) {
       m.offset = lo;
       m.sign = 1.0;
       m.col = static_cast<int>(s.n_cols++);
-      if (hi < kInf) m.upper_row_rhs = hi - lo;
     } else {
       // lo == -inf, hi finite: x = hi - x'
       m.offset = hi;
@@ -93,7 +91,6 @@ Standard to_standard_form(const LpProblem& p) {
     const double c = p.cost(static_cast<int>(j));
     s.cost[m.col] += c * m.sign;
     if (m.col_neg >= 0) s.cost[m.col_neg] -= c;
-    s.cost_offset += c * m.offset;
   }
 
   auto add_row = [&](const std::vector<LpTerm>& terms, Relation rel,
@@ -116,20 +113,23 @@ Standard to_standard_form(const LpProblem& p) {
   }
   // Upper-bound rows for shifted variables.
   for (std::size_t j = 0; j < n; ++j) {
-    const VarMap& m = s.map[j];
-    if (m.upper_row_rhs < kInf) {
+    const int v = static_cast<int>(j);
+    VarMap& m = s.map[j];
+    if (p.lower_bound(v) > -kInf && p.upper_bound(v) < kInf) {
+      m.upper_row = static_cast<int>(s.rows.size());
       std::vector<double> row(s.n_cols, 0.0);
       row[m.col] = 1.0;
       s.rows.push_back(std::move(row));
       s.rels.push_back(Relation::LessEq);
-      s.rhs.push_back(m.upper_row_rhs);
+      s.rhs.push_back(p.upper_bound(v) - p.lower_bound(v));
     }
   }
   return s;
 }
 
-// Dense two-phase tableau simplex over the standard form. Flat row-major
-// storage: a_[r * stride + c], last column = rhs.
+// Dense simplex tableau over the standard form: a two-phase primal for the
+// cold solve, a dual simplex for warm re-solves after rhs changes. Flat
+// row-major storage: a_[r * stride + c], last column = rhs.
 class Tableau {
  public:
   /// Takes the rows out of `s`, so they are freed once the tableau is built
@@ -159,6 +159,7 @@ class Tableau {
     stride_ = n_total_ + 1;
     a_.assign(m_ * stride_, 0.0);
     basis_.assign(m_, -1);
+    slack_.assign(m_, -1);
 
     std::size_t slack_col = n_struct_;
     std::size_t art_col = art_begin_;
@@ -169,6 +170,7 @@ class Tableau {
       switch (rels[i]) {
         case Relation::LessEq:
           row[slack_col] = 1.0;
+          slack_[i] = static_cast<int>(slack_col);
           basis_[i] = static_cast<int>(slack_col++);
           break;
         case Relation::GreaterEq:
@@ -211,10 +213,46 @@ class Tableau {
           // else: redundant row; artificial stays basic at value 0.
         }
       }
+      drop_artificial_columns();
     }
     // ---- Phase 2 ----
     build_reduced_costs(cost_);
     return iterate(/*phase1=*/false);
+  }
+
+  /// Add `scale` times tableau column `col` to the rhs column: the rhs
+  /// after the standard-form rhs moved by `scale` times that column's
+  /// original entries.
+  void shift_rhs(std::size_t col, double scale) {
+    for (std::size_t i = 0; i < m_; ++i) {
+      double* row = &a_[i * stride_];
+      row[n_total_] += scale * row[col];
+    }
+  }
+
+  /// Slack column of standard-form row `row` (a <= row), whose tableau
+  /// column is B^-1 e_row.
+  [[nodiscard]] std::size_t slack_column(std::size_t row) const {
+    APLACE_CHECK(slack_[row] >= 0);
+    return static_cast<std::size_t>(slack_[row]);
+  }
+
+  /// Re-optimize an optimal tableau after rhs changes: dual simplex, then
+  /// a primal pass that catches reduced costs roundoff left slightly
+  /// negative. IterLimit means this tableau cannot answer (cap hit, or an
+  /// artificial left basic in a redundant row now sits off zero).
+  LpStatus reoptimize() {
+    for (std::size_t i = 0; i < m_; ++i) {
+      if (static_cast<std::size_t>(basis_[i]) >= art_begin_ &&
+          std::abs(a_[i * stride_ + n_total_]) > 1e-6) {
+        return LpStatus::IterLimit;
+      }
+    }
+    const LpStatus st = dual_iterate();
+    if (st != LpStatus::Optimal) return st;
+    return iterate(/*phase1=*/false) == LpStatus::Optimal
+               ? LpStatus::Optimal
+               : LpStatus::IterLimit;
   }
 
   [[nodiscard]] std::uint64_t pivots() const { return pivots_; }
@@ -241,6 +279,24 @@ class Tableau {
     }
   }
 
+  // After phase 1 no artificial column may enter again, and nothing reads
+  // them, so stop paying for them in every pivot: compact each row to its
+  // structural and slack columns plus the rhs, in place. The kept entries
+  // and every later pivot on them are unchanged. An artificial still basic
+  // in a redundant row keeps its index (>= art_begin_) in basis_.
+  void drop_artificial_columns() {
+    const std::size_t stride = art_begin_ + 1;
+    for (std::size_t i = 0; i < m_; ++i) {
+      const double* from = &a_[i * stride_];
+      double* to = &a_[i * stride];
+      for (std::size_t j = 0; j < art_begin_; ++j) to[j] = from[j];
+      to[art_begin_] = from[n_total_];
+    }
+    a_.resize(m_ * stride);
+    n_total_ = art_begin_;
+    stride_ = stride;
+  }
+
   [[nodiscard]] double objective_value(const std::vector<double>& c) const {
     double v = 0;
     for (std::size_t i = 0; i < m_; ++i) {
@@ -249,25 +305,29 @@ class Tableau {
     return v;
   }
 
+  // Row elimination touches only the pivot row's nonzeros: the tableau
+  // stays sparse, and subtracting f * 0 changes no value.
   void pivot(std::size_t r, std::size_t c) {
     double* prow = &a_[r * stride_];
     const double piv = prow[c];
     const double inv = 1.0 / piv;
-    for (std::size_t j = 0; j < stride_; ++j) prow[j] *= inv;
+    nz_.clear();
+    for (std::size_t j = 0; j < stride_; ++j) {
+      if (prow[j] == 0.0) continue;
+      prow[j] *= inv;
+      nz_.push_back(j);
+    }
     prow[c] = 1.0;  // kill roundoff on the pivot column
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (i == r) continue;
-      double* row = &a_[i * stride_];
+    const auto eliminate = [&](double* row) {
       const double f = row[c];
-      if (f == 0.0) continue;
-      for (std::size_t j = 0; j < stride_; ++j) row[j] -= f * prow[j];
+      if (f == 0.0) return;
+      for (const std::size_t j : nz_) row[j] -= f * prow[j];
       row[c] = 0.0;
+    };
+    for (std::size_t i = 0; i < m_; ++i) {
+      if (i != r) eliminate(&a_[i * stride_]);
     }
-    const double f = red_[c];
-    if (f != 0.0) {
-      for (std::size_t j = 0; j < stride_; ++j) red_[j] -= f * prow[j];
-      red_[c] = 0.0;
-    }
+    eliminate(red_.data());
     basis_[r] = static_cast<int>(c);
     ++pivots_;
   }
@@ -311,11 +371,53 @@ class Tableau {
     return LpStatus::IterLimit;
   }
 
+  // Dual simplex over a dual feasible tableau (reduced costs >= 0 on every
+  // column that may enter). Leaving row: the most negative rhs, or after a
+  // streak of dual degenerate pivots the one with the smallest basic column
+  // (Bland). Entering column: the smallest ratio red_j / -a_rj over a_rj < 0;
+  // ties go to the larger |a_rj|, or under Bland to the smallest column.
+  // Artificial columns never enter, as in phase 2.
+  LpStatus dual_iterate() {
+    long degenerate_streak = 0;
+    for (long it = 0; it < max_iters_; ++it) {
+      const bool bland = degenerate_streak > static_cast<long>(m_) + 50;
+      std::size_t leave = m_;
+      double worst = -kTol;
+      for (std::size_t i = 0; i < m_; ++i) {
+        if (static_cast<std::size_t>(basis_[i]) >= art_begin_) continue;
+        const double b = a_[i * stride_ + n_total_];
+        if (b >= -kTol) continue;
+        if (bland ? leave == m_ || basis_[i] < basis_[leave] : b < worst) {
+          worst = b;
+          leave = i;
+        }
+      }
+      if (leave == m_) return LpStatus::Optimal;
+
+      const double* row = &a_[leave * stride_];
+      std::size_t enter = n_total_;
+      double best_ratio = kInf;
+      for (std::size_t j = 0; j < art_begin_; ++j) {
+        if (row[j] >= -kTol) continue;
+        const double ratio = std::max(red_[j], 0.0) / -row[j];
+        if (ratio < best_ratio - 1e-12 ||
+            (!bland && ratio < best_ratio + 1e-12 && row[j] < row[enter])) {
+          best_ratio = ratio;
+          enter = j;
+        }
+      }
+      if (enter == n_total_) return LpStatus::Infeasible;
+      degenerate_streak = best_ratio <= 1e-12 ? degenerate_streak + 1 : 0;
+      pivot(leave, enter);
+    }
+    return LpStatus::IterLimit;
+  }
+
   static constexpr double kTol = 1e-9;  ///< pivot / feasibility tolerance
   std::size_t m_;
   std::size_t n_struct_;
-  std::size_t n_total_ = 0;
-  std::size_t art_begin_ = 0;
+  std::size_t n_total_ = 0;  ///< columns; the rhs is column n_total_
+  std::size_t art_begin_ = 0;  ///< first artificial column
   std::size_t stride_ = 0;
   long max_iters_ = 0;
   std::uint64_t pivots_ = 0;
@@ -323,17 +425,42 @@ class Tableau {
   std::vector<double> cost_;
   std::vector<double> red_;  // reduced cost row
   std::vector<int> basis_;
+  std::vector<int> slack_;  // slack column of each <= row (normalized), or -1
+  std::vector<std::size_t> nz_;  // pivot-row nonzero columns (pivot scratch)
 };
+
+// The natural-variable answer of an optimal tableau.
+LpSolution extract(const LpProblem& p, const Standard& s, const Tableau& t) {
+  LpSolution sol;
+  sol.status = LpStatus::Optimal;
+  const std::vector<double> xs = t.structural_values();
+  const std::size_t n = p.num_variables();
+  sol.x.assign(n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    sol.objective += p.cost(static_cast<int>(j)) * s.map[j].offset;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    const VarMap& m = s.map[j];
+    double v = m.offset + m.sign * xs[m.col];
+    if (m.col_neg >= 0) v -= xs[m.col_neg];
+    sol.x[j] = v;
+    sol.objective += p.cost(static_cast<int>(j)) * (v - m.offset);
+  }
+  return sol;
+}
 
 }  // namespace
 
 LpSolution solve_lp(const LpProblem& p) {
-  std::uint64_t pivots = 0;
-  LpSolution sol = detail::simplex(p, pivots);
-  detail::flush_counters(1, pivots, 0, 0);
-  if (sol.ok() && max_primal_residual(p, sol.x) > kResidualTol) {
-    sol.status = LpStatus::Uncertified;
+  detail::Work work;
+  work.lp_solves = 1;
+  LpSolution sol = detail::simplex(p, work.pivots);
+  double residual = -1.0;
+  if (sol.ok()) {
+    residual = max_primal_residual(p, sol.x);
+    if (residual > kResidualTol) sol.status = LpStatus::Uncertified;
   }
+  detail::flush_counters(work, 0, residual);
   return sol;
 }
 
@@ -364,19 +491,101 @@ double max_primal_residual(const LpProblem& p, std::span<const double> x) {
 
 namespace detail {
 
-void flush_counters(std::uint64_t lp_solves, std::uint64_t pivots,
-                    std::uint64_t bb_nodes, std::uint64_t truncated) {
+void flush_counters(const Work& work, std::uint64_t bb_nodes,
+                    double residual) {
   static const obs::Counter solves = obs::counter("solver/lp_solves");
+  static const obs::Counter warm = obs::counter("solver/warm_solves");
   static const obs::Counter pivot_count = obs::counter("solver/pivots");
   static const obs::Counter nodes = obs::counter("solver/bb_nodes");
   static const obs::Counter cut = obs::counter("solver/truncated");
-  solves.add(lp_solves);
-  pivot_count.add(pivots);
+  static const obs::Histogram residuals =
+      obs::histogram("solver/max_residual");
+  solves.add(work.lp_solves);
+  warm.add(work.warm_solves);
+  pivot_count.add(work.pivots);
   nodes.add(bb_nodes);
-  cut.add(truncated);
+  cut.add(work.truncated);
+  if (residual >= 0.0) residuals.record(residual);
 }
 
-LpSolution simplex(const LpProblem& p, std::uint64_t& pivots) {
+// The tableau of the last Optimal cold or warm solve, with the standard
+// form (offsets, upper-bound rows) and the bounds it was solved for.
+struct WarmLp::Kept {
+  Standard s;
+  Tableau t;
+  std::vector<double> lo, hi;
+
+  Kept(const LpProblem& p, Standard&& std_form, Tableau&& tableau)
+      : s(std::move(std_form)), t(std::move(tableau)) {
+    for (std::size_t j = 0; j < p.num_variables(); ++j) {
+      lo.push_back(p.lower_bound(static_cast<int>(j)));
+      hi.push_back(p.upper_bound(static_cast<int>(j)));
+    }
+  }
+
+  /// Whether `p`'s bounds keep the standard-form layout: each bound finite
+  /// exactly where the kept one is.
+  [[nodiscard]] bool same_layout(const LpProblem& p) const {
+    APLACE_CHECK(p.num_variables() == lo.size());
+    for (std::size_t j = 0; j < lo.size(); ++j) {
+      const int v = static_cast<int>(j);
+      if ((p.lower_bound(v) > -kInf) != (lo[j] > -kInf) ||
+          (p.upper_bound(v) < kInf) != (hi[j] < kInf)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Move the rhs to `p`'s bounds and re-optimize.
+  LpStatus resolve(const LpProblem& p) {
+    for (std::size_t j = 0; j < lo.size(); ++j) {
+      const int v = static_cast<int>(j);
+      const double new_lo = p.lower_bound(v);
+      const double new_hi = p.upper_bound(v);
+      if (new_lo == lo[j] && new_hi == hi[j]) continue;
+      VarMap& m = s.map[j];
+      // Rows hold b - coef * offset, so the offset moves every row's rhs by
+      // -coef * delta: -sign * delta times x''s original column.
+      const double offset = new_lo > -kInf ? new_lo : new_hi;
+      if (offset != m.offset) {
+        t.shift_rhs(static_cast<std::size_t>(m.col),
+                    -m.sign * (offset - m.offset));
+        m.offset = offset;
+      }
+      // Its own row x' <= hi - lo got -delta_lo above; add delta_hi.
+      if (m.upper_row >= 0 && new_hi != hi[j]) {
+        t.shift_rhs(t.slack_column(static_cast<std::size_t>(m.upper_row)),
+                    new_hi - hi[j]);
+      }
+      lo[j] = new_lo;
+      hi[j] = new_hi;
+    }
+    return t.reoptimize();
+  }
+};
+
+WarmLp::WarmLp() = default;
+WarmLp::~WarmLp() = default;
+
+LpSolution WarmLp::solve(const LpProblem& p, Work& work) {
+  ++work.lp_solves;
+  if (kept_ != nullptr && kept_->same_layout(p)) {
+    const std::uint64_t before = kept_->t.pivots();
+    const LpStatus st = kept_->resolve(p);
+    work.pivots += kept_->t.pivots() - before;
+    if (st == LpStatus::Optimal || st == LpStatus::Infeasible) {
+      ++work.warm_solves;
+      // An infeasible node leaves the tableau dual feasible, so it stays.
+      if (st == LpStatus::Infeasible) return LpSolution{st, {}, 0.0};
+      return extract(p, kept_->s, kept_->t);
+    }
+  }
+  return simplex(p, work.pivots, this);
+}
+
+LpSolution simplex(const LpProblem& p, std::uint64_t& pivots, WarmLp* keep) {
+  if (keep != nullptr) keep->kept_.reset();
   LpSolution sol;
   Standard s = to_standard_form(p);
   if (s.rows.empty()) {
@@ -407,16 +616,9 @@ LpSolution simplex(const LpProblem& p, std::uint64_t& pivots) {
   sol.status = t.solve();
   pivots += t.pivots();
   if (sol.status != LpStatus::Optimal) return sol;
-
-  const std::vector<double> xs = t.structural_values();
-  sol.x.assign(p.num_variables(), 0.0);
-  sol.objective = s.cost_offset;
-  for (std::size_t j = 0; j < p.num_variables(); ++j) {
-    const VarMap& m = s.map[j];
-    double v = m.offset + m.sign * xs[m.col];
-    if (m.col_neg >= 0) v -= xs[m.col_neg];
-    sol.x[j] = v;
-    sol.objective += p.cost(static_cast<int>(j)) * (v - m.offset);
+  sol = extract(p, s, t);
+  if (keep != nullptr) {
+    keep->kept_ = std::make_unique<WarmLp::Kept>(p, std::move(s), std::move(t));
   }
   return sol;
 }

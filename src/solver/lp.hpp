@@ -3,20 +3,23 @@
 //
 // The problem is stated in natural form: variables with (possibly infinite)
 // bounds and a linear cost, constraints as sparse rows with <=, >= or ==
-// relations. solve_lp() runs a dense two-phase primal simplex; analog
-// placement problems have at most a few hundred variables and rows, so a
-// dense tableau is both simple and fast enough. Every answer is certified:
-// max_primal_residual() re-checks it against the problem as stated, and an
-// answer off by more than kResidualTol is reported Uncertified, never
-// Optimal.
+// relations. solve_lp() runs a dense two-phase primal simplex from scratch
+// (a cold solve); analog placement problems have at most a few hundred
+// variables and rows, so a dense tableau is both simple and fast enough.
+// Every answer is certified: max_primal_residual() re-checks it against
+// the problem as stated, and an answer off by more than kResidualTol is
+// reported Uncertified, never Optimal.
 //
 // solve_milp() (see milp.hpp) adds branch-and-bound over variables marked
 // integer — in this project the device-flipping binaries of the ILP detailed
 // placer (paper Eq. 4d/4j) — and solves each independent block of a problem
-// on its own.
+// on its own. Only a block's root LP is solved cold; each later node is a
+// warm dual simplex re-solve of the previous node's tableau under the new
+// bounds, unless a bound turned finite or infinite (see milp.hpp).
 //
-// Counters (docs/OBSERVABILITY.md): solver/lp_solves and solver/pivots,
-// flushed once per solve_lp() / solve_milp() call.
+// Counters (docs/OBSERVABILITY.md): solver/lp_solves, solver/warm_solves
+// and solver/pivots, flushed once per solve_lp() / solve_milp() call, and
+// the solver/max_residual histogram of certified answers.
 
 #include <limits>
 #include <span>

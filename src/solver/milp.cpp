@@ -36,19 +36,11 @@ std::optional<int> pick_branch_var(const LpProblem& p,
   return best;
 }
 
-// Work of one solve_milp call, for the solver/ counters.
-struct Work {
-  std::uint64_t lp_solves = 0;
-  std::uint64_t pivots = 0;
-  std::uint64_t truncated = 0;  ///< searches stopped with open nodes left
-};
-
 MilpSolution branch_and_bound(const LpProblem& p, const MilpOptions& opts,
-                              Work& done) {
-  const auto solve = [&done](const LpProblem& lp) {
-    ++done.lp_solves;
-    return detail::simplex(lp, done.pivots);
-  };
+                              detail::Work& done) {
+  // One tableau for the whole search: the root is solved cold, every later
+  // LP warm from whichever node was solved last (see simplex.hpp).
+  detail::WarmLp lp;
   MilpSolution best;
   best.status = LpStatus::Infeasible;
 
@@ -56,6 +48,14 @@ MilpSolution branch_and_bound(const LpProblem& p, const MilpOptions& opts,
   stack.push_back(Node{});
 
   LpProblem work = p;  // bounds mutated per node, structure shared
+  LpSolution root;     // the root relaxation, for the rounding fallback
+  const auto reset_bounds = [&] {
+    for (std::size_t j = 0; j < p.num_variables(); ++j) {
+      work.set_bounds(static_cast<int>(j),
+                      p.lower_bound(static_cast<int>(j)),
+                      p.upper_bound(static_cast<int>(j)));
+    }
+  };
 
   while (!stack.empty() && best.nodes_explored < opts.max_nodes) {
     if (opts.deadline.expired() || opts.cancel.cancelled()) {
@@ -66,16 +66,13 @@ MilpSolution branch_and_bound(const LpProblem& p, const MilpOptions& opts,
     stack.pop_back();
     ++best.nodes_explored;
 
-    // Apply node bounds on a fresh copy of the original bounds.
-    for (std::size_t j = 0; j < p.num_variables(); ++j) {
-      work.set_bounds(static_cast<int>(j),
-                      p.lower_bound(static_cast<int>(j)),
-                      p.upper_bound(static_cast<int>(j)));
-    }
+    // Apply node bounds on a fresh copy of the original bounds. Each
+    // override is intersected with those applied earlier along this branch
+    // (the same variable may be branched on again), so a later bound never
+    // loosens an earlier one.
+    reset_bounds();
     bool bounds_ok = true;
     for (auto [var, lo, hi] : node.bounds) {
-      // Intersect with overrides applied earlier along this branch so a
-      // later bound never loosens an earlier one.
       const double new_lo = std::max(lo, work.lower_bound(var));
       const double new_hi = std::min(hi, work.upper_bound(var));
       if (new_lo > new_hi) { bounds_ok = false; break; }
@@ -83,7 +80,8 @@ MilpSolution branch_and_bound(const LpProblem& p, const MilpOptions& opts,
     }
     if (!bounds_ok) continue;
 
-    const LpSolution rel = solve(work);
+    LpSolution rel = lp.solve(work, done);
+    if (node.bounds.empty()) root = rel;
     if (rel.status == LpStatus::Unbounded) {
       // MILP unbounded only if relaxation unbounded at the root.
       if (best.status == LpStatus::Infeasible && node.bounds.empty()) {
@@ -102,7 +100,7 @@ MilpSolution branch_and_bound(const LpProblem& p, const MilpOptions& opts,
     if (!branch) {
       // Integral: new incumbent.
       best.status = LpStatus::Optimal;
-      best.x = rel.x;
+      best.x = std::move(rel.x);
       best.objective = rel.objective;
       continue;
     }
@@ -114,63 +112,49 @@ MilpSolution branch_and_bound(const LpProblem& p, const MilpOptions& opts,
     Node down = node, up = node;
     down.bounds.emplace_back(var, p.lower_bound(var), std::floor(val));
     up.bounds.emplace_back(var, std::ceil(val), p.upper_bound(var));
-    // Tighten against any earlier override of the same variable.
     stack.push_back(std::move(up));
     stack.push_back(std::move(down));
   }
   const bool truncated = !stack.empty();
   done.truncated += truncated ? 1 : 0;
   best.proven_optimal = best.status == LpStatus::Optimal && !truncated;
+  if (best.status == LpStatus::Optimal) return best;
 
-  if (best.status != LpStatus::Optimal) {
-    // Rounding fallback: solve the relaxation, fix every integer variable to
-    // its rounded value, re-solve. Guarantees an answer when fixing keeps
-    // the problem feasible (flipping binaries always do).
-    const LpSolution rel = solve(p);
-    if (rel.ok()) {
-      bool roundable = true;
-      for (std::size_t j = 0; j < p.num_variables(); ++j) {
-        const double lo = p.lower_bound(static_cast<int>(j));
-        const double hi = p.upper_bound(static_cast<int>(j));
-        work.set_bounds(static_cast<int>(j), lo, hi);
-        if (p.is_integer(static_cast<int>(j))) {
-          // Round toward the nearest integer *inside* the original bounds;
-          // if none exists the problem has no integral solution here.
-          double r = std::round(rel.x[j]);
-          if (r < lo) r = std::ceil(lo - 1e-9);
-          if (r > hi) r = std::floor(hi + 1e-9);
-          if (r < lo - 1e-9 || r > hi + 1e-9) {
-            roundable = false;
-            break;
-          }
-          work.set_bounds(static_cast<int>(j), r, r);
-        }
-      }
-      if (!roundable) return best;
-      const LpSolution fixed = solve(work);
-      if (fixed.ok()) {
-        best.status = LpStatus::Optimal;
-        best.x = fixed.x;
-        best.objective = fixed.objective;
-        best.proven_optimal = false;
-      }
-    }
+  // Rounding fallback: fix every integer variable to its rounded value in
+  // the root relaxation and re-solve, warm like any node. Guarantees an
+  // answer when fixing keeps the problem feasible (flipping binaries always
+  // do). The root is solved here only when the search never reached it.
+  reset_bounds();
+  if (best.nodes_explored == 0) root = lp.solve(work, done);
+  if (!root.ok()) return best;
+  for (std::size_t j = 0; j < p.num_variables(); ++j) {
+    const int v = static_cast<int>(j);
+    if (!p.is_integer(v)) continue;
+    // Round toward the nearest integer *inside* the original bounds; if none
+    // exists the problem has no integral solution here.
+    const double lo = p.lower_bound(v);
+    const double hi = p.upper_bound(v);
+    double r = std::round(root.x[j]);
+    if (r < lo) r = std::ceil(lo - 1e-9);
+    if (r > hi) r = std::floor(hi + 1e-9);
+    if (r < lo - 1e-9 || r > hi + 1e-9) return best;
+    work.set_bounds(v, r, r);
+  }
+  LpSolution fixed = lp.solve(work, done);
+  if (fixed.ok()) {
+    best.status = LpStatus::Optimal;
+    best.x = std::move(fixed.x);
+    best.objective = fixed.objective;
+    best.proven_optimal = false;
   }
   return best;
 }
 
-// One independent block of a problem: its variables (original indices, in
-// original order) and the sub-problem over them.
-struct Block {
-  std::vector<int> vars;
-  LpProblem problem;
-};
+}  // namespace
 
-// Connected components of the variables, joined by shared constraint rows
-// (union-find). Blocks are numbered by their first variable and keep the
-// original variable and row order. Returns no blocks when there is only
-// one, so the caller solves `p` as it stands.
-std::vector<Block> split_blocks(const LpProblem& p) {
+// Union-find over each row's variables; the root of a component is its
+// first variable.
+std::vector<MilpBlock> split_blocks(const LpProblem& p) {
   const std::size_t n = p.num_variables();
   std::vector<int> root(n);
   std::iota(root.begin(), root.end(), 0);
@@ -190,7 +174,7 @@ std::vector<Block> split_blocks(const LpProblem& p) {
   }
   if (blocks <= 1) return {};
 
-  std::vector<Block> out;
+  std::vector<MilpBlock> out;
   std::vector<int> block_of(n), local(n);
   for (std::size_t j = 0; j < n; ++j) {
     const int v = static_cast<int>(j);
@@ -201,7 +185,7 @@ std::vector<Block> split_blocks(const LpProblem& p) {
     } else {
       block_of[j] = block_of[r];
     }
-    Block& b = out[block_of[j]];
+    MilpBlock& b = out[block_of[j]];
     b.vars.push_back(v);
     local[j] = b.problem.add_variable(p.lower_bound(v), p.upper_bound(v),
                                       p.cost(v));
@@ -209,7 +193,7 @@ std::vector<Block> split_blocks(const LpProblem& p) {
   }
   for (const LpConstraint& c : p.constraints()) {
     // A row without terms constrains no variable; the first block keeps it.
-    Block& b = out[c.terms.empty() ? 0 : block_of[c.terms[0].var]];
+    MilpBlock& b = out[c.terms.empty() ? 0 : block_of[c.terms[0].var]];
     std::vector<LpTerm> terms = c.terms;
     for (LpTerm& t : terms) t.var = local[t.var];
     b.problem.add_constraint(std::move(terms), c.relation, c.rhs);
@@ -217,11 +201,10 @@ std::vector<Block> split_blocks(const LpProblem& p) {
   return out;
 }
 
-}  // namespace
 
 MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
-  const std::vector<Block> blocks = split_blocks(p);
-  Work work;
+  const std::vector<MilpBlock> blocks = split_blocks(p);
+  detail::Work work;
   MilpSolution merged;
   if (blocks.empty()) {
     merged = branch_and_bound(p, opts, work);
@@ -229,7 +212,7 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
     merged.status = LpStatus::Optimal;
     merged.proven_optimal = true;
     merged.x.assign(p.num_variables(), 0.0);
-    for (const Block& block : blocks) {
+    for (const MilpBlock& block : blocks) {
       const MilpSolution s = branch_and_bound(block.problem, opts, work);
       merged.nodes_explored += s.nodes_explored;
       merged.deadline_hit = merged.deadline_hit || s.deadline_hit;
@@ -248,7 +231,8 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
       }
     }
   }
-  if (merged.ok()) {
+  const bool answered = merged.ok();
+  if (answered) {
     merged.max_residual = max_primal_residual(p, merged.x);
     if (merged.max_residual > kResidualTol) {
       merged.status = LpStatus::Uncertified;
@@ -256,9 +240,9 @@ MilpSolution solve_milp(const LpProblem& p, MilpOptions opts) {
     }
   }
 
-  detail::flush_counters(work.lp_solves, work.pivots,
+  detail::flush_counters(work,
                          static_cast<std::uint64_t>(merged.nodes_explored),
-                         work.truncated);
+                         answered ? merged.max_residual : -1.0);
   return merged;
 }
 

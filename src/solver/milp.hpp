@@ -1,13 +1,14 @@
 #pragma once
 // Branch-and-bound MILP on top of the simplex LP solver.
 //
-// solve_milp() first splits the problem into independent blocks: the
-// connected components of the graph in which every constraint row joins the
-// variables it touches. The ILP detailed placer's formulation always splits
-// into an x-block and a y-block (every row touches one axis, and the
-// objective is a sum over the two). Each block is solved as its own MILP,
-// one after the other on the calling thread, and the answers are merged in
-// block order. A problem with one block is solved as it stands.
+// solve_milp() first splits the problem into independent blocks
+// (split_blocks()): the connected components of the graph in which every
+// constraint row joins the variables it touches. The ILP detailed placer's
+// formulation always splits into an x-block and a y-block (every row
+// touches one axis, and the objective is a sum over the two). Each block is
+// solved as its own MILP, one after the other on the calling thread, and
+// the answers are merged in block order. A problem with one block is solved
+// as it stands.
 //
 // Per block: depth-first search branching on the most fractional
 // integer-marked variable, pruning on the incumbent objective. Analog
@@ -16,11 +17,24 @@
 // the worst case and a rounding fallback guarantees an integral answer
 // whenever the relaxation is feasible and rounding preserves feasibility
 // (true for the flipping binaries, which never constrain other variables).
-// The merged answer is certified against the whole problem (see lp.hpp).
+// The fallback rounds the root relaxation the search already solved.
 //
-// Counters: solver/lp_solves, solver/pivots, solver/bb_nodes and
-// solver/truncated (block searches cut short by the node budget, the
-// deadline or cancellation), flushed once per call.
+// Each block keeps one simplex tableau for its whole search. The root LP is
+// solved cold (two-phase primal); every later node, and the rounding
+// fallback's fixed problem, is re-solved from the tableau of the node
+// solved last: its bound changes move the rhs, and dual simplex pivots
+// restore optimality (detail::WarmLp in simplex.hpp). A node goes cold
+// only when one of its bounds turns finite or infinite relative to that
+// tableau (for example branching on an integer variable with an infinite
+// bound; never for [0, 1] binaries), or when the dual simplex hits the
+// iteration cap. The merged answer is certified against the whole problem
+// (see lp.hpp).
+//
+// Counters: solver/lp_solves, solver/warm_solves (LPs answered from a kept
+// tableau), solver/pivots, solver/bb_nodes and solver/truncated (block
+// searches cut short by the node budget, the deadline or cancellation),
+// flushed once per call; the certified answer's residual goes to the
+// solver/max_residual histogram.
 
 #include "base/cancel.hpp"
 #include "base/deadline.hpp"
@@ -56,6 +70,18 @@ struct MilpSolution {
 
   [[nodiscard]] bool ok() const { return status == LpStatus::Optimal; }
 };
+
+/// One independent block of a problem: its variables (indices into the
+/// whole problem, ascending) and the sub-problem over them.
+struct MilpBlock {
+  std::vector<int> vars;
+  LpProblem problem;
+};
+
+/// The independent blocks of `p`, numbered by their first variable, each
+/// keeping the original variable and row order (a row without terms goes to
+/// the first block). Empty when `p` is one block.
+[[nodiscard]] std::vector<MilpBlock> split_blocks(const LpProblem& p);
 
 [[nodiscard]] MilpSolution solve_milp(const LpProblem& p,
                                       MilpOptions opts = {});

@@ -273,15 +273,15 @@ struct IlpPin {
 };
 constexpr IlpPin kIlpPins[] = {
     {"Adder", 82.450000000000003, 72, 458.45501265443488, 37, true},
-    {"CC-OTA", 129.40000000000001, 153, 901.43095587945754, 52, true},
-    {"Comp1", 153.44999999999999, 144, 890.77420812114224, 51, true},
-    {"Comp2", 172.90000000000001, 162, 1057.1457157196683, 51, true},
-    {"CM-OTA1", 99.399999999999991, 108, 708.49509602221099, 75, true},
-    {"CM-OTA2", 142.79999999999998, 176, 1035.2617419027913, 62, true},
-    {"SCF", 621.39999999999998, 1302, 6941.7325954315966, 54, true},
-    {"VGA", 144.69999999999999, 143, 889.61814216317907, 58, true},
-    {"VCO1", 233.20000000000002, 342, 1919.4826166839553, 18, true},
-    {"VCO2", 447.09999999999997, 490, 2991.9078399572672, 43, true},
+    {"CC-OTA", 131.40000000000001, 153, 905.43095587945754, 54, true},
+    {"Comp1", 153.05000000000001, 144, 889.87420812114215, 49, true},
+    {"Comp2", 180.5, 189, 1128.137536560427, 45, true},
+    {"CM-OTA1", 99, 108, 707.69509602221092, 78, true},
+    {"CM-OTA2", 142, 176, 1033.6617419027914, 58, true},
+    {"SCF", 662.59999999999991, 1386, 7180.2677350324648, 48, true},
+    {"VGA", 151.65000000000001, 169, 953.53632067677722, 54, false},
+    {"VCO1", 235, 330, 1887.204033555957, 18, true},
+    {"VCO2", 446.69999999999999, 444, 2991.1078399572671, 32, true},
 };
 
 struct TwoStagePin {

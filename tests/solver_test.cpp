@@ -1,16 +1,24 @@
 // LP/MILP solver: simplex on canonical cases (bounded, equality, free
 // variables, infeasible, unbounded, degenerate), branch-and-bound on small
-// integer programs, the split into independent blocks, the primal-residual
+// integer programs, the split into independent blocks, warm re-solves
+// against cold solves (oracle::ColdBranchAndBound), the primal-residual
 // certificate and the solver/ counters.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
+#include <string>
 
+#include "circuits/testcases.hpp"
+#include "kernel_oracle.hpp"
+#include "legal/ilp_detailed.hpp"
+#include "numeric/rng.hpp"
 #include "obs/metrics.hpp"
+#include "sa/annealer.hpp"
 #include "solver/lp.hpp"
 #include "solver/milp.hpp"
+#include "solver/simplex.hpp"
 
 namespace aplace::solver {
 namespace {
@@ -243,72 +251,94 @@ TEST(MilpTest, MixedIntegerContinuous) {
 namespace aplace::solver {
 namespace {
 
+// A random small integer program: three integer variables in [0, 3] and two
+// <= rows with coefficients in [-4, 4], kept for brute-force enumeration.
+struct RandomProgram {
+  LpProblem p;
+  std::vector<int> vars;
+  std::vector<double> costs;
+  std::vector<std::vector<int>> rows;
+  std::vector<int> rhs;
+};
+
+RandomProgram random_program(std::mt19937& rng) {
+  std::uniform_int_distribution<int> coef(-4, 4);
+  std::uniform_int_distribution<int> rhs_d(2, 14);
+  std::uniform_real_distribution<double> cost_d(-3.0, 3.0);
+  RandomProgram r;
+  for (int j = 0; j < 3; ++j) {
+    const double cost = cost_d(rng);
+    r.vars.push_back(r.p.add_variable(0, 3, cost));
+    r.p.set_integer(r.vars.back());
+    r.costs.push_back(cost);
+  }
+  // Two random <= constraints; the box keeps everything bounded.
+  for (int k = 0; k < 2; ++k) {
+    std::vector<LpTerm> terms;
+    std::vector<int> row;
+    for (int j = 0; j < 3; ++j) {
+      const int a = coef(rng);
+      row.push_back(a);
+      if (a != 0) terms.push_back({r.vars[j], static_cast<double>(a)});
+    }
+    const int b = rhs_d(rng);
+    r.rows.push_back(row);
+    r.rhs.push_back(b);
+    if (!terms.empty()) {
+      r.p.add_constraint(std::move(terms), Relation::LessEq,
+                         static_cast<double>(b));
+    }
+  }
+  return r;
+}
+
+// Four integer variables in [0, 5], random costs, two fixed rows.
+LpProblem knapsack_program(std::mt19937& rng) {
+  std::uniform_real_distribution<double> cost_d(-2.0, 2.0);
+  LpProblem p;
+  std::vector<int> vars;
+  for (int j = 0; j < 4; ++j) {
+    vars.push_back(p.add_variable(0, 5, cost_d(rng)));
+    p.set_integer(vars.back());
+  }
+  p.add_constraint({{vars[0], 2}, {vars[1], 3}, {vars[2], 1}},
+                   Relation::LessEq, 11);
+  p.add_constraint({{vars[1], 1}, {vars[3], 4}}, Relation::LessEq, 9);
+  return p;
+}
+
 // Property: on random small integer programs with bounded variables, B&B
 // must match exhaustive enumeration of the integer lattice.
 TEST(MilpPropertyTest, MatchesBruteForceOnRandomPrograms) {
   std::mt19937 rng(2024);
-  std::uniform_int_distribution<int> coef(-4, 4);
-  std::uniform_int_distribution<int> rhs_d(2, 14);
-  std::uniform_real_distribution<double> cost_d(-3.0, 3.0);
-
   for (int trial = 0; trial < 40; ++trial) {
-    const int n = 3;
-    const int lo = 0, hi = 3;
-    LpProblem p;
-    std::vector<int> vars;
-    std::vector<double> costs;
-    for (int j = 0; j < n; ++j) {
-      const double cost = cost_d(rng);
-      vars.push_back(p.add_variable(lo, hi, cost));
-      p.set_integer(vars.back());
-      costs.push_back(cost);
-    }
-    // Two random <= constraints with nonnegative coefficients on at least
-    // one side so the box keeps everything bounded.
-    std::vector<std::vector<int>> rows;
-    std::vector<int> rhs;
-    for (int r = 0; r < 2; ++r) {
-      std::vector<LpTerm> terms;
-      std::vector<int> row;
-      for (int j = 0; j < n; ++j) {
-        const int a = coef(rng);
-        row.push_back(a);
-        if (a != 0) terms.push_back({vars[j], static_cast<double>(a)});
-      }
-      const int b = rhs_d(rng);
-      rows.push_back(row);
-      rhs.push_back(b);
-      if (!terms.empty()) {
-        p.add_constraint(std::move(terms), Relation::LessEq,
-                         static_cast<double>(b));
-      }
-    }
+    const RandomProgram r = random_program(rng);
 
     // Brute force over the 4^3 lattice.
     double best = 1e300;
-    for (int a = lo; a <= hi; ++a) {
-      for (int b = lo; b <= hi; ++b) {
-        for (int c = lo; c <= hi; ++c) {
+    for (int a = 0; a <= 3; ++a) {
+      for (int b = 0; b <= 3; ++b) {
+        for (int c = 0; c <= 3; ++c) {
           const int x[3] = {a, b, c};
           bool ok = true;
-          for (std::size_t r = 0; r < rows.size(); ++r) {
+          for (std::size_t k = 0; k < r.rows.size(); ++k) {
             int lhs = 0;
-            for (int j = 0; j < n; ++j) lhs += rows[r][j] * x[j];
-            if (lhs > rhs[r]) ok = false;
+            for (int j = 0; j < 3; ++j) lhs += r.rows[k][j] * x[j];
+            if (lhs > r.rhs[k]) ok = false;
           }
           if (!ok) continue;
           double val = 0;
-          for (int j = 0; j < n; ++j) val += costs[j] * x[j];
+          for (int j = 0; j < 3; ++j) val += r.costs[j] * x[j];
           best = std::min(best, val);
         }
       }
     }
 
-    const MilpSolution s = solve_milp(p);
+    const MilpSolution s = solve_milp(r.p);
     ASSERT_TRUE(s.ok()) << "trial " << trial;
     EXPECT_NEAR(s.objective, best, 1e-6) << "trial " << trial;
-    for (int j = 0; j < n; ++j) {
-      EXPECT_NEAR(s.x[vars[j]], std::round(s.x[vars[j]]), 1e-6);
+    for (int v : r.vars) {
+      EXPECT_NEAR(s.x[v], std::round(s.x[v]), 1e-6);
     }
   }
 }
@@ -316,20 +346,17 @@ TEST(MilpPropertyTest, MatchesBruteForceOnRandomPrograms) {
 // Property: LP optimum is always <= MILP optimum (relaxation bound).
 TEST(MilpPropertyTest, RelaxationBoundsInteger) {
   std::mt19937 rng(77);
-  std::uniform_real_distribution<double> cost_d(-2.0, 2.0);
   for (int trial = 0; trial < 20; ++trial) {
-    LpProblem p;
-    std::vector<int> vars;
-    for (int j = 0; j < 4; ++j) {
-      vars.push_back(p.add_variable(0, 5, cost_d(rng)));
+    LpProblem p = knapsack_program(rng);
+    for (std::size_t j = 0; j < p.num_variables(); ++j) {
+      p.set_integer(static_cast<int>(j), false);
     }
-    p.add_constraint({{vars[0], 2}, {vars[1], 3}, {vars[2], 1}},
-                     Relation::LessEq, 11);
-    p.add_constraint({{vars[1], 1}, {vars[3], 4}}, Relation::LessEq, 9);
     const LpSolution rel = solve_lp(p);
     ASSERT_TRUE(rel.ok());
     expect_certified(p, rel);
-    for (int v : vars) p.set_integer(v);
+    for (std::size_t j = 0; j < p.num_variables(); ++j) {
+      p.set_integer(static_cast<int>(j));
+    }
     const MilpSolution s = solve_milp(p);
     ASSERT_TRUE(s.ok());
     expect_certified(p, s);
@@ -472,7 +499,155 @@ TEST(MilpBlocksTest, OneBlockProblemKeepsItsAnswer) {
   EXPECT_TRUE(s.proven_optimal);
 }
 
-// ---- certificate -----------------------------------------------------------
+// ---- warm re-solves ----------------------------------------------------------
+
+// Budget large enough for both searches to exhaust their trees.
+constexpr long kFullSearch = 5000;
+
+// Warm branch-and-bound and the cold-per-node oracle prove one optimum.
+void expect_same_optimum(const LpProblem& p, const std::string& what) {
+  MilpOptions o;
+  o.max_nodes = kFullSearch;
+  const MilpSolution warm = solve_milp(p, o);
+  oracle::ColdBranchAndBound cold(kFullSearch);
+  const MilpSolution ref = cold.solve(p);
+  ASSERT_EQ(warm.status, ref.status) << what;
+  if (!ref.ok()) return;
+  EXPECT_TRUE(warm.proven_optimal) << what;
+  EXPECT_TRUE(ref.proven_optimal) << what;
+  EXPECT_NEAR(warm.objective, ref.objective, 1e-9) << what;
+  expect_certified(p, warm);
+}
+
+TEST(MilpOracleParityTest, RandomProgramsProveTheColdOptimum) {
+  std::mt19937 rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    expect_same_optimum(random_program(rng).p, "brute-force trial " +
+                                                   std::to_string(trial));
+  }
+  std::mt19937 rng2(77);
+  for (int trial = 0; trial < 20; ++trial) {
+    expect_same_optimum(knapsack_program(rng2),
+                        "relaxation trial " + std::to_string(trial));
+  }
+}
+
+// The round-0 MILP of the ILP detailed placer, built from the legalizer
+// tests' input: a short SA placement perturbed into overlap.
+LpProblem ilp_round0_problem(const std::string& name) {
+  const circuits::TestCase tc = circuits::make_testcase(name);
+  const netlist::Circuit& c = tc.circuit;
+  sa::SaOptions sopts;
+  sopts.max_moves = 3000;
+  const netlist::Placement seed = sa::SaPlacer(c, sopts).place().placement;
+  const std::size_t n = c.num_devices();
+  std::vector<double> v(2 * n);
+  numeric::Rng rng(7);
+  for (std::size_t i = 0; i < n; ++i) {
+    const geom::Point pt = seed.position(DeviceId{i});
+    v[i] = pt.x + rng.normal(0, 1.0);
+    v[n + i] = pt.y + rng.normal(0, 1.0);
+  }
+  return legal::IlpDetailedPlacer(c).round0_problem(v);
+}
+
+TEST(MilpOracleParityTest, IlpRoundZeroBlocksProveTheColdOptimum) {
+  for (const std::string name : {"Adder", "CC-OTA", "CM-OTA1"}) {
+    const LpProblem p = ilp_round0_problem(name);
+    const std::vector<MilpBlock> blocks = split_blocks(p);
+    ASSERT_EQ(blocks.size(), 2u) << name;  // the x-block and the y-block
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      expect_same_optimum(blocks[b].problem,
+                          name + " block " + std::to_string(b));
+    }
+  }
+}
+
+// A chain of random bound changes on one LP: each step re-solved warm
+// agrees with a cold solve_lp() in status and objective. Bounds jump
+// between finite values (warm), and now and then an upper bound turns
+// infinite or finite again (a new layout: cold).
+TEST(WarmLpTest, BoundChainMatchesColdSolves) {
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_real_distribution<double> coef(-2.0, 3.0);
+  int optimal = 0, infeasible = 0, unbounded = 0, warm_into = 0, warm_out = 0;
+  detail::Work work;
+  for (int program = 0; program < 16; ++program) {
+    // Five variables in <=, >= and == rows through a random point of the
+    // starting box, so the chain starts feasible; `up`, whose cost pulls it
+    // up and whose only row never binds it (unbounded once its upper bound
+    // turns infinite); and a free variable pinned by an equality.
+    LpProblem p;
+    std::vector<double> x0;
+    for (int j = 0; j < 5; ++j) {
+      p.add_variable(0, 4, coef(rng));
+      x0.push_back(4.0 * unit(rng));
+    }
+    const Relation rels[] = {Relation::LessEq, Relation::GreaterEq,
+                             Relation::LessEq, Relation::Equal,
+                             Relation::GreaterEq};
+    for (Relation rel : rels) {
+      std::vector<LpTerm> terms;
+      double lhs = 0.0;
+      for (int j = 0; j < 5; ++j) {
+        if (unit(rng) < 0.5) {
+          terms.push_back({j, coef(rng)});
+          lhs += terms.back().coef * x0[j];
+        }
+      }
+      const double slack = rel == Relation::Equal ? 0.0 : 2.0 * unit(rng);
+      p.add_constraint(std::move(terms), rel,
+                       rel == Relation::GreaterEq ? lhs - slack : lhs + slack);
+    }
+    const int up = p.add_variable(0, 2, -1.0);
+    p.add_constraint({{up, 1}, {0, -1}}, Relation::GreaterEq, -10);
+    const int free_var = p.add_variable(-kInf, kInf, 0.0);
+    p.add_constraint({{free_var, 1}, {0, -1}, {1, 1}}, Relation::Equal, 0.5);
+
+    detail::WarmLp lp;
+    LpStatus last = LpStatus::Optimal;
+    for (int step = 0; step < 60; ++step) {
+      const int v = static_cast<int>(rng() % 6);
+      // Half the steps restore the starting box [0, 4] (or [0, 2]).
+      double lo = 0.0;
+      double hi = v == up ? 2.0 : 4.0;
+      if (unit(rng) < 0.5) {
+        lo = std::floor(5.0 * unit(rng)) - 1.0;  // -1 .. 3
+        hi = lo + 1.0 + std::floor(4.0 * unit(rng));
+      }
+      if (unit(rng) < 0.1) hi = kInf;
+      p.set_bounds(v, lo, hi);
+      const std::uint64_t warm_before = work.warm_solves;
+      const LpSolution warm = lp.solve(p, work);
+      const LpSolution cold = solve_lp(p);
+      ASSERT_EQ(warm.status, cold.status)
+          << "program " << program << " step " << step;
+      if (work.warm_solves > warm_before) {
+        warm_into += last == LpStatus::Optimal &&
+                     cold.status == LpStatus::Infeasible;
+        warm_out += last == LpStatus::Infeasible && cold.ok();
+      }
+      last = cold.status;
+      if (!cold.ok()) {
+        (cold.status == LpStatus::Infeasible ? infeasible : unbounded)++;
+        continue;
+      }
+      ++optimal;
+      EXPECT_NEAR(warm.objective, cold.objective, 1e-9)
+          << "program " << program << " step " << step;
+      expect_certified(p, warm);
+    }
+  }
+  // The chain visits every outcome, steps into and out of infeasibility
+  // warm, and answers most steps warm.
+  EXPECT_GT(optimal, 500);
+  EXPECT_GT(infeasible, 150);
+  EXPECT_GT(unbounded, 30);
+  EXPECT_GT(warm_into, 25);
+  EXPECT_GT(warm_out, 12);
+  EXPECT_GT(work.warm_solves * 2, work.lp_solves);
+}
 
 TEST(LpCertificateTest, MaxPrimalResidualIsTheWorstViolation) {
   // x + y <= 3, x - y >= 1, y == 1, x in [0, 4], y free.
@@ -506,32 +681,56 @@ TEST(SolverCountersTest, FlushedOncePerCall) {
   if constexpr (!obs::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   const bool saved = obs::enabled();
   obs::set_enabled(true);
-  const auto value = [](const char* name) -> std::uint64_t {
-    const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().scrape();
+  const auto scrape = [] { return obs::MetricsRegistry::global().scrape(); };
+  const auto value = [&scrape](const char* name) -> std::uint64_t {
+    const obs::MetricsSnapshot snap = scrape();
     const obs::MetricsSnapshot::CounterRow* row = snap.find_counter(name);
     return row != nullptr ? row->value : 0;
   };
-  const char* const names[] = {"solver/lp_solves", "solver/pivots",
-                               "solver/bb_nodes", "solver/truncated"};
-  std::uint64_t before[4];
-  for (int k = 0; k < 4; ++k) before[k] = value(names[k]);
+  const auto residuals = [&scrape] {
+    const obs::MetricsSnapshot snap = scrape();
+    const obs::MetricsSnapshot::HistogramRow* row =
+        snap.find_histogram("solver/max_residual");
+    return row != nullptr ? *row : obs::MetricsSnapshot::HistogramRow{};
+  };
+  const char* const names[] = {"solver/lp_solves", "solver/warm_solves",
+                               "solver/pivots", "solver/bb_nodes",
+                               "solver/truncated"};
+  std::uint64_t before[5];
+  for (int k = 0; k < 5; ++k) before[k] = value(names[k]);
+  const std::uint64_t residuals_before = residuals().count;
 
-  // A one-node budget truncates block X: its root LP, then the rounding
-  // fallback's relaxation and fixed re-solve. Block Y takes one LP.
+  // A one-node budget truncates block X: its root LP (cold), then the
+  // rounding fallback re-solves the root relaxation's rounding warm. Block
+  // Y takes one cold LP.
   const TwoBlocks t = two_blocks();
   MilpOptions o;
   o.max_nodes = 1;
   const MilpSolution s = solve_milp(t.both, o);
   ASSERT_TRUE(s.ok());
-  EXPECT_EQ(value(names[0]) - before[0], 4u);
-  EXPECT_GT(value(names[1]) - before[1], 0u);
-  EXPECT_EQ(value(names[2]) - before[2],
+  EXPECT_EQ(value(names[0]) - before[0], 3u);
+  EXPECT_EQ(value(names[1]) - before[1], 1u);
+  EXPECT_GT(value(names[2]) - before[2], 0u);
+  EXPECT_EQ(value(names[3]) - before[3],
             static_cast<std::uint64_t>(s.nodes_explored));
-  EXPECT_EQ(value(names[3]) - before[3], 1u);
+  EXPECT_EQ(value(names[4]) - before[4], 1u);
+  const obs::MetricsSnapshot::HistogramRow after_milp = residuals();
+  EXPECT_EQ(after_milp.count - residuals_before, 1u);
+  EXPECT_GE(after_milp.max, s.max_residual);
 
+  // solve_lp: one cold LP, one certified answer.
   const std::uint64_t solves = value(names[0]);
+  const std::uint64_t warm = value(names[1]);
   ASSERT_TRUE(solve_lp(t.x_alone).ok());
   EXPECT_EQ(value(names[0]) - solves, 1u);
+  EXPECT_EQ(value(names[1]), warm);
+  EXPECT_EQ(residuals().count - after_milp.count, 1u);
+
+  // An infeasible problem has no answer to certify.
+  LpProblem infeasible;
+  add_infeasible_block(infeasible);
+  EXPECT_EQ(solve_milp(infeasible).status, LpStatus::Infeasible);
+  EXPECT_EQ(residuals().count - after_milp.count, 1u);
   obs::set_enabled(saved);
 }
 
