@@ -79,8 +79,10 @@ void BM_ElectroSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_ElectroSolve)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
-// Full 2D spectral Poisson solve (analysis + potential + both field
-// syntheses) on one random density matrix, FFT path vs. dense-basis oracle.
+// Full 2D spectral Poisson solve as ElectroDensity runs it (analysis plus
+// both field syntheses; the energy comes from the coefficients by
+// Parseval, so no potential is synthesized) on one random density matrix,
+// FFT path vs. dense-basis oracle.
 numeric::Matrix random_density(std::size_t bins) {
   numeric::Matrix m(bins, bins);
   numeric::Rng rng(7);
@@ -90,26 +92,21 @@ numeric::Matrix random_density(std::size_t bins) {
 
 void spectral_solve_fft(const numeric::Matrix& m,
                         const numeric::fft::FftPlan& px,
-                        const numeric::fft::FftPlan& py,
-                        numeric::Matrix& psi, numeric::Matrix& ex,
+                        const numeric::fft::FftPlan& py, numeric::Matrix& ex,
                         numeric::Matrix& ey) {
   using namespace numeric::fft;
-  std::copy(m.data().begin(), m.data().end(), psi.data().begin());
-  dct2d_inplace(psi, px, py);
-  std::copy(psi.data().begin(), psi.data().end(), ex.data().begin());
-  std::copy(psi.data().begin(), psi.data().end(), ey.data().begin());
-  idct2d_inplace(psi, px, py);
+  std::copy(m.data().begin(), m.data().end(), ex.data().begin());
+  dct2d_inplace(ex, px, py);
+  std::copy(ex.data().begin(), ex.data().end(), ey.data().begin());
   isxcy2d_inplace(ex, px, py);
   icxsy2d_inplace(ey, px, py);
 }
 
 void spectral_solve_naive(const numeric::Matrix& m,
                           const oracle::DenseBasis& bx,
-                          const oracle::DenseBasis& by,
-                          numeric::Matrix& psi, numeric::Matrix& ex,
+                          const oracle::DenseBasis& by, numeric::Matrix& ex,
                           numeric::Matrix& ey) {
   const numeric::Matrix a = oracle::dct2d(m, bx, by);
-  psi = oracle::idct2d(a, bx, by);
   ex = oracle::isxcy2d(a, bx, by);
   ey = oracle::icxsy2d(a, bx, by);
 }
@@ -118,22 +115,22 @@ void BM_SpectralSolveFft(benchmark::State& state) {
   const auto bins = static_cast<std::size_t>(state.range(0));
   const numeric::fft::FftPlan bx(bins), by(bins);
   numeric::Matrix m = random_density(bins);
-  numeric::Matrix psi(bins, bins), ex(bins, bins), ey(bins, bins);
+  numeric::Matrix ex(bins, bins), ey(bins, bins);
   for (auto _ : state) {
-    spectral_solve_fft(m, bx, by, psi, ex, ey);
-    benchmark::DoNotOptimize(psi.data().data());
+    spectral_solve_fft(m, bx, by, ex, ey);
+    benchmark::DoNotOptimize(ex.data().data());
   }
 }
-BENCHMARK(BM_SpectralSolveFft)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_SpectralSolveFft)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_SpectralSolveNaive(benchmark::State& state) {
   const auto bins = static_cast<std::size_t>(state.range(0));
   const oracle::DenseBasis bx(bins), by(bins);
   const numeric::Matrix m = random_density(bins);
-  numeric::Matrix psi(bins, bins), ex(bins, bins), ey(bins, bins);
+  numeric::Matrix ex(bins, bins), ey(bins, bins);
   for (auto _ : state) {
-    spectral_solve_naive(m, bx, by, psi, ex, ey);
-    benchmark::DoNotOptimize(psi.data().data());
+    spectral_solve_naive(m, bx, by, ex, ey);
+    benchmark::DoNotOptimize(ex.data().data());
   }
 }
 BENCHMARK(BM_SpectralSolveNaive)->Arg(64)->Arg(128)->Arg(256);
@@ -580,9 +577,12 @@ void print_compiled_core_table(bench::JsonReport& json) {
 //   wa-grad-*  WA wirelength value+gradient over the compiled pin CSR
 //   splat-*    electrostatic charge build (bilinear splat + normalize) on
 //              a 256x256 bin grid
-//   fft-simd   dct2+dct3+dst3 trio at n=256 (the Poisson solve's inner 1D
-//              transforms); its oracle is the O(n^2) dense basis, so the
-//              row has no scalar counterpart
+//   fft-simd   n=256: dct2+dct3+dst3 trio on one lane-major batch of four
+//              lines (the Poisson solve's inner 1D transforms), reported
+//              per line; 32x32: the production 2D solve at the ePlace-A
+//              grid (dct2d plus both field syntheses). The FFT's oracles
+//              (the dense basis, the per-line FFT) are not the rows'
+//              subject, so the rows have no scalar counterpart
 // The rows land in BENCH_micro_kernels.json and the *_simd_speedup metrics
 // are gated by scripts/check_bench_regression.py, so losing the vector
 // path (or a build change silently disabling it) fails CI.
@@ -651,23 +651,44 @@ void print_simd_kernel_table(bench::JsonReport& json) {
     row("splat", largest, scalar_us, simd_us);
   }
 
-  // The Poisson solve's inner 1D transforms: forward DCT + both syntheses.
+  // The Poisson solve's inner 1D transforms: forward DCT + both syntheses,
+  // four lines per call, reported per line.
   {
+    using numeric::fft::Kind;
     const std::size_t n = 256;
     numeric::fft::FftPlan plan(n);
-    std::vector<double> in(n), spec(n), out(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      in[i] = std::sin(0.7 * static_cast<double>(i));
+    std::vector<double> in(4 * n), spec(4 * n), out(4 * n);
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      in[i] = std::sin(0.7 * static_cast<double>(i / 4) + 0.1 * (i % 4));
     }
-    const int reps = bench::quick_mode() ? 2000 : 10000;
-    const double simd_us = best_of3(reps, [&] {
-      plan.dct2(in.data(), 1, spec.data(), 1);
-      plan.dct3(spec.data(), 1, out.data(), 1);
-      plan.dst3(spec.data(), 1, out.data(), 1);
+    const int reps = bench::quick_mode() ? 500 : 2500;
+    const double batch_us = best_of3(reps, [&] {
+      spec = in;
+      plan.run(Kind::kDct2, spec.data(), 4);
+      out = spec;
+      plan.run(Kind::kDct3, out.data(), 4);
+      out = spec;
+      plan.run(Kind::kDst3, out.data(), 4);
       sink += out[1];
     });
+    const double simd_us = batch_us / 4;
     std::printf("%-12s %14s %14.2f %10s\n", "fft", "-", simd_us, "-");
     json.add_timing("n=256", "fft-simd", simd_us / 1e6);
+  }
+
+  // The production 2D solve at the ePlace-A operating point.
+  {
+    const std::size_t bins = 32;
+    const numeric::fft::FftPlan px(bins), py(bins);
+    const numeric::Matrix m = random_density(bins);
+    numeric::Matrix ex(bins, bins), ey(bins, bins);
+    const int reps = bench::quick_mode() ? 2000 : 10000;
+    const double simd_us = best_of3(reps, [&] {
+      spectral_solve_fft(m, px, py, ex, ey);
+      sink += ex(1, 1);
+    });
+    std::printf("%-12s %14s %14.2f %10s\n", "fft-2d-32", "-", simd_us, "-");
+    json.add_timing("32x32", "fft-simd", simd_us / 1e6);
   }
   benchmark::DoNotOptimize(sink);
 }
@@ -682,29 +703,29 @@ void print_spectral_table() {
   std::printf("==== spectral Poisson solve: dense basis vs. FFT ====\n");
   std::printf("%8s %14s %14s %10s\n", "bins", "naive (ms)", "fft (ms)",
               "speedup");
-  for (const std::size_t bins : {64u, 128u, 256u}) {
+  for (const std::size_t bins : {32u, 64u, 128u, 256u}) {
     const oracle::DenseBasis dx(bins), dy(bins);
     const numeric::fft::FftPlan px(bins), py(bins);
     numeric::Matrix m = random_density(bins);
-    numeric::Matrix psi(bins, bins), ex(bins, bins), ey(bins, bins);
+    numeric::Matrix ex(bins, bins), ey(bins, bins);
 
     // One warm-up each (touches caches).
-    spectral_solve_naive(m, dx, dy, psi, ex, ey);
-    spectral_solve_fft(m, px, py, psi, ex, ey);
+    spectral_solve_naive(m, dx, dy, ex, ey);
+    spectral_solve_fft(m, px, py, ex, ey);
 
     const int naive_reps = bins >= 256 ? 3 : 10;
     auto t0 = clock::now();
     for (int i = 0; i < naive_reps; ++i) {
-      spectral_solve_naive(m, dx, dy, psi, ex, ey);
+      spectral_solve_naive(m, dx, dy, ex, ey);
     }
     const double naive_ms =
         std::chrono::duration<double, std::milli>(clock::now() - t0).count() /
         naive_reps;
 
-    const int fft_reps = 50;
+    const int fft_reps = bins <= 32 ? 500 : 50;
     t0 = clock::now();
     for (int i = 0; i < fft_reps; ++i) {
-      spectral_solve_fft(m, px, py, psi, ex, ey);
+      spectral_solve_fft(m, px, py, ex, ey);
     }
     const double fft_ms =
         std::chrono::duration<double, std::milli>(clock::now() - t0).count() /

@@ -311,20 +311,6 @@ struct Vec4d {
 #endif
   }
 
-  /// Lane reversal: (l0, l1, l2, l3) -> (l3, l2, l1, l0). Used for the
-  /// reversed-index loads of the DCT-III/DST-III twiddle loops.
-  [[nodiscard]] Vec4d reverse() const {
-#if defined(APLACE_SIMD_AVX2)
-    return {_mm256_permute4x64_pd(v, _MM_SHUFFLE(0, 1, 2, 3))};
-#elif defined(APLACE_SIMD_SSE2)
-    return {_mm_shuffle_pd(hi, hi, 1), _mm_shuffle_pd(lo, lo, 1)};
-#elif defined(APLACE_SIMD_NEON)
-    return {vextq_f64(hi, hi, 1), vextq_f64(lo, lo, 1)};
-#else
-    return {{d[3], d[2], d[1], d[0]}};
-#endif
-  }
-
   /// Masked tail: keep lanes [0, n), zero lanes [n, 4). Bitwise (AND with a
   /// mask-table row), so it is exact for every value including inf/NaN.
   [[nodiscard]] Vec4d keep_first(std::size_t n) const {
@@ -354,6 +340,51 @@ struct Vec4d {
 #endif
   }
 };
+
+// ---- shuffles ---------------------------------------------------------------
+
+/// In-place 4x4 transpose: rows (a, b, c, d) become columns, so afterwards
+/// a = (a0, b0, c0, d0), b = (a1, b1, c1, d1) and so on. Pure data movement,
+/// exact for every value.
+inline void transpose4(Vec4d& a, Vec4d& b, Vec4d& c, Vec4d& d) {
+#if defined(APLACE_SIMD_AVX2)
+  const __m256d t0 = _mm256_unpacklo_pd(a.v, b.v);  // a0 b0 a2 b2
+  const __m256d t1 = _mm256_unpackhi_pd(a.v, b.v);  // a1 b1 a3 b3
+  const __m256d t2 = _mm256_unpacklo_pd(c.v, d.v);  // c0 d0 c2 d2
+  const __m256d t3 = _mm256_unpackhi_pd(c.v, d.v);  // c1 d1 c3 d3
+  a.v = _mm256_permute2f128_pd(t0, t2, 0x20);
+  b.v = _mm256_permute2f128_pd(t1, t3, 0x20);
+  c.v = _mm256_permute2f128_pd(t0, t2, 0x31);
+  d.v = _mm256_permute2f128_pd(t1, t3, 0x31);
+#elif defined(APLACE_SIMD_SSE2)
+  const Vec4d ra{_mm_unpacklo_pd(a.lo, b.lo), _mm_unpacklo_pd(c.lo, d.lo)};
+  const Vec4d rb{_mm_unpackhi_pd(a.lo, b.lo), _mm_unpackhi_pd(c.lo, d.lo)};
+  const Vec4d rc{_mm_unpacklo_pd(a.hi, b.hi), _mm_unpacklo_pd(c.hi, d.hi)};
+  const Vec4d rd{_mm_unpackhi_pd(a.hi, b.hi), _mm_unpackhi_pd(c.hi, d.hi)};
+  a = ra;
+  b = rb;
+  c = rc;
+  d = rd;
+#elif defined(APLACE_SIMD_NEON)
+  const Vec4d ra{vzip1q_f64(a.lo, b.lo), vzip1q_f64(c.lo, d.lo)};
+  const Vec4d rb{vzip2q_f64(a.lo, b.lo), vzip2q_f64(c.lo, d.lo)};
+  const Vec4d rc{vzip1q_f64(a.hi, b.hi), vzip1q_f64(c.hi, d.hi)};
+  const Vec4d rd{vzip2q_f64(a.hi, b.hi), vzip2q_f64(c.hi, d.hi)};
+  a = ra;
+  b = rb;
+  c = rc;
+  d = rd;
+#else
+  Vec4d* rows[4] = {&a, &b, &c, &d};
+  for (int i = 0; i < 4; ++i) {
+    for (int j = i + 1; j < 4; ++j) {
+      const double t = rows[i]->d[j];
+      rows[i]->d[j] = rows[j]->d[i];
+      rows[j]->d[i] = t;
+    }
+  }
+#endif
+}
 
 // ---- reductions -------------------------------------------------------------
 

@@ -63,16 +63,15 @@ void splat(const BinGrid& grid, const geom::Rect& rect, double amount,
 }
 
 struct ForceAcc {
-  double psi = 0, ex = 0, ey = 0, area = 0;
+  double ex = 0, ey = 0, area = 0;
 };
 
-// 4-lane separable force interpolation: per-row dot products of the
-// per-column overlaps against the psi/ex/ey rows (three fused accumulators
+// 4-lane separable field interpolation: per-row dot products of the
+// per-column overlaps against the ex/ey rows (two fused accumulators
 // sharing one ovx load), each scaled by the row overlap; the overlapped
 // area factors into (sum ov_x) * (sum ov_y).
-ForceAcc force(const BinGrid& grid, const numeric::Matrix& psi,
-               const numeric::Matrix& exm, const numeric::Matrix& eym,
-               const geom::Rect& rect,
+ForceAcc force(const BinGrid& grid, const numeric::Matrix& exm,
+               const numeric::Matrix& eym, const geom::Rect& rect,
                std::pair<base::AlignedVec&, base::AlignedVec&> scratch) {
   ForceAcc acc;
   const auto [cx0, cx1] = grid.x_range(rect.xlo(), rect.xhi());
@@ -90,15 +89,13 @@ ForceAcc force(const BinGrid& grid, const numeric::Matrix& psi,
   for (std::size_t r = 0; r < nyd; ++r) {
     const double wy = ovy[r];
     if (wy <= 0) continue;
-    const std::size_t row_off = (cy0 + r) * psi.cols() + cx0;
-    const double* prow = psi.data().data() + row_off;
+    const std::size_t row_off = (cy0 + r) * exm.cols() + cx0;
     const double* xrow = exm.data().data() + row_off;
     const double* yrow = eym.data().data() + row_off;
-    Vec4d ap = Vec4d::zero(), ax = Vec4d::zero(), ay = Vec4d::zero();
+    Vec4d ax = Vec4d::zero(), ay = Vec4d::zero();
     std::size_t j = 0;
     for (; j + 4 <= nxd; j += 4) {
       const Vec4d w = Vec4d::load(ovx + j);
-      ap = Vec4d::mul_add(w, Vec4d::loadu(prow + j), ap);
       ax = Vec4d::mul_add(w, Vec4d::loadu(xrow + j), ax);
       ay = Vec4d::mul_add(w, Vec4d::loadu(yrow + j), ay);
     }
@@ -107,11 +104,9 @@ ForceAcc force(const BinGrid& grid, const numeric::Matrix& psi,
       // a partial copy so the read never crosses the row's end.
       const std::size_t rem = nxd - j;
       const Vec4d w = Vec4d::load(ovx + j);
-      ap = Vec4d::mul_add(w, Vec4d::load_partial(prow + j, rem), ap);
       ax = Vec4d::mul_add(w, Vec4d::load_partial(xrow + j, rem), ax);
       ay = Vec4d::mul_add(w, Vec4d::load_partial(yrow + j, rem), ay);
     }
-    acc.psi += wy * simd::hsum_ordered(ap);
     acc.ex += wy * simd::hsum_ordered(ax);
     acc.ey += wy * simd::hsum_ordered(ay);
   }
@@ -128,13 +123,23 @@ ElectroDensity::ElectroDensity(netlist::CompiledRef compiled,
       target_(target_density),
       plan_x_(nx),
       plan_y_(ny),
+      wu_(nx),
+      wv_(ny),
       rho_(ny, nx),
-      psi_(ny, nx),
       ex_(ny, nx),
       ey_(ny, nx),
       occupancy_(ny, nx) {
   APLACE_CHECK_MSG(target_density > 0 && target_density <= 1.0,
                    "target density must be in (0, 1]");
+  const double pi = std::numbers::pi;
+  for (std::size_t c = 0; c < nx; ++c) {
+    wu_[c] = pi * static_cast<double>(c) / static_cast<double>(nx) /
+             grid_.bin_w();
+  }
+  for (std::size_t r = 0; r < ny; ++r) {
+    wv_[r] = pi * static_cast<double>(r) / static_cast<double>(ny) /
+             grid_.bin_h();
+  }
   // ePlace-style local smoothing: devices smaller than sqrt(2) * bin pitch
   // are inflated (charge preserved) so the density signal stays smooth.
   // The inflation depends on the bin grid, so this per-instance table stays
@@ -159,7 +164,6 @@ ElectroDensity::ElectroDensity(netlist::CompiledRef compiled,
   if (chunks > 1) {
     rho_part_.assign(chunks, numeric::Matrix(ny, nx));
     occ_part_.assign(chunks, numeric::Matrix(ny, nx));
-    energy_part_.assign(chunks, 0.0);
   }
   scratch_.resize(std::max<std::size_t>(chunks, 1));
   for (DevScratch& s : scratch_) {
@@ -262,71 +266,67 @@ double ElectroDensity::value_and_grad(std::span<const double> v,
   build_density(v);
 
   // --- spectral Poisson solve ----------------------------------------------
-  // All transforms run in place on the member matrices: psi_ temporarily
-  // holds the DCT coefficients a, from which the three synthesis inputs are
-  // produced, so the whole solve allocates nothing.
+  // All transforms run in place on the member matrices: ex_ first holds the
+  // DCT coefficients a, from which both field synthesis inputs and the
+  // Parseval energy are produced, so the whole solve allocates nothing.
   using namespace numeric::fft;
   const std::size_t nx = grid_.nx(), ny = grid_.ny();
-  const double pi = std::numbers::pi;
 
-  std::copy(rho_.data().begin(), rho_.data().end(), psi_.data().begin());
-  dct2d_inplace(psi_, plan_x_, plan_y_);
+  std::copy(rho_.data().begin(), rho_.data().end(), ex_.data().begin());
+  dct2d_inplace(ex_, plan_x_, plan_y_);
+  // N = 1/2 binArea sum a^2 / w^2 g_u g_v with g_0 = n, g_k = n/2.
+  const double gx = 0.5 * static_cast<double>(nx);
+  const double gy = 0.5 * static_cast<double>(ny);
+  double energy_sum = 0;
   for (std::size_t r = 0; r < ny; ++r) {
-    const double wv = pi * static_cast<double>(r) / static_cast<double>(ny) /
-                      grid_.bin_h();
+    const double wv = wv_[r];
+    double row_sum = 0;
     for (std::size_t c = 0; c < nx; ++c) {
-      const double wu = pi * static_cast<double>(c) / static_cast<double>(nx) /
-                        grid_.bin_w();
+      const double wu = wu_[c];
       const double w2 = wu * wu + wv * wv;
       if (w2 <= 0) {  // (0,0): mean removed
-        psi_(r, c) = 0.0;
         ex_(r, c) = 0.0;
         ey_(r, c) = 0.0;
         continue;
       }
-      const double coef = psi_(r, c) / w2;
-      psi_(r, c) = coef;
+      const double a = ex_(r, c);
+      const double coef = a / w2;
+      row_sum += (c == 0 ? 2.0 * gx : gx) * (a * coef);
       ex_(r, c) = coef * wu;
       ey_(r, c) = coef * wv;
     }
+    energy_sum += (r == 0 ? 2.0 * gy : gy) * row_sum;
   }
-  idct2d_inplace(psi_, plan_x_, plan_y_);
+  const double energy = 0.5 * grid_.bin_area() * energy_sum;
   isxcy2d_inplace(ex_, plan_x_, plan_y_);
   icxsy2d_inplace(ey_, plan_x_, plan_y_);
 
-  // --- energy and per-device forces ----------------------------------------
-  // Gradient entries are disjoint per device; the energy sum keeps one
-  // partial per fixed chunk and reduces them in chunk order (bit-identical
-  // for any thread count).
+  // --- per-device forces ---------------------------------------------------
+  // Gradient entries are disjoint per device, so chunks write them without
+  // any reduction.
   auto force_range = [&](std::size_t lo, std::size_t hi, DevScratch& s) {
-    double energy_acc = 0;
     for (std::size_t i = lo; i < hi; ++i) {
       const DeviceInfo& d = devices_[i];
       const geom::Point c = clamped_center({v[i], v[n + i]}, d);
       const geom::Rect rect = geom::Rect::centered(c, d.w, d.h);
-      const ForceAcc acc = force(grid_, psi_, ex_, ey_, rect, {s.ovx, s.ovy});
+      const ForceAcc acc = force(grid_, ex_, ey_, rect, {s.ovx, s.ovy});
       if (acc.area <= 0) continue;  // region degenerate beyond clamping
       const double q_over_a = d.charge / acc.area;
-      energy_acc += 0.5 * q_over_a * acc.psi;
       grad[i] += scale * (-q_over_a * acc.ex);
       grad[n + i] += scale * (-q_over_a * acc.ey);
     }
-    return energy_acc;
   };
   const std::size_t chunks = base::ThreadPool::chunk_count(n, kDeviceGrain);
-  base::ThreadPool& pool = base::ThreadPool::global();
-  double energy = 0;
   if (chunks <= 1) {
-    energy = force_range(0, n, scratch_[0]);
+    force_range(0, n, scratch_[0]);
   } else {
-    pool.parallel_for(0, chunks, 1, [&](std::size_t c0, std::size_t c1) {
-      for (std::size_t c = c0; c < c1; ++c) {
-        energy_part_[c] =
+    base::ThreadPool::global().parallel_for(
+        0, chunks, 1, [&](std::size_t c0, std::size_t c1) {
+          for (std::size_t c = c0; c < c1; ++c) {
             force_range(c * kDeviceGrain, std::min(n, (c + 1) * kDeviceGrain),
                         scratch_[c]);
-      }
-    });
-    for (std::size_t c = 0; c < chunks; ++c) energy += energy_part_[c];
+          }
+        });
   }
   if (record) eval_seconds.record(obs::now_seconds() - obs_t0);
   return energy;

@@ -15,7 +15,21 @@
 // placement objective; its gradient w.r.t. a device center is -q_i * E
 // averaged over the device footprint.
 //
-// The bilinear splat and the force interpolation are 4-lane simd::Vec4d
+// Only the two field components are synthesized: three 2D transforms per
+// evaluation (one analysis, two syntheses). The potential itself is never
+// formed. Nothing steers by the energy value (the Nesterov loop reads the
+// gradient only; the value feeds traces), and Parseval's identity for the
+// orthogonal cosine basis gives it from the coefficients directly:
+//
+//   N = 1/2 binArea sum_bins rho psi
+//     = 1/2 binArea sum_{u,v} a_{u,v}^2 / (w_u^2 + w_v^2) g_u g_v,
+//
+// g_0 = n, g_k = n/2 (the squared norms of the cosine basis vectors). It
+// equals the force-pass average 1/2 sum_i q_i psi(x_i) whenever every
+// footprint lies inside the region (tests/simd_test.cpp checks it against
+// oracle::overlap_force on a synthesized psi to 1e-12 relative).
+//
+// The bilinear splat and the field interpolation are 4-lane simd::Vec4d
 // kernels that exploit separability — overlap(bin, rect) = ov_x(col) *
 // ov_y(row) exactly — precomputing per-column overlaps once per device and
 // streaming each bin row 4 columns at a time (cache-blocked by
@@ -36,8 +50,8 @@ namespace aplace::density {
 
 class ElectroDensity {
  public:
-  /// nx and ny must be powers of two (checked): the Poisson solve runs on
-  /// one FftPlan per axis.
+  /// nx and ny must be powers of two >= 4 (checked): the Poisson solve runs
+  /// on one FftPlan per axis, four lines per pass.
   ElectroDensity(netlist::CompiledRef compiled, const geom::Rect& region,
                  std::size_t nx, std::size_t ny, double target_density);
 
@@ -49,7 +63,8 @@ class ElectroDensity {
   /// isolation (bench_micro_kernels); value_and_grad calls it internally.
   void build_density(std::span<const double> v);
 
-  /// Evaluate the potential energy N at v = (x.., y..) and *add*
+  /// Evaluate the potential energy N (by Parseval, see the header) at
+  /// v = (x.., y..) and *add*
   /// scale * dN/dv into grad. Also refreshes overflow(). Devices whose
   /// footprint has escaped the region are evaluated at the nearest
   /// in-region position, so they always feel a restoring density force.
@@ -69,7 +84,6 @@ class ElectroDensity {
 
   /// Last computed per-bin charge density (for tests / inspection).
   [[nodiscard]] const numeric::Matrix& rho() const { return rho_; }
-  [[nodiscard]] const numeric::Matrix& potential() const { return psi_; }
   [[nodiscard]] const numeric::Matrix& field_x() const { return ex_; }
   [[nodiscard]] const numeric::Matrix& field_y() const { return ey_; }
 
@@ -97,9 +111,12 @@ class ElectroDensity {
   numeric::fft::FftPlan plan_x_, plan_y_;
   std::vector<DeviceInfo> devices_;
 
+  // Angular frequencies w_u = pi u / (nx binW) and w_v = pi v / (ny binH).
+  std::vector<double> wu_, wv_;
+
   // Scratch matrices reused across evaluations: value_and_grad performs no
   // heap allocation after construction (the Nesterov hot loop).
-  numeric::Matrix rho_, psi_, ex_, ey_, occupancy_;
+  numeric::Matrix rho_, ex_, ey_, occupancy_;
   double overflow_ = 1.0;
 
   // Parallel decomposition: devices are cut into fixed chunks of
@@ -108,7 +125,6 @@ class ElectroDensity {
   // Small circuits have exactly one chunk and take the direct serial path.
   static constexpr std::size_t kDeviceGrain = 256;
   std::vector<numeric::Matrix> rho_part_, occ_part_;
-  std::vector<double> energy_part_;
   std::vector<DevScratch> scratch_;  // one per chunk (>= 1)
 };
 

@@ -21,13 +21,13 @@ geom::Rect make_region(const netlist::CompiledCircuit& cc,
   return {0, 0, side, side};
 }
 
-// Validate the density bin count and round it up to a power of two, as
-// ElectroDensity's FFT-backed Poisson solve requires.
+// Validate the density bin count and round it up to a power of two of at
+// least fft::kMinSize, as ElectroDensity's FFT-backed Poisson solve
+// requires.
 EPlaceGpOptions normalized(EPlaceGpOptions opts) {
   APLACE_CHECK_MSG(opts.bins >= 2, "ePlace-A needs >= 2 density bins");
-  if (!numeric::fft::is_pow2(opts.bins)) {
-    opts.bins = numeric::fft::next_pow2(opts.bins);
-  }
+  opts.bins = std::max(numeric::fft::kMinSize,
+                       numeric::fft::next_pow2(opts.bins));
   return opts;
 }
 

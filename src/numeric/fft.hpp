@@ -17,22 +17,30 @@
 // the flip identity sin(pi k (2j+1)/(2n)) = (-1)^j cos(pi (n-k) (2j+1)/(2n)),
 // so it is a dct3 of the index-reversed coefficients with alternating signs.
 //
+// Every transform runs four independent lines at once, one per simd::Vec4d
+// lane: a batch of four lines is addressed as `lines[t * stride + l]` for
+// element t of line l, so four adjacent columns of a row-major matrix are
+// one batch with stride = row length (one contiguous load per element), and
+// a lane-major scratch buffer is one batch with stride 4. The bit reversal
+// is folded into the input gather, and every butterfly stage and every
+// quarter-wave twiddle is a 4-lane op with broadcast twiddles. Stages h and
+// 2h run together on groups of four elements held in registers, and the
+// last stage is fused into the output loop. Each lane performs the same
+// floating-point operations in the same order as the one-line-at-a-time
+// transforms of oracle::LineFftPlan (tests/kernel_oracle.hpp), so the
+// results are bit-identical to it; the dense cos/sin basis
+// oracle::DenseBasis checks the conventions.
+//
 // Tables (bit-reversal permutation, per-stage twiddles, quarter-wave
 // factors) and scratch are precomputed at construction: O(n) memory and
-// zero heap allocation per transform. Inputs/outputs are strided so the
-// same plan runs row transforms (stride 1) and column transforms
-// (stride = row length) of a row-major matrix in place. Scratch is
-// mutable, so a plan must not be shared across threads concurrently.
+// zero heap allocation per transform. Scratch is mutable, so a plan must
+// not be shared across threads concurrently.
 //
-// Butterfly stages with half-size >= 4 and the stride-1 quarter-wave
-// twiddle loops run on 4-lane simd::Vec4d kernels; the first two stages and
-// strided (column) twiddles take plain scalar loops, picked by the input's
-// shape alone. The dense cos/sin basis oracle::DenseBasis in
-// tests/kernel_oracle.hpp is the test oracle (tests/simd_test.cpp).
-//
-// The 2D transforms of the Poisson solve (density::ElectroDensity) apply a
-// 1D transform along every row with one plan, then along every column with
-// another, in place on a row-major Matrix (rows = y, cols = x).
+// The 2D transforms of the Poisson solve (density::ElectroDensity) run
+// every row with one plan, then every column with another, in place on a
+// row-major Matrix (rows = y, cols = x). Columns are read in place, four
+// adjacent ones per batch; rows are gathered four at a time into lane-major
+// scratch by 4x4 transposes and scattered back the same way.
 
 #include <cstddef>
 #include <vector>
@@ -42,7 +50,7 @@
 
 namespace aplace::numeric::fft {
 
-/// True for n >= 2 that are exact powers of two (FFT-eligible sizes).
+/// True for n >= 2 that are exact powers of two.
 [[nodiscard]] constexpr bool is_pow2(std::size_t n) {
   return n >= 2 && (n & (n - 1)) == 0;
 }
@@ -50,37 +58,50 @@ namespace aplace::numeric::fft {
 /// Smallest power of two >= n (and >= 2).
 [[nodiscard]] std::size_t next_pow2(std::size_t n);
 
+/// Shortest plan length: a batch holds four lines, so a 2D pass needs at
+/// least four lines per axis.
+inline constexpr std::size_t kMinSize = 4;
+
+/// The three 1D transforms of the header comment.
+enum class Kind { kDct2, kDct3, kDst3 };
+
 class FftPlan {
  public:
-  /// n must satisfy is_pow2(n).
+  /// n must be a power of two >= kMinSize (checked).
   explicit FftPlan(std::size_t n);
 
   [[nodiscard]] std::size_t size() const { return n_; }
 
-  // Each transform reads n values at `in[t * in_stride]` and writes n
-  // values at `out[t * out_stride]`. `in == out` (any strides) is fine:
-  // the input is fully gathered into scratch before outputs are written.
+  /// Transform four lines in place: element t of line l is
+  /// lines[t * stride + l], stride >= 4. The input is fully gathered into
+  /// scratch before any output is written.
+  void run(Kind kind, double* lines, std::size_t stride) const;
 
-  void dct2(const double* in, std::size_t in_stride, double* out,
-            std::size_t out_stride) const;
-  void dct3(const double* in, std::size_t in_stride, double* out,
-            std::size_t out_stride) const;
-  void dst3(const double* in, std::size_t in_stride, double* out,
-            std::size_t out_stride) const;
+  /// Transform every row of m (m.cols() == size()), four rows per batch.
+  void rows(Kind kind, Matrix& m) const;
+  /// Transform every column of m (m.rows() == size()), four per batch.
+  void cols(Kind kind, Matrix& m) const;
 
  private:
-  /// In-place radix-2 Cooley-Tukey on (re_, im_); inverse = conjugate
-  /// twiddles, no 1/n normalization.
-  void transform(bool inverse) const;
-  /// Shared synthesis tail of dct3/dst3: spectrum already in (re_, im_).
-  void synthesize(double* out, std::size_t out_stride, bool alternate) const;
+  /// In-place radix-2 Cooley-Tukey butterflies on the lane-major (re_, im_),
+  /// whose input is already in bit-reversed order; inverse = conjugate
+  /// twiddles, no 1/n normalization. Runs every stage but the last
+  /// (half-size n/2), which dct2 and synthesize fuse into their output
+  /// loops.
+  void butterflies(bool inverse) const;
+  void dct2(double* lines, std::size_t stride) const;
+  /// Shared by dct3/dst3: quarter-wave twist of the coefficients read from
+  /// `lines` (index-reversed for dst3) into the spectrum, inverse FFT, and
+  /// the un-permuted real part written back (odd samples negated for dst3).
+  void synthesize(double* lines, std::size_t stride, bool sine) const;
 
   std::size_t n_;
   std::vector<std::size_t> rev_;     // bit-reversal permutation
   base::AlignedVec wre_, wim_;       // stage twiddles e^{-2 pi i m / len},
                                      // stage with half-size h at offset h - 1
   base::AlignedVec qre_, qim_;       // quarter-wave cos/sin(pi k / (2n))
-  mutable base::AlignedVec re_, im_;  // complex work buffer
+  mutable base::AlignedVec re_, im_;  // lane-major complex work, 4n each
+  mutable base::AlignedVec lines_;    // lane-major row batch, 4n
 };
 
 // 2D transforms of m (m.cols() == px.size(), m.rows() == py.size()): rows
@@ -89,8 +110,6 @@ class FftPlan {
 
 /// Forward DCT along x and y: m(r, c) -> a(v, u), v the y-frequency.
 void dct2d_inplace(Matrix& m, const FftPlan& px, const FftPlan& py);
-/// Cosine synthesis along x and y (exact inverse of dct2d_inplace).
-void idct2d_inplace(Matrix& m, const FftPlan& px, const FftPlan& py);
 /// Sine synthesis along x, cosine along y (x-field component).
 void isxcy2d_inplace(Matrix& m, const FftPlan& px, const FftPlan& py);
 /// Cosine synthesis along x, sine along y (y-field component).

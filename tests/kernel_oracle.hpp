@@ -11,11 +11,17 @@
 //    overflow metric, as density::ElectroDensity::build_density defines
 //    them.
 //  * overlap_force — the per-bin overlap-weighted force loop over an
-//    ElectroDensity's last potential/field matrices.
+//    ElectroDensity's last field matrices and a potential matrix, and
+//    synthesized_potential — that potential, built on the dense basis
+//    from the last charge density (ElectroDensity itself only computes
+//    the energy, by Parseval).
 //  * DenseBasis and dct2d/idct2d/isxcy2d/icxsy2d — O(n^2) dense cos/sin
-//    basis transforms, the oracle of numeric::fft's FftPlan and its 2D
-//    in-place passes (tests/numeric_test.cpp, tests/simd_test.cpp) and the
-//    "spectral-naive" rows of bench_micro_kernels.
+//    basis transforms, the accuracy oracle of numeric::fft's FftPlan and
+//    its 2D in-place passes (tests/numeric_test.cpp, tests/simd_test.cpp)
+//    and the "spectral-naive" rows of bench_micro_kernels.
+//  * LineFftPlan and line_dct2d/idct2d/isxcy2d/icxsy2d — strided
+//    one-line-at-a-time FFT transforms, the bit-identity oracle of
+//    numeric::fft's four-line batched passes (tests/numeric_test.cpp).
 //  * pack_naive — the O(n^2) longest-path sequence-pair packer, the oracle
 //    of SequencePair's LCS packer (tests/sa_test.cpp) and the
 //    "seqpair-pack-naive" rows of bench_micro_kernels.
@@ -34,6 +40,7 @@
 #include <numbers>
 #include <span>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "density/bin_grid.hpp"
@@ -192,11 +199,15 @@ inline double build_density(const netlist::CompiledCircuit& cc,
   return total_area > 0 ? over / total_area : 0.0;
 }
 
-/// Reference force pass over ed's last potential/field matrices: per device,
-/// overlap-weighted averages of psi/E_x/E_y across the bins its effective
-/// footprint covers. Adds scale * dN/dv into grad and returns the energy N.
+/// Reference force pass: per device, overlap-weighted averages of the
+/// potential psi and of ed's last field matrices across the bins its
+/// effective footprint covers. Adds scale * dN/dv into grad and returns the
+/// energy N = 1/2 sum_i q_i psi_i. ElectroDensity takes its energy from the
+/// DCT coefficients and never forms psi; synthesized_potential() below
+/// builds it from ed's charge density.
 inline double overlap_force(const netlist::CompiledCircuit& cc,
                             const density::ElectroDensity& ed,
+                            const numeric::Matrix& psi,
                             std::span<const double> v, std::span<double> grad,
                             double scale) {
   const std::size_t n = cc.num_devices();
@@ -211,7 +222,7 @@ inline double overlap_force(const netlist::CompiledCircuit& cc,
       for (std::size_t c = cx0; c <= cx1; ++c) {
         const double ov = grid.bin_rect(r, c).overlap_area(rect);
         if (ov <= 0) continue;
-        psi_acc += ov * ed.potential()(r, c);
+        psi_acc += ov * psi(r, c);
         ex_acc += ov * ed.field_x()(r, c);
         ey_acc += ov * ed.field_y()(r, c);
         area_acc += ov;
@@ -326,7 +337,8 @@ inline numeric::Matrix dct2d(const numeric::Matrix& m, const DenseBasis& bx,
   return dense_2d(m, bx, by, &DenseBasis::dct, &DenseBasis::dct);
 }
 
-/// Reference of numeric::fft::idct2d_inplace.
+/// Cosine synthesis along x and y (the exact inverse of dct2d); builds the
+/// potential in synthesized_potential() and checks round trips.
 inline numeric::Matrix idct2d(const numeric::Matrix& a, const DenseBasis& bx,
                               const DenseBasis& by) {
   return dense_2d(a, bx, by, &DenseBasis::idct, &DenseBasis::idct);
@@ -342,6 +354,208 @@ inline numeric::Matrix isxcy2d(const numeric::Matrix& a, const DenseBasis& bx,
 inline numeric::Matrix icxsy2d(const numeric::Matrix& a, const DenseBasis& bx,
                                const DenseBasis& by) {
   return dense_2d(a, bx, by, &DenseBasis::idct, &DenseBasis::sine_synthesis);
+}
+
+/// The electrostatic potential of ed's last charge density,
+/// psi = sum_{(u,v) != (0,0)} a_{u,v} / (w_u^2 + w_v^2) cos(w_u x) cos(w_v y),
+/// with a = dct2d(rho) and w_u = pi u / (nx bin_w), w_v = pi v / (ny bin_h),
+/// analysed and synthesized on the dense basis.
+inline numeric::Matrix synthesized_potential(
+    const density::ElectroDensity& ed) {
+  const density::BinGrid& grid = ed.grid();
+  const std::size_t nx = grid.nx(), ny = grid.ny();
+  const DenseBasis bx(nx), by(ny);
+  numeric::Matrix a = dct2d(ed.rho(), bx, by);
+  const double pi = std::numbers::pi;
+  for (std::size_t r = 0; r < ny; ++r) {
+    const double wv = pi * static_cast<double>(r) / static_cast<double>(ny) /
+                      grid.bin_h();
+    for (std::size_t c = 0; c < nx; ++c) {
+      const double wu = pi * static_cast<double>(c) /
+                        static_cast<double>(nx) / grid.bin_w();
+      const double w2 = wu * wu + wv * wv;
+      a(r, c) = w2 > 0 ? a(r, c) / w2 : 0.0;
+    }
+  }
+  return idct2d(a, bx, by);
+}
+
+/// One-line-at-a-time radix-2 FFT transforms with numeric::fft's
+/// conventions, strided so one plan runs the rows (stride 1) and the
+/// columns (stride = row length) of a row-major matrix. Plain scalar loops:
+/// each line is copied into scratch through the Makhoul permutation,
+/// bit-reversed by swaps, then run through the butterfly stages one stage
+/// at a time. Every lane of numeric::fft::FftPlan's four-line batches
+/// performs exactly these floating-point operations in this order, so the
+/// two agree bit for bit (tests/numeric_test.cpp). Any power-of-two n >= 2.
+class LineFftPlan {
+ public:
+  explicit LineFftPlan(std::size_t n)
+      : n_(n), rev_(n), wre_(n - 1), wim_(n - 1), qre_(n), qim_(n), re_(n),
+        im_(n) {
+    const double pi = std::numbers::pi;
+    std::size_t log2n = 0;
+    while ((std::size_t{1} << log2n) < n) ++log2n;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::size_t r = 0;
+      for (std::size_t b = 0; b < log2n; ++b) {
+        r |= ((i >> b) & 1) << (log2n - 1 - b);
+      }
+      rev_[i] = r;
+    }
+    for (std::size_t half = 1; half < n; half <<= 1) {
+      for (std::size_t m = 0; m < half; ++m) {
+        const double ang =
+            pi * static_cast<double>(m) / static_cast<double>(half);
+        wre_[half - 1 + m] = std::cos(ang);
+        wim_[half - 1 + m] = -std::sin(ang);
+      }
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      const double ang =
+          pi * static_cast<double>(k) / (2.0 * static_cast<double>(n));
+      qre_[k] = std::cos(ang);
+      qim_[k] = std::sin(ang);
+    }
+  }
+
+  [[nodiscard]] std::size_t size() const { return n_; }
+
+  // Each transform reads n values at in[t * in_stride] and writes n values
+  // at out[t * out_stride]; in == out is fine.
+
+  void dct2(const double* in, std::size_t in_stride, double* out,
+            std::size_t out_stride) const {
+    const std::size_t h = n_ / 2;
+    for (std::size_t j = 0; j < h; ++j) {
+      re_[j] = in[(2 * j) * in_stride];
+      re_[n_ - 1 - j] = in[(2 * j + 1) * in_stride];
+    }
+    std::fill(im_.begin(), im_.end(), 0.0);
+    transform(false);
+    const double s = 2.0 / static_cast<double>(n_);
+    out[0] = (0.5 * s) * re_[0];
+    for (std::size_t k = 1; k < n_; ++k) {
+      out[k * out_stride] = s * (qre_[k] * re_[k] + qim_[k] * im_[k]);
+    }
+  }
+
+  void dct3(const double* in, std::size_t in_stride, double* out,
+            std::size_t out_stride) const {
+    re_[0] = in[0];
+    im_[0] = 0.0;
+    for (std::size_t k = 1; k < n_; ++k) {
+      const double x = 0.5 * in[k * in_stride];
+      const double y = 0.5 * in[(n_ - k) * in_stride];
+      re_[k] = qre_[k] * x + qim_[k] * y;
+      im_[k] = qim_[k] * x - qre_[k] * y;
+    }
+    synthesize(out, out_stride, 1.0);
+  }
+
+  void dst3(const double* in, std::size_t in_stride, double* out,
+            std::size_t out_stride) const {
+    re_[0] = 0.0;
+    im_[0] = 0.0;
+    for (std::size_t k = 1; k < n_; ++k) {
+      const double x = 0.5 * in[(n_ - k) * in_stride];
+      const double y = 0.5 * in[k * in_stride];
+      re_[k] = qre_[k] * x + qim_[k] * y;
+      im_[k] = qim_[k] * x - qre_[k] * y;
+    }
+    synthesize(out, out_stride, -1.0);
+  }
+
+ private:
+  void transform(bool inverse) const {
+    for (std::size_t i = 0; i < n_; ++i) {
+      const std::size_t j = rev_[i];
+      if (i < j) {
+        std::swap(re_[i], re_[j]);
+        std::swap(im_[i], im_[j]);
+      }
+    }
+    for (std::size_t half = 1; half < n_; half <<= 1) {
+      const std::size_t len = half << 1;
+      for (std::size_t start = 0; start < n_; start += len) {
+        for (std::size_t m = 0; m < half; ++m) {
+          const std::size_t i = start + m;
+          const std::size_t j = i + half;
+          const double wr = wre_[half - 1 + m];
+          const double wi = inverse ? -wim_[half - 1 + m] : wim_[half - 1 + m];
+          const double tr = wr * re_[j] - wi * im_[j];
+          const double ti = wr * im_[j] + wi * re_[j];
+          re_[j] = re_[i] - tr;
+          im_[j] = im_[i] - ti;
+          re_[i] += tr;
+          im_[i] += ti;
+        }
+      }
+    }
+  }
+
+  void synthesize(double* out, std::size_t out_stride, double sign) const {
+    transform(true);
+    const std::size_t h = n_ / 2;
+    for (std::size_t j = 0; j < h; ++j) {
+      out[(2 * j) * out_stride] = re_[j];
+      out[(2 * j + 1) * out_stride] = sign * re_[n_ - 1 - j];
+    }
+  }
+
+  std::size_t n_;
+  std::vector<std::size_t> rev_;
+  std::vector<double> wre_, wim_, qre_, qim_;
+  mutable std::vector<double> re_, im_;
+};
+
+using LineTransform = void (LineFftPlan::*)(const double*, std::size_t,
+                                            double*, std::size_t) const;
+
+/// Rows of m with px (tx), then columns with py (ty), one line at a time in
+/// place: the pass numeric::fft's 2D transforms batch four lines at a time.
+inline numeric::Matrix line_2d(numeric::Matrix m, const LineFftPlan& px,
+                               const LineFftPlan& py, LineTransform tx,
+                               LineTransform ty) {
+  double* d = m.data().data();
+  const std::size_t cols = m.cols();
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    (px.*tx)(d + r * cols, 1, d + r * cols, 1);
+  }
+  for (std::size_t c = 0; c < cols; ++c) {
+    (py.*ty)(d + c, cols, d + c, cols);
+  }
+  return m;
+}
+
+/// Per-line reference of numeric::fft::dct2d_inplace.
+inline numeric::Matrix line_dct2d(const numeric::Matrix& m,
+                                  const LineFftPlan& px,
+                                  const LineFftPlan& py) {
+  return line_2d(m, px, py, &LineFftPlan::dct2, &LineFftPlan::dct2);
+}
+
+/// Cosine synthesis along x and y (exact inverse of line_dct2d). The
+/// Poisson solve never synthesizes the potential, so production has no
+/// counterpart; round-trip tests use this one.
+inline numeric::Matrix line_idct2d(const numeric::Matrix& a,
+                                   const LineFftPlan& px,
+                                   const LineFftPlan& py) {
+  return line_2d(a, px, py, &LineFftPlan::dct3, &LineFftPlan::dct3);
+}
+
+/// Per-line reference of numeric::fft::isxcy2d_inplace.
+inline numeric::Matrix line_isxcy2d(const numeric::Matrix& a,
+                                    const LineFftPlan& px,
+                                    const LineFftPlan& py) {
+  return line_2d(a, px, py, &LineFftPlan::dst3, &LineFftPlan::dct3);
+}
+
+/// Per-line reference of numeric::fft::icxsy2d_inplace.
+inline numeric::Matrix line_icxsy2d(const numeric::Matrix& a,
+                                    const LineFftPlan& px,
+                                    const LineFftPlan& py) {
+  return line_2d(a, px, py, &LineFftPlan::dct3, &LineFftPlan::dst3);
 }
 
 // ---- sequence-pair packing --------------------------------------------------

@@ -5,7 +5,9 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
+#include "base/check.hpp"
 #include "kernel_oracle.hpp"
 #include "numeric/adam.hpp"
 #include "numeric/cg.hpp"
@@ -51,25 +53,42 @@ TEST(MatrixTest, MultiplyAndTranspose) {
 
 // --- spectral ---------------------------------------------------------------
 
-using Transform1d = void (fft::FftPlan::*)(const double*, std::size_t, double*,
-                                           std::size_t) const;
-
-std::vector<double> apply(const fft::FftPlan& plan, Transform1d t,
-                          const std::vector<double>& in) {
-  std::vector<double> out(in.size());
-  (plan.*t)(in.data(), 1, out.data(), 1);
+// A batch of four lines in lane-major order: element t of line l at
+// [4 * t + l], as fft::FftPlan::run addresses it with stride 4.
+std::vector<double> interleave(const std::vector<std::vector<double>>& lines) {
+  const std::size_t n = lines[0].size();
+  std::vector<double> out(4 * n);
+  for (std::size_t l = 0; l < 4; ++l) {
+    for (std::size_t t = 0; t < n; ++t) out[4 * t + l] = lines[l][t];
+  }
   return out;
+}
+
+std::vector<double> lane(const std::vector<double>& batch, std::size_t l) {
+  std::vector<double> out(batch.size() / 4);
+  for (std::size_t t = 0; t < out.size(); ++t) out[t] = batch[4 * t + l];
+  return out;
+}
+
+std::vector<double> random_vec(std::size_t n, Rng& rng) {
+  std::vector<double> v(n);
+  for (double& x : v) x = rng.uniform(-3, 3);
+  return v;
 }
 
 TEST(SpectralTest, Dct1dRoundtrip) {
   const fft::FftPlan plan(16);
-  std::vector<double> v(16);
   Rng rng(5);
-  for (double& x : v) x = rng.uniform(-2, 2);
-  const std::vector<double> a = apply(plan, &fft::FftPlan::dct2, v);
-  const std::vector<double> back = apply(plan, &fft::FftPlan::dct3, a);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    EXPECT_NEAR(back[i], v[i], 1e-10);
+  std::vector<std::vector<double>> lines(4);
+  for (auto& line : lines) line = random_vec(16, rng);
+  std::vector<double> batch = interleave(lines);
+  plan.run(fft::Kind::kDct2, batch.data(), 4);
+  plan.run(fft::Kind::kDct3, batch.data(), 4);
+  for (std::size_t l = 0; l < 4; ++l) {
+    const std::vector<double> back = lane(batch, l);
+    for (std::size_t i = 0; i < back.size(); ++i) {
+      EXPECT_NEAR(back[i], lines[l][i], 1e-10) << "line " << l;
+    }
   }
 }
 
@@ -77,25 +96,34 @@ TEST(SpectralTest, DctOfCosineIsImpulse) {
   const std::size_t n = 32;
   const fft::FftPlan plan(n);
   const oracle::DenseBasis basis(n);
-  // v_j = cos(pi*k0*(2j+1)/(2n)) should produce a_k = delta_{k,k0}.
-  const std::size_t k0 = 5;
-  std::vector<double> v(n);
-  for (std::size_t j = 0; j < n; ++j) v[j] = basis.cosine(k0, j);
-  const std::vector<double> a = apply(plan, &fft::FftPlan::dct2, v);
-  for (std::size_t k = 0; k < n; ++k) {
-    EXPECT_NEAR(a[k], k == k0 ? 1.0 : 0.0, 1e-10) << k;
+  // Line l holds v_j = cos(pi*k_l*(2j+1)/(2n)), whose DCT is delta_{k,k_l}.
+  const std::size_t k0[4] = {5, 0, 1, 31};
+  std::vector<std::vector<double>> lines(4, std::vector<double>(n));
+  for (std::size_t l = 0; l < 4; ++l) {
+    for (std::size_t j = 0; j < n; ++j) lines[l][j] = basis.cosine(k0[l], j);
+  }
+  std::vector<double> batch = interleave(lines);
+  plan.run(fft::Kind::kDct2, batch.data(), 4);
+  for (std::size_t l = 0; l < 4; ++l) {
+    const std::vector<double> a = lane(batch, l);
+    for (std::size_t k = 0; k < n; ++k) {
+      EXPECT_NEAR(a[k], k == k0[l] ? 1.0 : 0.0, 1e-10) << l << " " << k;
+    }
   }
 }
 
 TEST(SpectralTest, Dct2dRoundtrip) {
+  // Production analysis, then the per-line oracle's cosine synthesis (the
+  // Poisson solve never synthesizes the potential itself).
   const std::size_t nx = 8, ny = 16;
   const fft::FftPlan px(nx), py(ny);
+  const oracle::LineFftPlan lx(nx), ly(ny);
   Matrix m(ny, nx);
   Rng rng(7);
   for (double& x : m.data()) x = rng.uniform(-1, 1);
-  Matrix back = m;
-  fft::dct2d_inplace(back, px, py);
-  fft::idct2d_inplace(back, px, py);
+  Matrix a = m;
+  fft::dct2d_inplace(a, px, py);
+  const Matrix back = oracle::line_idct2d(a, lx, ly);
   for (std::size_t r = 0; r < ny; ++r) {
     for (std::size_t c = 0; c < nx; ++c) {
       EXPECT_NEAR(back(r, c), m(r, c), 1e-10);
@@ -109,22 +137,20 @@ TEST(SpectralTest, SineSynthesisDifferentiatesCosine) {
   const std::size_t n = 64;
   const fft::FftPlan plan(n);
   const oracle::DenseBasis basis(n);
-  const std::size_t k0 = 3;
-  std::vector<double> a(n, 0.0);
-  a[k0] = 1.0;
-  const std::vector<double> synth = apply(plan, &fft::FftPlan::dst3, a);
-  for (std::size_t j = 0; j < n; ++j) {
-    EXPECT_NEAR(synth[j], basis.sine(k0, j), 1e-12);
+  const std::size_t k0[4] = {3, 1, 32, 63};
+  std::vector<std::vector<double>> lines(4, std::vector<double>(n, 0.0));
+  for (std::size_t l = 0; l < 4; ++l) lines[l][k0[l]] = 1.0;
+  std::vector<double> batch = interleave(lines);
+  plan.run(fft::Kind::kDst3, batch.data(), 4);
+  for (std::size_t l = 0; l < 4; ++l) {
+    const std::vector<double> synth = lane(batch, l);
+    for (std::size_t j = 0; j < n; ++j) {
+      EXPECT_NEAR(synth[j], basis.sine(k0[l], j), 1e-12) << l << " " << j;
+    }
   }
 }
 
-// --- FFT path vs. dense-basis oracle ----------------------------------------
-
-std::vector<double> random_vec(std::size_t n, Rng& rng) {
-  std::vector<double> v(n);
-  for (double& x : v) x = rng.uniform(-3, 3);
-  return v;
-}
+// --- FFT path vs. dense-basis and per-line oracles ---------------------------
 
 Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   Matrix m(rows, cols);
@@ -142,19 +168,21 @@ void expect_matrix_near(const Matrix& a, const Matrix& b, double tol) {
   }
 }
 
-// All four in-place 2D transforms on a rows x cols grid against the
-// dense-basis oracle.
+using Transform2d = void (*)(Matrix&, const fft::FftPlan&,
+                             const fft::FftPlan&);
+
+// All three in-place 2D transforms on a rows x cols grid against the
+// dense-basis oracle, and the per-line oracle's cosine synthesis too.
 void expect_2d_matches_oracle(std::size_t rows, std::size_t cols, Rng& rng) {
   const fft::FftPlan px(cols), py(rows);
   const oracle::DenseBasis bx(cols), by(rows);
   const Matrix m = random_matrix(rows, cols, rng);
   const struct {
-    void (*fft)(Matrix&, const fft::FftPlan&, const fft::FftPlan&);
+    Transform2d fft;
     Matrix (*ref)(const Matrix&, const oracle::DenseBasis&,
                   const oracle::DenseBasis&);
   } cases[] = {
       {&fft::dct2d_inplace, &oracle::dct2d},
-      {&fft::idct2d_inplace, &oracle::idct2d},
       {&fft::isxcy2d_inplace, &oracle::isxcy2d},
       {&fft::icxsy2d_inplace, &oracle::icxsy2d},
   };
@@ -163,24 +191,39 @@ void expect_2d_matches_oracle(std::size_t rows, std::size_t cols, Rng& rng) {
     tc.fft(out, px, py);
     expect_matrix_near(out, tc.ref(m, bx, by), 1e-10);
   }
+  const oracle::LineFftPlan lx(cols), ly(rows);
+  expect_matrix_near(oracle::line_idct2d(m, lx, ly),
+                     oracle::idct2d(m, bx, by), 1e-10);
 }
 
 TEST(FftSpectralTest, Matches1dNaiveAcrossSizes) {
   Rng rng(11);
+  const struct {
+    fft::Kind kind;
+    std::vector<double> (oracle::DenseBasis::*ref)(
+        const std::vector<double>&) const;
+    const char* name;
+  } cases[] = {
+      {fft::Kind::kDct2, &oracle::DenseBasis::dct, "dct"},
+      {fft::Kind::kDct3, &oracle::DenseBasis::idct, "idct"},
+      {fft::Kind::kDst3, &oracle::DenseBasis::sine_synthesis, "dst"},
+  };
   for (const std::size_t n : {4u, 8u, 16u, 64u, 128u}) {
     const fft::FftPlan plan(n);
     const oracle::DenseBasis basis(n);
-    const std::vector<double> v = random_vec(n, rng);
-    const std::vector<double> fwd = apply(plan, &fft::FftPlan::dct2, v);
-    const std::vector<double> fwd_ref = basis.dct(v);
-    const std::vector<double> cos_s = apply(plan, &fft::FftPlan::dct3, v);
-    const std::vector<double> cos_ref = basis.idct(v);
-    const std::vector<double> sin_s = apply(plan, &fft::FftPlan::dst3, v);
-    const std::vector<double> sin_ref = basis.sine_synthesis(v);
-    for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_NEAR(fwd[j], fwd_ref[j], 1e-10) << "dct n=" << n << " j=" << j;
-      EXPECT_NEAR(cos_s[j], cos_ref[j], 1e-10) << "idct n=" << n << " j=" << j;
-      EXPECT_NEAR(sin_s[j], sin_ref[j], 1e-10) << "dst n=" << n << " j=" << j;
+    std::vector<std::vector<double>> lines(4);
+    for (auto& line : lines) line = random_vec(n, rng);
+    for (const auto& tc : cases) {
+      std::vector<double> batch = interleave(lines);
+      plan.run(tc.kind, batch.data(), 4);
+      for (std::size_t l = 0; l < 4; ++l) {
+        const std::vector<double> got = lane(batch, l);
+        const std::vector<double> ref = (basis.*tc.ref)(lines[l]);
+        for (std::size_t j = 0; j < n; ++j) {
+          EXPECT_NEAR(got[j], ref[j], 1e-10)
+              << tc.name << " n=" << n << " line=" << l << " j=" << j;
+        }
+      }
     }
   }
 }
@@ -205,6 +248,39 @@ TEST(FftSpectralTest, RectangularGridsMatchNaive) {
   }
 }
 
+TEST(FftSpectralTest, LaneBatchedPassesMatchPerLineOracleBitForBit) {
+  // Each lane of a batched pass performs the per-line transform's
+  // floating-point operations in the same order, so the results are equal,
+  // not merely close.
+  Rng rng(19);
+  const struct {
+    std::size_t rows, cols;
+  } shapes[] = {{4, 4}, {8, 8}, {32, 32}, {256, 256}, {64, 16}, {16, 64}};
+  for (const auto& shape : shapes) {
+    SCOPED_TRACE(std::to_string(shape.cols) + "x" + std::to_string(shape.rows));
+    const fft::FftPlan px(shape.cols), py(shape.rows);
+    const oracle::LineFftPlan lx(shape.cols), ly(shape.rows);
+    const Matrix m = random_matrix(shape.rows, shape.cols, rng);
+    const struct {
+      Transform2d fft;
+      Matrix (*ref)(const Matrix&, const oracle::LineFftPlan&,
+                    const oracle::LineFftPlan&);
+    } cases[] = {
+        {&fft::dct2d_inplace, &oracle::line_dct2d},
+        {&fft::isxcy2d_inplace, &oracle::line_isxcy2d},
+        {&fft::icxsy2d_inplace, &oracle::line_icxsy2d},
+    };
+    for (const auto& tc : cases) {
+      Matrix out = m;
+      tc.fft(out, px, py);
+      const Matrix ref = tc.ref(m, lx, ly);
+      for (std::size_t i = 0; i < out.data().size(); ++i) {
+        ASSERT_EQ(out.data()[i], ref.data()[i]) << "index " << i;
+      }
+    }
+  }
+}
+
 TEST(FftSpectralTest, FftPlanRejectsNonPow2) {
   EXPECT_TRUE(fft::is_pow2(2));
   EXPECT_TRUE(fft::is_pow2(256));
@@ -214,6 +290,13 @@ TEST(FftSpectralTest, FftPlanRejectsNonPow2) {
   EXPECT_EQ(fft::next_pow2(1), 2u);
   EXPECT_EQ(fft::next_pow2(33), 64u);
   EXPECT_EQ(fft::next_pow2(64), 64u);
+  EXPECT_THROW(fft::FftPlan(12), CheckError);
+}
+
+TEST(FftSpectralTest, FftPlanRejectsFewerThanFourLines) {
+  // A pass batches four lines, one per SIMD lane.
+  EXPECT_THROW(fft::FftPlan(2), CheckError);
+  EXPECT_NO_THROW(fft::FftPlan(fft::kMinSize));
 }
 
 // --- optimizers ---------------------------------------------------------------

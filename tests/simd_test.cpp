@@ -1,6 +1,6 @@
 // SIMD layer contract tests (tests/simd_test.cpp):
 //  * Vec4d lane-op semantics: masked loads/stores, ordered reductions,
-//    lane reversal, scatter-accumulate order, nearest-even rounding.
+//    4x4 transposes, scatter-accumulate order, nearest-even rounding.
 //  * The rounding contract every backend shares: mul_add rounds twice and
 //    hsum_ordered/hsum4 use one fixed association each (exact tests).
 //  * exp4 accuracy (<= simd::kExpMaxRelError over the clamped domain) and
@@ -114,12 +114,21 @@ TEST(SimdTest, KeepFirstMasksExactlyIncludingInfNan) {
   EXPECT_EQ(w.lane(3), 4.0);
 }
 
-TEST(SimdTest, ReverseSwapsAllFourLanes) {
-  const Vec4d v = Vec4d::set(1, 2, 3, 4).reverse();
-  EXPECT_EQ(v.lane(0), 4.0);
-  EXPECT_EQ(v.lane(1), 3.0);
-  EXPECT_EQ(v.lane(2), 2.0);
-  EXPECT_EQ(v.lane(3), 1.0);
+TEST(SimdTest, Transpose4SwapsRowsAndColumnsExactly) {
+  Vec4d a = Vec4d::set(0, 1, 2, 3), b = Vec4d::set(4, 5, 6, 7),
+        c = Vec4d::set(8, 9, 10, -0.0),
+        d = Vec4d::set(12, 13, std::numeric_limits<double>::infinity(), 15);
+  simd::transpose4(a, b, c, d);
+  const Vec4d rows[4] = {a, b, c, d};
+  const double inf = std::numeric_limits<double>::infinity();
+  const double want[4][4] = {
+      {0, 4, 8, 12}, {1, 5, 9, 13}, {2, 6, 10, inf}, {3, 7, -0.0, 15}};
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      EXPECT_EQ(rows[r].lane(l), want[r][l]) << r << " " << l;
+    }
+  }
+  EXPECT_TRUE(std::signbit(d.lane(2)));
 }
 
 TEST(SimdTest, GatherReadsThroughIndexTable) {
@@ -289,19 +298,44 @@ TEST_P(SimdKernelParityTest, ElectroDensityScalarVsSimd) {
                                      ed.rho().data().end());
 
   // Charge build and force pass of the oracle; the force pass samples the
-  // potential/field the production solve just computed.
+  // field the production solve just computed and the potential synthesized
+  // from its charge density on the dense basis.
   numeric::Matrix rho(64, 64), occupancy(64, 64);
   const double ovf_scalar = oracle::build_density(cc, ed.grid(), v, rho,
                                                   occupancy);
   const std::vector<double> rho_scalar(rho.data().begin(), rho.data().end());
   std::vector<double> g_scalar(v.size(), 0.0);
-  const double val_scalar = oracle::overlap_force(cc, ed, v, g_scalar, 1.0);
+  const double val_scalar = oracle::overlap_force(
+      cc, ed, oracle::synthesized_potential(ed), v, g_scalar, 1.0);
 
   ASSERT_TRUE(std::isfinite(val_scalar));
   expect_rel_close(val_scalar, val_simd);
   expect_rel_close(ovf_scalar, ed.overflow());
   expect_vectors_close(rho_scalar, rho_simd);
   expect_vectors_close(g_scalar, g_simd);
+}
+
+TEST_P(SimdKernelParityTest, ParsevalEnergyMatchesSynthesizedPotential) {
+  // At the ePlace-A operating point (32 x 32 bins), the energy
+  // value_and_grad computes from the DCT coefficients equals the
+  // force-pass energy 1/2 sum_i q_i psi_i on the potential synthesized as
+  // idct2d(a / w^2), for a clustered and a spread placement.
+  circuits::TestCase tc = circuits::make_testcase(GetParam());
+  const netlist::Circuit& c = tc.circuit;
+  const netlist::CompiledCircuit cc(c);
+  const double extent = 48.0;
+  density::ElectroDensity ed(c, {0, 0, extent, extent}, 32, 32, 0.8);
+  for (const double spread : {0.5 * extent, extent}) {
+    SCOPED_TRACE(spread);
+    std::vector<double> v = registry_positions(c, spread);
+    for (double& x : v) x += 0.5 * (extent - spread);
+    std::vector<double> g(v.size(), 0.0), g_oracle(v.size(), 0.0);
+    const double energy = ed.value_and_grad(v, g, 1.0);
+    const double energy_oracle = oracle::overlap_force(
+        cc, ed, oracle::synthesized_potential(ed), v, g_oracle, 1.0);
+    ASSERT_GT(energy_oracle, 0.0);
+    expect_rel_close(energy_oracle, energy);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(FullRegistry, SimdKernelParityTest,
@@ -317,38 +351,49 @@ INSTANTIATE_TEST_SUITE_P(FullRegistry, SimdKernelParityTest,
 // ---- FFT/DCT vs. the dense spectral basis -----------------------------------
 
 TEST(SimdFftTest, SpectralTransformsScalarVsSimd) {
+  using numeric::fft::Kind;
   for (const std::size_t n : {std::size_t{4}, std::size_t{8}, std::size_t{32},
                               std::size_t{256}}) {
     numeric::fft::FftPlan plan(n);
     const oracle::DenseBasis basis(n);
-    std::vector<double> in(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      in[i] = std::sin(0.37 * static_cast<double>(i) + 0.2) +
-              0.25 * std::cos(1.9 * static_cast<double>(i));
+    // Four different lines, one per lane.
+    std::vector<std::vector<double>> in(4, std::vector<double>(n));
+    for (std::size_t l = 0; l < 4; ++l) {
+      for (std::size_t i = 0; i < n; ++i) {
+        in[l][i] = std::sin(0.37 * static_cast<double>(i) + 0.2 + 0.5 * l) +
+                   0.25 * std::cos(1.9 * static_cast<double>(i + l));
+      }
     }
-    using Fn = void (numeric::fft::FftPlan::*)(const double*, std::size_t,
-                                               double*, std::size_t) const;
     const struct {
-      Fn fft;
-      std::vector<double> ref;
+      Kind kind;
+      std::vector<double> (oracle::DenseBasis::*ref)(
+          const std::vector<double>&) const;
     } cases[] = {
-        {&numeric::fft::FftPlan::dct2, basis.dct(in)},
-        {&numeric::fft::FftPlan::dct3, basis.idct(in)},
-        {&numeric::fft::FftPlan::dst3, basis.sine_synthesis(in)},
+        {Kind::kDct2, &oracle::DenseBasis::dct},
+        {Kind::kDct3, &oracle::DenseBasis::idct},
+        {Kind::kDst3, &oracle::DenseBasis::sine_synthesis},
     };
     for (const auto& tc : cases) {
-      std::vector<double> out(n);
-      (plan.*tc.fft)(in.data(), 1, out.data(), 1);
-      expect_vectors_close(tc.ref, out);
-
-      // Strided (column-transform) layout: stride 3 takes the scalar gather
-      // loops of the quarter-wave twiddles.
-      std::vector<double> sin(3 * n, 0.0), sout(3 * n, 0.0);
-      for (std::size_t i = 0; i < n; ++i) sin[3 * i] = in[i];
-      (plan.*tc.fft)(sin.data(), 3, sout.data(), 3);
-      std::vector<double> strided(n);
-      for (std::size_t i = 0; i < n; ++i) strided[i] = sout[3 * i];
-      expect_vectors_close(tc.ref, strided);
+      // Lane-major scratch layout (stride 4, the row pass) and four
+      // adjacent columns of a 12-wide matrix (stride 12, the column pass);
+      // the other columns must stay untouched.
+      for (const std::size_t stride : {std::size_t{4}, std::size_t{12}}) {
+        std::vector<double> buf(stride * n, -7.0);
+        for (std::size_t l = 0; l < 4; ++l) {
+          for (std::size_t i = 0; i < n; ++i) buf[i * stride + l] = in[l][i];
+        }
+        plan.run(tc.kind, buf.data(), stride);
+        for (std::size_t l = 0; l < 4; ++l) {
+          std::vector<double> out(n);
+          for (std::size_t i = 0; i < n; ++i) out[i] = buf[i * stride + l];
+          expect_vectors_close((basis.*tc.ref)(in[l]), out);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t l = 4; l < stride; ++l) {
+            EXPECT_EQ(buf[i * stride + l], -7.0);
+          }
+        }
+      }
     }
   }
 }
@@ -356,12 +401,13 @@ TEST(SimdFftTest, SpectralTransformsScalarVsSimd) {
 TEST(SimdFftTest, Dct2Dct3RoundTripWithSimd) {
   const std::size_t n = 64;
   numeric::fft::FftPlan plan(n);
-  std::vector<double> in(n), spec(n), back(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  std::vector<double> in(4 * n);
+  for (std::size_t i = 0; i < in.size(); ++i) {
     in[i] = std::cos(0.13 * static_cast<double>(i * i % 17));
   }
-  plan.dct2(in.data(), 1, spec.data(), 1);
-  plan.dct3(spec.data(), 1, back.data(), 1);
+  std::vector<double> back = in;
+  plan.run(numeric::fft::Kind::kDct2, back.data(), 4);
+  plan.run(numeric::fft::Kind::kDct3, back.data(), 4);
   expect_vectors_close(in, back, 1e-11);
 }
 
