@@ -546,22 +546,35 @@ void print_compiled_core_table(bench::JsonReport& json) {
     const netlist::PlacementState state =
         netlist::PlacementState::from_placement(p);
 
+    // One untimed pair of calls checks that the two paths agree. The two
+    // sum the same terms in different orders, so compare relatively.
+    const double hpwl_plc = hpwl_via_placement(c, p);
+    const double hpwl_flat = hpwl_via_flat(cc, state);
+    if (std::abs(hpwl_plc - hpwl_flat) > 1e-9 * std::abs(hpwl_plc)) {
+      std::printf("WARNING: flat and placement HPWL disagree on %s "
+                  "(%.17g vs %.17g)\n",
+                  name, hpwl_plc, hpwl_flat);
+    }
+
+    // Every timed result goes through DoNotOptimize, so the compiler can
+    // neither hoist the loop-invariant call nor drop it.
     const int reps = 20000;
-    double sink = 0;
     t0 = clock::now();
-    for (int i = 0; i < reps; ++i) sink += hpwl_via_placement(c, p);
+    for (int i = 0; i < reps; ++i) {
+      double hpwl = hpwl_via_placement(c, p);
+      benchmark::DoNotOptimize(hpwl);
+    }
     const double plc_us =
         std::chrono::duration<double, std::micro>(clock::now() - t0).count() /
         reps;
     t0 = clock::now();
-    for (int i = 0; i < reps; ++i) sink -= hpwl_via_flat(cc, state);
+    for (int i = 0; i < reps; ++i) {
+      double hpwl = hpwl_via_flat(cc, state);
+      benchmark::DoNotOptimize(hpwl);
+    }
     const double flat_us =
         std::chrono::duration<double, std::micro>(clock::now() - t0).count() /
         reps;
-    benchmark::DoNotOptimize(sink);
-    if (std::abs(sink) > 1e-9 * reps) {
-      std::printf("WARNING: flat and placement HPWL disagree on %s\n", name);
-    }
 
     std::printf("%-10s %14.2f %16.3f %14.3f %9.1fx\n", name, compile_us,
                 plc_us, flat_us, plc_us / flat_us);

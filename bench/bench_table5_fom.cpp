@@ -49,12 +49,9 @@ int main() {
     const core::PerfFlowResult ep_pr =
         core::run_eplace_ap(c, *ctx, bench::paper_eplace_options());
     const double ep_perf = ep_pr.perf.fom;
-    json.add_run(name, "sa-perf", sp.sa.seed, sa_pr.flow.total_seconds,
-                 sa_pr.flow.hpwl(), sa_pr.flow.area(), sa_pr.flow.legal());
-    json.add_run(name, "prior-work-perf", 0, pw_pr.flow.total_seconds,
-                 pw_pr.flow.hpwl(), pw_pr.flow.area(), pw_pr.flow.legal());
-    json.add_run(name, "eplace-ap", 0, ep_pr.flow.total_seconds,
-                 ep_pr.flow.hpwl(), ep_pr.flow.area(), ep_pr.flow.legal());
+    json.add_flow(name, "sa-perf", sp.sa.seed, sa_pr.flow);
+    json.add_flow(name, "prior-work-perf", 0, pw_pr.flow);
+    json.add_flow(name, "eplace-ap", 0, ep_pr.flow);
 
     std::printf("%-8s | %5.2f %5.2f | %6.2f %6.2f | %6.2f %6.2f\n",
                 name.c_str(), sa_conv, sa_perf, pw_conv, pw_perf, ep_conv,

@@ -31,12 +31,9 @@ int main() {
         core::run_prior_work_perf(c, *ctx, bench::paper_prior_options());
     const core::PerfFlowResult ep =
         core::run_eplace_ap(c, *ctx, bench::paper_eplace_options());
-    json.add_run(name, "sa-perf", sp.sa.seed, sa.flow.total_seconds,
-                 sa.flow.hpwl(), sa.flow.area(), sa.flow.legal());
-    json.add_run(name, "prior-work-perf", 0, pw.flow.total_seconds,
-                 pw.flow.hpwl(), pw.flow.area(), pw.flow.legal());
-    json.add_run(name, "eplace-ap", 0, ep.flow.total_seconds,
-                 ep.flow.hpwl(), ep.flow.area(), ep.flow.legal());
+    json.add_flow(name, "sa-perf", sp.sa.seed, sa.flow);
+    json.add_flow(name, "prior-work-perf", 0, pw.flow);
+    json.add_flow(name, "eplace-ap", 0, ep.flow);
 
     std::printf(
         "%-8s | %7.1f %7.1f %6.1f | %7.1f %7.1f %6.1f | %7.1f %7.1f %6.1f\n",
