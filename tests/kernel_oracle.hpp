@@ -25,6 +25,11 @@
 //  * pack_naive — the O(n^2) longest-path sequence-pair packer, the oracle
 //    of SequencePair's LCS packer (tests/sa_test.cpp) and the
 //    "seqpair-pack-naive" rows of bench_micro_kernels.
+//  * ReferenceChain and reference_anneal — sa::SaPlacer's annealing loop
+//    as it ran before it skipped the extra cost term on moves the
+//    Metropolis test rejects anyway: the term on every move, the test on
+//    the full cost. The bit-identity oracle of that skip
+//    (tests/sa_test.cpp, tests/flow_test.cpp).
 //  * DenseGnn — the GNN on a dense n x n A~, a full feature matrix and
 //    numeric::Matrix products for every layer, the bitwise oracle of
 //    gnn::CircuitGraph + gnn::GnnModel (tests/gnn_test.cpp) and the
@@ -38,6 +43,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <optional>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -50,6 +56,7 @@
 #include "gnn/model.hpp"
 #include "netlist/compiled.hpp"
 #include "numeric/matrix.hpp"
+#include "sa/annealer.hpp"
 #include "sa/sequence_pair.hpp"
 #include "solver/lp.hpp"
 #include "solver/milp.hpp"
@@ -599,6 +606,307 @@ inline sa::SequencePair::Packing pack_naive(
     out.height = std::max(out.height, y + heights[b]);
   }
   return out;
+}
+
+// ---- simulated annealing ----------------------------------------------------
+
+/// What reference_anneal reports: the sa::SaResult fields it fills.
+struct ReferenceAnneal {
+  netlist::Placement placement;
+  double cost = 0.0;
+  long moves_evaluated = 0;
+  long moves_accepted = 0;
+};
+
+/// One chain of sa::SaPlacer as it annealed before its move loop skipped
+/// extra_cost: the same blocks, moves, IncrementalCost protocol and
+/// schedule, with extra_cost (when set) called on every move and the
+/// Metropolis test `delta <= 0 || u < exp(-delta / T)` on the full cost.
+/// The deadline and cancellation are not polled. Run once per instance.
+class ReferenceChain {
+ public:
+  ReferenceChain(const netlist::CompiledRef& compiled, sa::SaOptions opts)
+      : compiled_(compiled), opts_(std::move(opts)), engine_(compiled) {
+    const netlist::Circuit& circuit = compiled_->circuit();
+    const std::size_t n = circuit.num_devices();
+    single_block_of_.assign(n, kNoBlock);
+    orient_.assign(n, {});
+    std::vector<char> in_island(n, 0);
+    for (const netlist::SymmetryGroup& g :
+         circuit.constraints().symmetry_groups) {
+      islands_.emplace_back(circuit, g);
+      for (const sa::Island::Member& m : islands_.back().members()) {
+        in_island[m.device.index()] = 1;
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!in_island[i]) singles_.push_back(DeviceId{i});
+    }
+    const std::size_t nb = islands_.size() + singles_.size();
+    w_.resize(nb);
+    h_.resize(nb);
+    for (std::size_t b = 0; b < islands_.size(); ++b) {
+      w_[b] = islands_[b].width();
+      h_[b] = islands_[b].height();
+    }
+    for (std::size_t s = 0; s < singles_.size(); ++s) {
+      const std::size_t b = islands_.size() + s;
+      const netlist::Device& d = circuit.device(singles_[s]);
+      w_[b] = d.width;
+      h_[b] = d.height;
+      single_block_of_[singles_[s].index()] = b;
+    }
+    single_scratch_.resize(1);
+    engine_.configure_blocks(block_members());
+  }
+
+  ReferenceAnneal run(std::uint64_t chain_seed) {
+    numeric::Rng rng(chain_seed);
+    const std::size_t nb = w_.size();
+    sp_ = sa::SequencePair(nb);
+    sp_.shuffle(rng);
+    sp_.pack_into(w_, h_, pack_);
+
+    netlist::Placement pl(compiled_->circuit());
+    realize(pl);
+    const double hpwl0 = std::max(pl.total_hpwl(), 1e-9);
+    const double area0 = std::max(pack_.width * pack_.height, 1e-9);
+    const double penalty0 = std::max(std::sqrt(area0), 1e-9);
+    engine_.set_weights({opts_.area_weight, opts_.constraint_weight, hpwl0,
+                         area0, penalty0});
+    engine_.reset(block_members(), pack_.x.data(), pack_.y.data(),
+                  pack_.width, pack_.height);
+
+    double cur_cost = engine_.cost();
+    if (opts_.extra_cost) cur_cost += opts_.extra_cost(engine_.placement());
+    ReferenceAnneal best{pl, cur_cost};
+
+    std::vector<double> deltas;
+    if (nb >= 2) {
+      for (int k = 0; k < 40; ++k) {
+        Move mv;
+        mv.kind = 1;
+        mv.i = draw_index(rng, nb);
+        mv.j = draw_distinct(rng, mv.i, nb);
+        sp_.swap_in_both(mv.i, mv.j);
+        stage_trial(mv);
+        double probe = engine_.trial_cost();
+        if (opts_.extra_cost) {
+          probe += opts_.extra_cost(engine_.trial_placement());
+        }
+        engine_.rollback();
+        sp_.swap_in_both(mv.i, mv.j);
+        deltas.push_back(std::abs(probe - cur_cost));
+      }
+    }
+    double t0 = 0.3;
+    if (!deltas.empty()) {
+      double mean = 0;
+      for (double d : deltas) mean += d;
+      mean /= static_cast<double>(deltas.size());
+      t0 = std::max(mean * 1.5, 1e-6);
+    }
+
+    double temp = t0;
+    const double t_stop = t0 * opts_.stop_temperature_ratio;
+    const long moves_per_temp =
+        static_cast<long>(opts_.moves_per_temp_per_block) *
+        static_cast<long>(std::max<std::size_t>(nb, 1));
+    long moves = 0;
+    while (temp > t_stop) {
+      for (long m = 0; m < moves_per_temp; ++m) {
+        if (opts_.max_moves > 0 && moves >= opts_.max_moves) break;
+        const Move mv = propose_move(rng);
+        if (mv.kind < 0) continue;
+        ++moves;
+        stage_trial(mv);
+        double new_cost = engine_.trial_cost();
+        if (opts_.extra_cost) {
+          new_cost += opts_.extra_cost(engine_.trial_placement());
+        }
+        const double delta = new_cost - cur_cost;
+        const bool accept =
+            delta <= 0 || rng.uniform() < std::exp(-delta / temp);
+        if (accept) {
+          cur_cost = new_cost;
+          ++best.moves_accepted;
+          engine_.commit();
+          if (mv.kind == 0 || mv.kind == 1) std::swap(pack_, pack_trial_);
+          if (new_cost < best.cost) {
+            best.cost = new_cost;
+            best.placement = engine_.placement();
+          }
+        } else {
+          engine_.rollback();
+          undo_move(mv);
+        }
+      }
+      if (opts_.max_moves > 0 && moves >= opts_.max_moves) break;
+      temp *= opts_.cooling;
+    }
+    best.moves_evaluated = moves;
+    best.placement.normalize_to_origin();
+    return best;
+  }
+
+ private:
+  static constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
+
+  struct Move {
+    int kind = -1;  ///< 0 swap+, 1 swap both, 2 flip, 3 row swap, 4 mirror
+    std::size_t i = 0, j = 0;
+    std::size_t isl = 0, r1 = 0, r2 = 0;
+    DeviceId flip_dev;
+    bool flip_axis_x = false;
+  };
+
+  static std::size_t draw_index(numeric::Rng& rng, std::size_t count) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(count) - 1));
+  }
+  static std::size_t draw_distinct(numeric::Rng& rng, std::size_t i,
+                                   std::size_t count) {
+    for (int attempt = 0; attempt < 8; ++attempt) {
+      const std::size_t j = draw_index(rng, count);
+      if (j != i) return j;
+    }
+    return (i + 1) % count;
+  }
+
+  std::vector<std::vector<sa::Island::Member>> block_members() const {
+    std::vector<std::vector<sa::Island::Member>> blocks(w_.size());
+    for (std::size_t b = 0; b < islands_.size(); ++b) {
+      blocks[b] = islands_[b].members();
+    }
+    for (std::size_t s = 0; s < singles_.size(); ++s) {
+      const std::size_t b = islands_.size() + s;
+      const DeviceId dev = singles_[s];
+      blocks[b] = {sa::Island::Member{
+          dev, {w_[b] / 2, h_[b] / 2}, orient_[dev.index()]}};
+    }
+    return blocks;
+  }
+
+  void realize(netlist::Placement& pl) const {
+    for (std::size_t b = 0; b < islands_.size(); ++b) {
+      const geom::Point origin{pack_.x[b], pack_.y[b]};
+      for (const sa::Island::Member& m : islands_[b].members()) {
+        pl.set_position(m.device, origin + m.center);
+        pl.set_orientation(m.device, m.orientation);
+      }
+    }
+    for (std::size_t s = 0; s < singles_.size(); ++s) {
+      const std::size_t b = islands_.size() + s;
+      const DeviceId dev = singles_[s];
+      pl.set_position(dev,
+                      {pack_.x[b] + w_[b] / 2, pack_.y[b] + h_[b] / 2});
+      pl.set_orientation(dev, orient_[dev.index()]);
+    }
+  }
+
+  Move propose_move(numeric::Rng& rng) {
+    const std::size_t nb = w_.size();
+    Move mv;
+    const int kind = rng.uniform_int(0, 99);
+    if (kind < 35 && nb >= 2) {
+      mv.i = draw_index(rng, nb);
+      mv.j = draw_distinct(rng, mv.i, nb);
+      sp_.swap_in_plus(mv.i, mv.j);
+      mv.kind = 0;
+    } else if (kind < 70 && nb >= 2) {
+      mv.i = draw_index(rng, nb);
+      mv.j = draw_distinct(rng, mv.i, nb);
+      sp_.swap_in_both(mv.i, mv.j);
+      mv.kind = 1;
+    } else if (kind < 85 && !singles_.empty()) {
+      mv.flip_dev = singles_[draw_index(rng, singles_.size())];
+      mv.flip_axis_x = rng.bernoulli();
+      flip(mv);
+      mv.kind = 2;
+    } else if (!islands_.empty()) {
+      mv.isl = draw_index(rng, islands_.size());
+      sa::Island& island = islands_[mv.isl];
+      if (island.num_rows() >= 2 && rng.bernoulli()) {
+        mv.r1 = draw_index(rng, island.num_rows());
+        mv.r2 = draw_distinct(rng, mv.r1, island.num_rows());
+        island.swap_rows(mv.r1, mv.r2);
+        mv.kind = 3;
+      } else {
+        mv.r1 = draw_index(rng, island.num_rows());
+        island.mirror_row(mv.r1);
+        mv.kind = 4;
+      }
+    }
+    return mv;
+  }
+
+  void flip(const Move& mv) {
+    geom::Orientation& o = orient_[mv.flip_dev.index()];
+    if (mv.flip_axis_x) o.flip_x = !o.flip_x;
+    else o.flip_y = !o.flip_y;
+  }
+
+  void undo_move(const Move& mv) {
+    switch (mv.kind) {
+      case 0: sp_.swap_in_plus(mv.i, mv.j); break;
+      case 1: sp_.swap_in_both(mv.i, mv.j); break;
+      case 2: flip(mv); break;
+      case 3: islands_[mv.isl].swap_rows(mv.r1, mv.r2); break;
+      case 4: islands_[mv.isl].mirror_row(mv.r1); break;
+      default: break;
+    }
+  }
+
+  void stage_trial(const Move& mv) {
+    if (mv.kind == 0 || mv.kind == 1) {
+      sp_.pack_into(w_, h_, pack_trial_);
+      engine_.begin_trial(pack_trial_.x.data(), pack_trial_.y.data(),
+                          pack_trial_.width, pack_trial_.height);
+    } else {
+      engine_.begin_trial(pack_.x.data(), pack_.y.data(), pack_.width,
+                          pack_.height);
+    }
+    if (mv.kind == 3 || mv.kind == 4) {
+      islands_[mv.isl].members_into(member_scratch_);
+      engine_.refresh_block(mv.isl, member_scratch_);
+    } else if (mv.kind == 2) {
+      const std::size_t b = single_block_of_[mv.flip_dev.index()];
+      single_scratch_[0] = sa::Island::Member{
+          mv.flip_dev, {w_[b] / 2, h_[b] / 2}, orient_[mv.flip_dev.index()]};
+      engine_.refresh_block(b, single_scratch_);
+    }
+  }
+
+  netlist::CompiledRef compiled_;
+  sa::SaOptions opts_;
+  std::vector<sa::Island> islands_;
+  std::vector<DeviceId> singles_;
+  std::vector<std::size_t> single_block_of_;
+  std::vector<double> w_, h_;
+  std::vector<geom::Orientation> orient_;
+  sa::SequencePair sp_{0};
+  sa::SequencePair::Packing pack_, pack_trial_;
+  sa::IncrementalCost engine_;
+  std::vector<sa::Island::Member> member_scratch_, single_scratch_;
+};
+
+/// sa::SaPlacer::place() over ReferenceChain: chain c on split_seed(seed,
+/// c), one after another, the lowest final cost winning (ties: lowest
+/// chain index), move counts summed over chains.
+inline ReferenceAnneal reference_anneal(const netlist::CompiledRef& compiled,
+                                        const sa::SaOptions& opts) {
+  std::optional<ReferenceAnneal> best;
+  long moves = 0, accepts = 0;
+  for (int c = 0; c < std::max(opts.num_chains, 1); ++c) {
+    ReferenceAnneal r = ReferenceChain(compiled, opts).run(
+        numeric::split_seed(opts.seed, static_cast<std::uint64_t>(c)));
+    moves += r.moves_evaluated;
+    accepts += r.moves_accepted;
+    if (!best || r.cost < best->cost) best = std::move(r);
+  }
+  best->moves_evaluated = moves;
+  best->moves_accepted = accepts;
+  return std::move(*best);
 }
 
 // ---- GNN --------------------------------------------------------------------
