@@ -21,14 +21,6 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// A limited externally shared deadline (batch driver) takes precedence over
-// the per-flow seconds budget.
-Deadline make_deadline(const Deadline& shared, double budget_seconds) {
-  if (shared.limited()) return shared;
-  return budget_seconds > 0 ? Deadline::after_seconds(budget_seconds)
-                            : Deadline{};
-}
-
 // Placement requires a finalized circuit, but error results must be
 // constructible even for inputs validate() rejected before finalization.
 // Those carry a placement over this minimal static circuit instead; a
@@ -304,8 +296,7 @@ LegalizeOutcome legalize_chain(
 FlowResult run_eplace_a(const netlist::Circuit& circuit, EPlaceAOptions opts) {
   return run_guarded("ePlace-A", circuit, opts.cancel, [&]() -> FlowResult {
     APLACE_CHECK(opts.candidates >= 1);
-    const Deadline deadline =
-        make_deadline(opts.deadline, opts.time_budget_seconds);
+    const Deadline& deadline = opts.deadline;
     const std::size_t num_cands = static_cast<std::size_t>(opts.candidates);
     // One compiled snapshot serves every candidate's GP and every legalizer
     // level; through the batch cache it also serves every other job on this
@@ -440,8 +431,7 @@ FlowResult run_prior_work(const netlist::Circuit& circuit,
                           PriorWorkOptions opts) {
   return run_guarded("prior-work", circuit, opts.cancel,
                      [&]() -> FlowResult {
-    const Deadline deadline =
-        make_deadline(opts.deadline, opts.time_budget_seconds);
+    const Deadline& deadline = opts.deadline;
     const std::shared_ptr<const netlist::CompiledCircuit> compiled =
         compile_or_fetch(opts.compile_cache, circuit);
     gp::NtuGpOptions gopts = opts.gp;
@@ -485,8 +475,7 @@ FlowResult run_prior_work(const netlist::Circuit& circuit,
 
 FlowResult run_sa(const netlist::Circuit& circuit, SaFlowOptions opts) {
   return run_guarded("SA", circuit, opts.cancel, [&]() -> FlowResult {
-    const Deadline deadline =
-        make_deadline(opts.deadline, opts.time_budget_seconds);
+    const Deadline& deadline = opts.deadline;
     const std::shared_ptr<const netlist::CompiledCircuit> compiled =
         compile_or_fetch(opts.compile_cache, circuit);
     sa::SaOptions sopts = opts.sa;

@@ -111,11 +111,9 @@ struct EPlaceAOptions {
   /// from gp.seed, with an ordered best-of reduction — the chosen result is
   /// identical for every thread count.
   int candidates = 2;
-  /// Wall-clock budget for the whole flow; 0 = unlimited. On expiry the
-  /// remaining stages degrade (cheaper fallbacks) instead of overrunning.
-  double time_budget_seconds = 0;
-  /// Externally shared deadline (the batch driver hands one Deadline to
-  /// every job). When limited it takes precedence over time_budget_seconds.
+  /// Wall-clock budget for the whole flow, unlimited by default; the batch
+  /// driver hands one Deadline to every job. On expiry the remaining stages
+  /// degrade (cheaper fallbacks) instead of overrunning.
   Deadline deadline;
   /// Cooperative cancellation shared by the batch driver: in-flight stages
   /// stop at their next watchdog check and the flow reports Cancelled
@@ -131,8 +129,7 @@ struct EPlaceAOptions {
 struct PriorWorkOptions {
   gp::NtuGpOptions gp;
   legal::TwoStageOptions dp;
-  double time_budget_seconds = 0;  ///< 0 = unlimited
-  Deadline deadline;  ///< shared external deadline; overrides the budget
+  Deadline deadline;  ///< wall-clock budget (see EPlaceAOptions)
   base::CancelToken cancel;  ///< cooperative cancellation (see EPlaceAOptions)
   FaultInjection inject;
   /// Shared compiled-snapshot cache (see EPlaceAOptions::compile_cache).
@@ -141,8 +138,7 @@ struct PriorWorkOptions {
 
 struct SaFlowOptions {
   sa::SaOptions sa;
-  double time_budget_seconds = 0;  ///< 0 = unlimited
-  Deadline deadline;  ///< shared external deadline; overrides the budget
+  Deadline deadline;  ///< wall-clock budget (see EPlaceAOptions)
   base::CancelToken cancel;  ///< cooperative cancellation (see EPlaceAOptions)
   FaultInjection inject;
   /// Shared compiled-snapshot cache (see EPlaceAOptions::compile_cache).

@@ -125,9 +125,7 @@ std::unique_ptr<PerfContext> build_perf_context(
 perf::PerformanceResult evaluate_routed(const PerfContext& ctx,
                                         const netlist::Placement& placement) {
   const route::GridRouter router;
-  const route::RoutingResult rr = ctx.compiled
-                                      ? router.route(*ctx.compiled, placement)
-                                      : router.route(placement);
+  const route::RoutingResult rr = router.route(*ctx.compiled, placement);
   return ctx.model.evaluate(placement, &rr);
 }
 

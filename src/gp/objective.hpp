@@ -212,7 +212,7 @@ class WeightScheduler {
     enum class Init : std::uint8_t { Fixed, RelToRefGrad, TiedTo, RefOverScale };
     Init init = Init::RelToRefGrad;
     double rel = 1.0;
-    std::string tied_to;    ///< TiedTo: master term name
+    std::string tied_to{};  ///< TiedTo: master term name
     double tied_rel = 1.0;  ///< TiedTo: master's rel (the denominator)
     double scale_div = 1.0; ///< RefOverScale: length scale divisor
     double growth = 1.0;    ///< multiplicative factor per advance()

@@ -44,6 +44,10 @@ namespace aplace::numeric {
 //     The transforms here pin the exact draw sequence to the mt19937_64
 //     output alone.
 class Rng {
+  // The 64x64->128 product of uniform_int(); __extension__ keeps
+  // -Wpedantic quiet about the GCC/Clang builtin type.
+  __extension__ using Uint128 = unsigned __int128;
+
  public:
   explicit Rng(std::uint64_t seed = 0xA11A0C5EED) : engine_(seed) {}
 
@@ -61,13 +65,12 @@ class Rng {
         static_cast<std::uint64_t>(static_cast<std::int64_t>(hi) -
                                    static_cast<std::int64_t>(lo)) +
         1;
-    unsigned __int128 m =
-        static_cast<unsigned __int128>(engine_()) * range;
+    Uint128 m = static_cast<Uint128>(engine_()) * range;
     auto low = static_cast<std::uint64_t>(m);
     if (low < range) [[unlikely]] {
       const std::uint64_t threshold = (0 - range) % range;
       while (low < threshold) {
-        m = static_cast<unsigned __int128>(engine_()) * range;
+        m = static_cast<Uint128>(engine_()) * range;
         low = static_cast<std::uint64_t>(m);
       }
     }

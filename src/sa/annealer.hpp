@@ -80,7 +80,7 @@ struct SaResult {
   /// are not counted. Both stay 0 without `extra_cost`.
   long extra_cost_calls = 0;
   long extra_cost_skips = 0;
-  IncrementalCost::Stats eval_stats;  ///< delta-eval cache effectiveness
+  IncrementalCost::Stats eval_stats{};  ///< delta-eval cache effectiveness
 };
 
 class SaPlacer {

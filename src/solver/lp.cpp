@@ -21,6 +21,7 @@ const char* to_string(LpStatus s) {
 }
 
 int LpProblem::add_variable(double lo, double hi, double cost) {
+  APLACE_CHECK_MSG(lo > -kInf, "variable needs a finite lower bound");
   APLACE_CHECK_MSG(lo <= hi, "variable bounds crossed");
   lo_.push_back(lo);
   hi_.push_back(hi);
@@ -41,108 +42,41 @@ void LpProblem::add_constraint(std::vector<LpTerm> terms, Relation rel,
 
 namespace {
 
-// Standard-form translation of one natural variable.
-struct VarMap {
-  // x = offset + sign * x'   (x' >= 0), or x = p - q for free variables.
-  double offset = 0.0;
-  double sign = 1.0;
-  int col = -1;       ///< column of x' (or p)
-  int col_neg = -1;   ///< column of q for free variables, else -1
-  int upper_row = -1; ///< row of x' <= hi - lo when both bounds are finite
-};
-
-struct Standard {
-  std::size_t n_cols = 0;  // structural standard-form columns
-  std::vector<VarMap> map;
-  // rows: coefficients over structural columns, relation, rhs
-  std::vector<std::vector<double>> rows;
-  std::vector<Relation> rels;
-  std::vector<double> rhs;
-  std::vector<double> cost;    // structural costs
-};
-
-Standard to_standard_form(const LpProblem& p) {
-  Standard s;
-  const std::size_t n = p.num_variables();
-  s.map.resize(n);
-
-  for (std::size_t j = 0; j < n; ++j) {
-    const double lo = p.lower_bound(static_cast<int>(j));
-    const double hi = p.upper_bound(static_cast<int>(j));
-    VarMap& m = s.map[j];
-    if (lo == -kInf && hi == kInf) {
-      m.col = static_cast<int>(s.n_cols++);
-      m.col_neg = static_cast<int>(s.n_cols++);
-    } else if (lo > -kInf) {
-      m.offset = lo;
-      m.sign = 1.0;
-      m.col = static_cast<int>(s.n_cols++);
-    } else {
-      // lo == -inf, hi finite: x = hi - x'
-      m.offset = hi;
-      m.sign = -1.0;
-      m.col = static_cast<int>(s.n_cols++);
-    }
-  }
-
-  s.cost.assign(s.n_cols, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    const VarMap& m = s.map[j];
-    const double c = p.cost(static_cast<int>(j));
-    s.cost[m.col] += c * m.sign;
-    if (m.col_neg >= 0) s.cost[m.col_neg] -= c;
-  }
-
-  auto add_row = [&](const std::vector<LpTerm>& terms, Relation rel,
-                     double rhs) {
-    std::vector<double> row(s.n_cols, 0.0);
-    double b = rhs;
-    for (const LpTerm& t : terms) {
-      const VarMap& m = s.map[t.var];
-      row[m.col] += t.coef * m.sign;
-      if (m.col_neg >= 0) row[m.col_neg] -= t.coef;
-      b -= t.coef * m.offset;
-    }
-    s.rows.push_back(std::move(row));
-    s.rels.push_back(rel);
-    s.rhs.push_back(b);
-  };
-
-  for (const LpConstraint& c : p.constraints()) {
-    add_row(c.terms, c.relation, c.rhs);
-  }
-  // Upper-bound rows for shifted variables.
-  for (std::size_t j = 0; j < n; ++j) {
-    const int v = static_cast<int>(j);
-    VarMap& m = s.map[j];
-    if (p.lower_bound(v) > -kInf && p.upper_bound(v) < kInf) {
-      m.upper_row = static_cast<int>(s.rows.size());
-      std::vector<double> row(s.n_cols, 0.0);
-      row[m.col] = 1.0;
-      s.rows.push_back(std::move(row));
-      s.rels.push_back(Relation::LessEq);
-      s.rhs.push_back(p.upper_bound(v) - p.lower_bound(v));
-    }
-  }
-  return s;
-}
-
-// Dense simplex tableau over the standard form: a two-phase primal for the
-// cold solve, a dual simplex for warm re-solves after rhs changes. Flat
-// row-major storage: a_[r * stride + c], last column = rhs.
+// Dense simplex tableau of an LpProblem in standard form: a two-phase
+// primal for the cold solve, a dual simplex for warm re-solves after rhs
+// changes. Every variable has a finite lower bound, so column j is
+// x'_j = x_j - lo_j >= 0. The rows are the problem's constraints, then one
+// row x'_j <= hi_j - lo_j per finite upper bound. Flat row-major storage:
+// a_[r * stride + c], last column = rhs.
 class Tableau {
  public:
-  /// Takes the rows out of `s`, so they are freed once the tableau is built
-  /// instead of being held through the solve. The variable map and costs
-  /// stay for the caller.
-  explicit Tableau(Standard& s) : m_(s.rows.size()), n_struct_(s.n_cols) {
-    // Normalize rows so rhs >= 0 first.
-    std::vector<std::vector<double>> rows = std::move(s.rows);
-    std::vector<Relation> rels = std::move(s.rels);
-    std::vector<double> rhs = std::move(s.rhs);
+  /// Writes `p`'s sparse rows straight into the tableau. `upper_row[j]`
+  /// receives the row of x_j's upper bound, or -1 when it is infinite.
+  Tableau(const LpProblem& p, std::vector<int>& upper_row)
+      : n_struct_(p.num_variables()) {
+    const std::vector<LpConstraint>& constraints = p.constraints();
+    std::vector<Relation> rels;
+    std::vector<double> rhs;
+    for (const LpConstraint& c : constraints) {
+      double b = c.rhs;
+      for (const LpTerm& t : c.terms) b -= t.coef * p.lower_bound(t.var);
+      rels.push_back(c.relation);
+      rhs.push_back(b);
+    }
+    upper_row.assign(n_struct_, -1);
+    for (std::size_t j = 0; j < n_struct_; ++j) {
+      const int v = static_cast<int>(j);
+      if (p.upper_bound(v) == kInf) continue;
+      upper_row[j] = static_cast<int>(rels.size());
+      rels.push_back(Relation::LessEq);
+      rhs.push_back(p.upper_bound(v) - p.lower_bound(v));
+    }
+    m_ = rels.size();
+    // Rows with a negative rhs are negated whole, so that rhs >= 0.
+    std::vector<char> negated(m_, 0);
     for (std::size_t i = 0; i < m_; ++i) {
       if (rhs[i] < 0) {
-        for (double& v : rows[i]) v = -v;
+        negated[i] = 1;
         rhs[i] = -rhs[i];
         if (rels[i] == Relation::LessEq) rels[i] = Relation::GreaterEq;
         else if (rels[i] == Relation::GreaterEq) rels[i] = Relation::LessEq;
@@ -160,12 +94,23 @@ class Tableau {
     a_.assign(m_ * stride_, 0.0);
     basis_.assign(m_, -1);
     slack_.assign(m_, -1);
+    for (std::size_t i = 0; i < constraints.size(); ++i) {
+      for (const LpTerm& t : constraints[i].terms) {
+        a_[i * stride_ + static_cast<std::size_t>(t.var)] += t.coef;
+      }
+    }
+    for (std::size_t j = 0; j < n_struct_; ++j) {
+      if (upper_row[j] < 0) continue;
+      a_[static_cast<std::size_t>(upper_row[j]) * stride_ + j] = 1.0;
+    }
 
     std::size_t slack_col = n_struct_;
     std::size_t art_col = art_begin_;
     for (std::size_t i = 0; i < m_; ++i) {
       double* row = &a_[i * stride_];
-      for (std::size_t j = 0; j < n_struct_; ++j) row[j] = rows[i][j];
+      if (negated[i]) {
+        for (std::size_t j = 0; j < n_struct_; ++j) row[j] = -row[j];
+      }
       row[n_total_] = rhs[i];
       switch (rels[i]) {
         case Relation::LessEq:
@@ -185,7 +130,9 @@ class Tableau {
       }
     }
     cost_.assign(n_total_, 0.0);
-    for (std::size_t j = 0; j < n_struct_; ++j) cost_[j] = s.cost[j];
+    for (std::size_t j = 0; j < n_struct_; ++j) {
+      cost_[j] = p.cost(static_cast<int>(j));
+    }
     max_iters_ = static_cast<long>(60 * (m_ + n_total_) + 2000);
   }
 
@@ -414,7 +361,7 @@ class Tableau {
   }
 
   static constexpr double kTol = 1e-9;  ///< pivot / feasibility tolerance
-  std::size_t m_;
+  std::size_t m_ = 0;
   std::size_t n_struct_;
   std::size_t n_total_ = 0;  ///< columns; the rhs is column n_total_
   std::size_t art_begin_ = 0;  ///< first artificial column
@@ -430,21 +377,20 @@ class Tableau {
 };
 
 // The natural-variable answer of an optimal tableau.
-LpSolution extract(const LpProblem& p, const Standard& s, const Tableau& t) {
+LpSolution extract(const LpProblem& p, const Tableau& t) {
   LpSolution sol;
   sol.status = LpStatus::Optimal;
   const std::vector<double> xs = t.structural_values();
   const std::size_t n = p.num_variables();
   sol.x.assign(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
-    sol.objective += p.cost(static_cast<int>(j)) * s.map[j].offset;
+    const int v = static_cast<int>(j);
+    sol.objective += p.cost(v) * p.lower_bound(v);
   }
   for (std::size_t j = 0; j < n; ++j) {
-    const VarMap& m = s.map[j];
-    double v = m.offset + m.sign * xs[m.col];
-    if (m.col_neg >= 0) v -= xs[m.col_neg];
-    sol.x[j] = v;
-    sol.objective += p.cost(static_cast<int>(j)) * (v - m.offset);
+    const int v = static_cast<int>(j);
+    sol.x[j] = p.lower_bound(v) + xs[j];
+    sol.objective += p.cost(v) * (sol.x[j] - p.lower_bound(v));
   }
   return sol;
 }
@@ -508,29 +454,27 @@ void flush_counters(const Work& work, std::uint64_t bb_nodes,
   if (residual >= 0.0) residuals.record(residual);
 }
 
-// The tableau of the last Optimal cold or warm solve, with the standard
-// form (offsets, upper-bound rows) and the bounds it was solved for.
+// The tableau of the last Optimal cold or warm solve, the row of each
+// variable's upper bound (-1 when infinite) and the bounds it was solved for.
 struct WarmLp::Kept {
-  Standard s;
   Tableau t;
+  std::vector<int> upper_row;
   std::vector<double> lo, hi;
 
-  Kept(const LpProblem& p, Standard&& std_form, Tableau&& tableau)
-      : s(std::move(std_form)), t(std::move(tableau)) {
+  Kept(const LpProblem& p, Tableau&& tableau, std::vector<int>&& rows)
+      : t(std::move(tableau)), upper_row(std::move(rows)) {
     for (std::size_t j = 0; j < p.num_variables(); ++j) {
       lo.push_back(p.lower_bound(static_cast<int>(j)));
       hi.push_back(p.upper_bound(static_cast<int>(j)));
     }
   }
 
-  /// Whether `p`'s bounds keep the standard-form layout: each bound finite
+  /// Whether `p`'s bounds keep the tableau's rows: each upper bound finite
   /// exactly where the kept one is.
   [[nodiscard]] bool same_layout(const LpProblem& p) const {
-    APLACE_CHECK(p.num_variables() == lo.size());
-    for (std::size_t j = 0; j < lo.size(); ++j) {
-      const int v = static_cast<int>(j);
-      if ((p.lower_bound(v) > -kInf) != (lo[j] > -kInf) ||
-          (p.upper_bound(v) < kInf) != (hi[j] < kInf)) {
+    APLACE_CHECK(p.num_variables() == hi.size());
+    for (std::size_t j = 0; j < hi.size(); ++j) {
+      if ((p.upper_bound(static_cast<int>(j)) < kInf) != (hi[j] < kInf)) {
         return false;
       }
     }
@@ -543,19 +487,12 @@ struct WarmLp::Kept {
       const int v = static_cast<int>(j);
       const double new_lo = p.lower_bound(v);
       const double new_hi = p.upper_bound(v);
-      if (new_lo == lo[j] && new_hi == hi[j]) continue;
-      VarMap& m = s.map[j];
-      // Rows hold b - coef * offset, so the offset moves every row's rhs by
-      // -coef * delta: -sign * delta times x''s original column.
-      const double offset = new_lo > -kInf ? new_lo : new_hi;
-      if (offset != m.offset) {
-        t.shift_rhs(static_cast<std::size_t>(m.col),
-                    -m.sign * (offset - m.offset));
-        m.offset = offset;
-      }
+      // Rows hold b - coef * lo, so a new lower bound moves every row's rhs
+      // by -coef * delta: -delta times x''s original column.
+      if (new_lo != lo[j]) t.shift_rhs(j, -(new_lo - lo[j]));
       // Its own row x' <= hi - lo got -delta_lo above; add delta_hi.
-      if (m.upper_row >= 0 && new_hi != hi[j]) {
-        t.shift_rhs(t.slack_column(static_cast<std::size_t>(m.upper_row)),
+      if (upper_row[j] >= 0 && new_hi != hi[j]) {
+        t.shift_rhs(t.slack_column(static_cast<std::size_t>(upper_row[j])),
                     new_hi - hi[j]);
       }
       lo[j] = new_lo;
@@ -578,7 +515,7 @@ LpSolution WarmLp::solve(const LpProblem& p, Work& work) {
       ++work.warm_solves;
       // An infeasible node leaves the tableau dual feasible, so it stays.
       if (st == LpStatus::Infeasible) return LpSolution{st, {}, 0.0};
-      return extract(p, kept_->s, kept_->t);
+      return extract(p, kept_->t);
     }
   }
   return simplex(p, work.pivots, this);
@@ -586,39 +523,15 @@ LpSolution WarmLp::solve(const LpProblem& p, Work& work) {
 
 LpSolution simplex(const LpProblem& p, std::uint64_t& pivots, WarmLp* keep) {
   if (keep != nullptr) keep->kept_.reset();
-  LpSolution sol;
-  Standard s = to_standard_form(p);
-  if (s.rows.empty()) {
-    // Unconstrained: optimum is at a finite bound for every variable with
-    // nonzero cost; infinite otherwise -> report unbounded.
-    sol.x.assign(p.num_variables(), 0.0);
-    sol.objective = 0.0;
-    for (std::size_t j = 0; j < p.num_variables(); ++j) {
-      const double c = p.cost(static_cast<int>(j));
-      const double lo = p.lower_bound(static_cast<int>(j));
-      const double hi = p.upper_bound(static_cast<int>(j));
-      double v = 0.0;
-      if (c > 0) v = lo;
-      else if (c < 0) v = hi;
-      else v = (lo > -kInf) ? lo : (hi < kInf ? hi : 0.0);
-      if (v == -kInf || v == kInf) {
-        sol.status = LpStatus::Unbounded;
-        return sol;
-      }
-      sol.x[j] = v;
-      sol.objective += c * v;
-    }
-    sol.status = LpStatus::Optimal;
-    return sol;
-  }
-
-  Tableau t(s);
-  sol.status = t.solve();
+  std::vector<int> upper_row;
+  Tableau t(p, upper_row);
+  const LpStatus st = t.solve();
   pivots += t.pivots();
-  if (sol.status != LpStatus::Optimal) return sol;
-  sol = extract(p, s, t);
+  if (st != LpStatus::Optimal) return LpSolution{st, {}, 0.0};
+  LpSolution sol = extract(p, t);
   if (keep != nullptr) {
-    keep->kept_ = std::make_unique<WarmLp::Kept>(p, std::move(s), std::move(t));
+    keep->kept_ =
+        std::make_unique<WarmLp::Kept>(p, std::move(t), std::move(upper_row));
   }
   return sol;
 }

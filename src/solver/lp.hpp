@@ -1,11 +1,15 @@
 #pragma once
 // Linear programming front-end used by both detailed placers.
 //
-// The problem is stated in natural form: variables with (possibly infinite)
-// bounds and a linear cost, constraints as sparse rows with <=, >= or ==
-// relations. solve_lp() runs a dense two-phase primal simplex from scratch
-// (a cold solve); analog placement problems have at most a few hundred
-// variables and rows, so a dense tableau is both simple and fast enough.
+// The problem is stated in natural form: variables with a finite lower
+// bound, a possibly infinite upper bound and a linear cost, constraints as
+// sparse rows with <=, >= or == relations. Both legalizers only build such
+// variables (centres above half extents, extents above the widest device,
+// net-box bounds above 0, [0, 1] flip binaries), so the solver shifts each
+// one to x = lo + x' with x' >= 0 and needs no free or negated columns.
+// solve_lp() runs a dense two-phase primal simplex from scratch (a cold
+// solve); analog placement problems have at most a few hundred variables
+// and rows, so a dense tableau is both simple and fast enough.
 // Every answer is certified: max_primal_residual() re-checks it against
 // the problem as stated, and an answer off by more than kResidualTol is
 // reported Uncertified, never Optimal.
@@ -15,7 +19,7 @@
 // placer (paper Eq. 4d/4j) — and solves each independent block of a problem
 // on its own. Only a block's root LP is solved cold; each later node is a
 // warm dual simplex re-solve of the previous node's tableau under the new
-// bounds, unless a bound turned finite or infinite (see milp.hpp).
+// bounds, unless an upper bound turned finite or infinite (see milp.hpp).
 //
 // Counters (docs/OBSERVABILITY.md): solver/lp_solves, solver/warm_solves
 // and solver/pivots, flushed once per solve_lp() / solve_milp() call, and
@@ -69,14 +73,16 @@ struct LpSolution {
 class LpProblem {
  public:
   /// Add a variable with bounds [lo, hi] and objective coefficient `cost`
-  /// (minimization). Returns its index.
+  /// (minimization). `lo` must be finite; `hi` may be kInf. Returns its
+  /// index.
   int add_variable(double lo, double hi, double cost);
 
   void add_constraint(std::vector<LpTerm> terms, Relation rel, double rhs);
 
-  /// Convenience: a <= x_a - x_b  etc. expressed by callers directly.
+  /// New bounds [lo, hi] of `var`; `lo` must be finite.
   void set_bounds(int var, double lo, double hi) {
     APLACE_CHECK(var >= 0 && static_cast<std::size_t>(var) < lo_.size());
+    APLACE_CHECK_MSG(lo > -kInf, "variable needs a finite lower bound");
     APLACE_CHECK_MSG(lo <= hi, "variable bounds crossed");
     lo_[var] = lo;
     hi_[var] = hi;

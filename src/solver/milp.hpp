@@ -24,10 +24,10 @@
 // fallback's fixed problem, is re-solved from the tableau of the node
 // solved last: its bound changes move the rhs, and dual simplex pivots
 // restore optimality (detail::WarmLp in simplex.hpp). A node goes cold
-// only when one of its bounds turns finite or infinite relative to that
-// tableau (for example branching on an integer variable with an infinite
-// bound; never for [0, 1] binaries), or when the dual simplex hits the
-// iteration cap. The merged answer is certified against the whole problem
+// only when an upper bound turns finite or infinite relative to that
+// tableau (lower bounds are always finite; for example branching down on
+// an integer variable with an infinite upper bound, never for [0, 1]
+// binaries), or when the dual simplex hits the iteration cap. The merged answer is certified against the whole problem
 // (see lp.hpp).
 //
 // Counters: solver/lp_solves, solver/warm_solves (LPs answered from a kept

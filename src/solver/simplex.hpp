@@ -34,13 +34,13 @@ class WarmLp;
 /// The first solve runs simplex() cold and keeps its optimal tableau. A
 /// later solve starts from the kept tableau, whichever solve left it: the
 /// reduced costs depend only on the basis, so it is still dual feasible.
-/// Each changed bound moves the rhs column in O(rows): a new offset of x'
-/// (x = offset + sign * x') along the tableau column of x', a new upper
-/// bound along the slack column of its upper-bound row. Dual simplex
-/// pivots (most infeasible row; Bland's rule after a run of degenerate
-/// pivots) then restore primal feasibility, or prove the bounds
-/// infeasible. The solve goes cold instead when a bound turns finite or
-/// infinite (the standard-form layout changes), when the dual simplex hits
+/// Each changed bound moves the rhs column in O(rows): a new lower bound
+/// lo of x = lo + x' along the tableau column of x', a new upper bound
+/// along the slack column of its upper-bound row. Dual simplex pivots
+/// (most infeasible row; Bland's rule after a run of degenerate pivots)
+/// then restore primal feasibility, or prove the bounds infeasible. The
+/// solve goes cold instead when an upper bound turns finite or infinite
+/// (its row appears or disappears), when the dual simplex hits
 /// simplex()'s iteration cap, when an artificial left basic in a redundant
 /// row would move off zero, or when no tableau is kept (the last cold solve
 /// was not Optimal).

@@ -37,14 +37,20 @@ struct Adversary {
   bool expect_invalid = false;  ///< pre-flight validation must reject it
 };
 
+// `prefix` followed by `i`, built with append(): gcc 12 at -O3 reports a
+// false -Wrestrict inside libstdc++ for "p" + std::to_string(i).
+std::string numbered(const char* prefix, std::size_t i) {
+  return std::string(prefix).append(std::to_string(i));
+}
+
 // Adds a two-pin chain net between consecutive devices so finalize() passes
 // (every pin must be on a net) and the wirelength engines have work to do.
 void connect_chain(Circuit& c, const std::vector<DeviceId>& devs,
                    double weight = 1.0) {
   for (std::size_t i = 0; i + 1 < devs.size(); ++i) {
-    const PinId a = c.add_center_pin(devs[i], "p" + std::to_string(i));
-    const PinId b = c.add_center_pin(devs[i + 1], "q" + std::to_string(i));
-    c.add_net("n" + std::to_string(i), {a, b}, weight);
+    const PinId a = c.add_center_pin(devs[i], numbered("p", i));
+    const PinId b = c.add_center_pin(devs[i + 1], numbered("q", i));
+    c.add_net(numbered("n", i), {a, b}, weight);
   }
 }
 
@@ -53,7 +59,7 @@ std::vector<DeviceId> add_devices(Circuit& c, int count, double w = 2.0,
   std::vector<DeviceId> out;
   out.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
-    out.push_back(c.add_device("m" + std::to_string(i), DeviceType::Nmos, w, h));
+    out.push_back(c.add_device(numbered("m", i), DeviceType::Nmos, w, h));
   }
   return out;
 }
@@ -135,7 +141,7 @@ std::vector<Adversary> adversarial_circuits() {
     const std::vector<DeviceId> d = add_devices(c, 10);
     std::vector<PinId> pins;
     for (std::size_t i = 0; i < d.size(); ++i) {
-      pins.push_back(c.add_center_pin(d[i], "p" + std::to_string(i)));
+      pins.push_back(c.add_center_pin(d[i], numbered("p", i)));
     }
     c.add_net("bus", pins, 1e6);
     c.finalize();
@@ -252,7 +258,7 @@ std::vector<Adversary> adversarial_circuits() {
     Circuit c("alignment-chain");
     std::vector<DeviceId> d;
     for (int i = 0; i < 5; ++i) {
-      d.push_back(c.add_device("m" + std::to_string(i), DeviceType::Pmos, 2.0,
+      d.push_back(c.add_device(numbered("m", i), DeviceType::Pmos, 2.0,
                                0.5 + 1.5 * i));
     }
     connect_chain(c, d);
@@ -269,7 +275,7 @@ std::vector<Adversary> adversarial_circuits() {
     std::vector<DeviceId> d;
     d.push_back(c.add_device("core", DeviceType::Module, 40, 40));
     for (int i = 0; i < 8; ++i) {
-      d.push_back(c.add_device("m" + std::to_string(i), DeviceType::Nmos, 1, 1));
+      d.push_back(c.add_device(numbered("m", i), DeviceType::Nmos, 1, 1));
     }
     connect_chain(c, d);
     c.finalize();
@@ -281,7 +287,7 @@ std::vector<Adversary> adversarial_circuits() {
     Circuit c("sliver-symmetry");
     std::vector<DeviceId> d;
     for (int i = 0; i < 4; ++i) {
-      d.push_back(c.add_device("r" + std::to_string(i), DeviceType::Resistor,
+      d.push_back(c.add_device(numbered("r", i), DeviceType::Resistor,
                                20.0, 0.2));
     }
     connect_chain(c, d);
@@ -464,7 +470,7 @@ TEST(FaultInjectionTest, ExpiredBudgetsReportDeadlineHit) {
   c.finalize();
 
   EPlaceAOptions eo = quick_eplace();
-  eo.time_budget_seconds = 1e-6;
+  eo.deadline = Deadline::after_seconds(1e-6);
   const FlowResult ep = run_eplace_a(c, eo);
   EXPECT_TRUE(ep.deadline_hit);
   if (ep.ok()) {
@@ -472,7 +478,7 @@ TEST(FaultInjectionTest, ExpiredBudgetsReportDeadlineHit) {
   }
 
   PriorWorkOptions po;
-  po.time_budget_seconds = 1e-6;
+  po.deadline = Deadline::after_seconds(1e-6);
   const FlowResult pw = run_prior_work(c, po);
   EXPECT_TRUE(pw.deadline_hit);
   if (pw.ok()) {
@@ -480,7 +486,7 @@ TEST(FaultInjectionTest, ExpiredBudgetsReportDeadlineHit) {
   }
 
   SaFlowOptions so = quick_sa();
-  so.time_budget_seconds = 1e-6;
+  so.deadline = Deadline::after_seconds(1e-6);
   const FlowResult sa = run_sa(c, so);
   EXPECT_TRUE(sa.deadline_hit);
   if (sa.ok()) {

@@ -172,7 +172,7 @@ TEST(FlowRobustnessTest, TinyTimeBudgetDegradesWithoutThrowing) {
   circuits::TestCase tc = circuits::make_testcase("Adder");
   EPlaceAOptions opts;
   opts.candidates = 2;
-  opts.time_budget_seconds = 1e-6;
+  opts.deadline = Deadline::after_seconds(1e-6);
   std::optional<FlowResult> r;
   EXPECT_NO_THROW(r.emplace(run_eplace_a(tc.circuit, opts)));
   ASSERT_TRUE(r.has_value());

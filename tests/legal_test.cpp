@@ -105,8 +105,10 @@ TEST(RelativeOrderTest, TransitiveReductionDropsImpliedEdges) {
     netlist::Circuit cc("t3");
     std::vector<PinId> pins;
     for (int i = 0; i < 3; ++i) {
-      const DeviceId d = cc.add_device("D" + std::to_string(i),
-                                       netlist::DeviceType::Nmos, 2, 2);
+      // append(), not "D" + ...: gcc 12's -Wrestrict misfires on the latter.
+      const DeviceId d =
+          cc.add_device(std::string("D").append(std::to_string(i)),
+                        netlist::DeviceType::Nmos, 2, 2);
       pins.push_back(cc.add_center_pin(d, "p"));
     }
     cc.add_net("n", pins);

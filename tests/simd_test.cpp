@@ -422,7 +422,8 @@ TEST(SimdOverflowTest, WirelengthFiniteAtMillionUnitSpread) {
   std::vector<DeviceId> devs;
   std::vector<PinId> pins;
   for (int i = 0; i < 7; ++i) {
-    devs.push_back(c.add_device("D" + std::to_string(i),
+    // append(), not "D" + ...: gcc 12's -Wrestrict misfires on the latter.
+    devs.push_back(c.add_device(std::string("D").append(std::to_string(i)),
                                 netlist::DeviceType::Nmos, 2, 2));
     pins.push_back(c.add_pin(devs.back(), "p", {1, 1}));
   }

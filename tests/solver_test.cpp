@@ -1,5 +1,6 @@
-// LP/MILP solver: simplex on canonical cases (bounded, equality, free
-// variables, infeasible, unbounded, degenerate), branch-and-bound on small
+// LP/MILP solver: simplex on canonical cases (bounded, equality, negative
+// lower bounds, no rows, infeasible, unbounded, degenerate), the finite
+// lower bound every variable needs, branch-and-bound on small
 // integer programs, the split into independent blocks, warm re-solves
 // against cold solves (oracle::ColdBranchAndBound), the primal-residual
 // certificate and the solver/ counters.
@@ -63,19 +64,17 @@ TEST(LpTest, EqualityConstraint) {
   EXPECT_NEAR(s.x[y], 1, 1e-8);
 }
 
-TEST(LpTest, FreeVariable) {
-  // min |style| distance: min t s.t. t >= x - 5, t >= 5 - x, x free.
-  // x can sit at 5 making t = 0.
+TEST(LpTest, InfiniteLowerBoundIsRejected) {
+  // Every variable is x = lo + x' with a finite lo: free variables and
+  // variables bounded only from above are refused.
   LpProblem p;
-  const int x = p.add_variable(-kInf, kInf, 0.0);
-  const int t = p.add_variable(0, kInf, 1.0);
-  p.add_constraint({{x, 1}, {t, -1}}, Relation::LessEq, 5);
-  p.add_constraint({{x, -1}, {t, -1}}, Relation::LessEq, -5);
-  const LpSolution s = solve_lp(p);
-  ASSERT_TRUE(s.ok());
-  expect_certified(p, s);
-  EXPECT_NEAR(s.x[x], 5, 1e-7);
-  EXPECT_NEAR(s.objective, 0, 1e-8);
+  EXPECT_THROW((void)p.add_variable(-kInf, kInf, 0.0), CheckError);
+  EXPECT_THROW((void)p.add_variable(-kInf, 5, 0.0), CheckError);
+  EXPECT_EQ(p.num_variables(), 0u);
+  const int x = p.add_variable(0, kInf, 1.0);
+  EXPECT_THROW(p.set_bounds(x, -kInf, 3), CheckError);
+  EXPECT_EQ(p.lower_bound(x), 0.0);
+  EXPECT_EQ(p.upper_bound(x), kInf);
 }
 
 TEST(LpTest, NegativeLowerBounds) {
@@ -115,6 +114,34 @@ TEST(LpTest, Unbounded) {
   p.add_constraint({{x, 1}}, Relation::GreaterEq, 1);
   const LpSolution s = solve_lp(p);
   EXPECT_EQ(s.status, LpStatus::Unbounded);
+}
+
+TEST(LpTest, NoRowsIsOptimalAtTheLowerBoundsOrUnbounded) {
+  // No constraint and no finite upper bound leave the tableau without rows.
+  LpProblem p;
+  const int x = p.add_variable(2, kInf, 1.0);
+  const int y = p.add_variable(-4, kInf, 0.0);
+  const LpSolution s = solve_lp(p);
+  ASSERT_TRUE(s.ok());
+  expect_certified(p, s);
+  EXPECT_EQ(s.x[x], 2.0);
+  EXPECT_EQ(s.x[y], -4.0);
+  EXPECT_EQ(s.objective, 2.0);
+
+  // Such a tableau is kept like any other: a new lower bound is a warm
+  // re-solve.
+  detail::Work work;
+  detail::WarmLp lp;
+  ASSERT_TRUE(lp.solve(p, work).ok());
+  p.set_bounds(x, 5, kInf);
+  const LpSolution warm = lp.solve(p, work);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(work.warm_solves, 1u);
+  EXPECT_EQ(warm.x[x], 5.0);
+  EXPECT_EQ(warm.objective, 5.0);
+
+  p.add_variable(0, kInf, -1.0);
+  EXPECT_EQ(solve_lp(p).status, LpStatus::Unbounded);
 }
 
 TEST(LpTest, UnconstrainedProblem) {
@@ -577,7 +604,8 @@ TEST(WarmLpTest, BoundChainMatchesColdSolves) {
     // Five variables in <=, >= and == rows through a random point of the
     // starting box, so the chain starts feasible; `up`, whose cost pulls it
     // up and whose only row never binds it (unbounded once its upper bound
-    // turns infinite); and a free variable pinned by an equality.
+    // turns infinite); and a variable pinned by an equality, whose lower
+    // bound of -10 is its only bound.
     LpProblem p;
     std::vector<double> x0;
     for (int j = 0; j < 5; ++j) {
@@ -602,8 +630,8 @@ TEST(WarmLpTest, BoundChainMatchesColdSolves) {
     }
     const int up = p.add_variable(0, 2, -1.0);
     p.add_constraint({{up, 1}, {0, -1}}, Relation::GreaterEq, -10);
-    const int free_var = p.add_variable(-kInf, kInf, 0.0);
-    p.add_constraint({{free_var, 1}, {0, -1}, {1, 1}}, Relation::Equal, 0.5);
+    const int pinned = p.add_variable(-10, kInf, 0.0);
+    p.add_constraint({{pinned, 1}, {0, -1}, {1, 1}}, Relation::Equal, 0.5);
 
     detail::WarmLp lp;
     LpStatus last = LpStatus::Optimal;
@@ -650,10 +678,10 @@ TEST(WarmLpTest, BoundChainMatchesColdSolves) {
 }
 
 TEST(LpCertificateTest, MaxPrimalResidualIsTheWorstViolation) {
-  // x + y <= 3, x - y >= 1, y == 1, x in [0, 4], y free.
+  // x + y <= 3, x - y >= 1, y == 1, x in [0, 4], y >= -10.
   LpProblem p;
   const int x = p.add_variable(0, 4, 1.0);
-  const int y = p.add_variable(-kInf, kInf, 0.0);
+  const int y = p.add_variable(-10, kInf, 0.0);
   p.add_constraint({{x, 1}, {y, 1}}, Relation::LessEq, 3);
   p.add_constraint({{x, 1}, {y, -1}}, Relation::GreaterEq, 1);
   p.add_constraint({{y, 1}}, Relation::Equal, 1);

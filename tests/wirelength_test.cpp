@@ -131,7 +131,7 @@ TEST(WirelengthTest, LseOverestimatesShrinkingWithGamma) {
 // vs |err_LSE| ~ 2g e^{-d/g} — so we only assert convergence, not ranking.
 // (Recorded as a reproduction finding in EXPERIMENTS.md.)
 TEST(WirelengthTest, BothSmoothersConvergeWithGamma) {
-  for (const std::string& name : {"Adder", "VGA", "SCF"}) {
+  for (const char* name : {"Adder", "VGA", "SCF"}) {
     circuits::TestCase tc = circuits::make_testcase(name);
     const netlist::Circuit& c = tc.circuit;
     const std::vector<double> v = spread_positions(c);
