@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/json.hpp"
 #include "base/thread_pool.hpp"
 #include "circuits/testcases.hpp"
 #include "core/flow.hpp"
@@ -385,11 +386,7 @@ class JsonReport {
 
   static std::string escaped(const std::string& s) {
     std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
+    base::append_json_escaped(out, s);
     return out;
   }
 

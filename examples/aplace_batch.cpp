@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "base/fnv.hpp"
 #include "base/thread_pool.hpp"
 #include "circuits/testcases.hpp"
 #include "core/batch.hpp"
@@ -102,7 +103,7 @@ int write_report(const std::string& path, const core::BatchReport& report) {
   for (const core::BatchItem& item : report.items) {
     const core::FlowResult& r = item.result;
     const std::uint64_t digest =
-        core::fnv1a64(io::placement_to_text(r.placement));
+        base::fnv1a64(io::placement_to_text(r.placement));
     std::fprintf(f, "%s status=%s quarantined=%d attempts=%d legal=%d "
                     "area=%.17g hpwl=%.17g placement=%016llx\n",
                  item.label.c_str(), to_string(r.status.code()),

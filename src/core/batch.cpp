@@ -66,14 +66,17 @@ bool retryable(StatusCode code) {
   return code == StatusCode::Diverged || code == StatusCode::Internal;
 }
 
+constexpr double kBackoffGrowth = 2.0;  ///< wait multiplier per further attempt
+constexpr double kMaxBackoffSeconds = 30.0;
+
 /// Exponential backoff before attempt `next_attempt` (1-based beyond the
 /// first try), slept in small slices so cancellation and the batch deadline
 /// cut the wait short.
 void backoff_wait(const RetryPolicy& policy, int next_attempt,
                   const Deadline& deadline, const base::CancelToken& cancel) {
   double wait = policy.backoff_seconds;
-  for (int k = 1; k < next_attempt; ++k) wait *= policy.backoff_growth;
-  wait = std::min(wait, policy.max_backoff_seconds);
+  for (int k = 1; k < next_attempt; ++k) wait *= kBackoffGrowth;
+  wait = std::min(wait, kMaxBackoffSeconds);
   if (wait <= 0) return;
   const auto t0 = Clock::now();
   while (seconds_since(t0) < wait) {

@@ -74,11 +74,10 @@ struct BatchItem {
 /// policy with max_attempts 1 is bit-identical to no policy; attempt k > 0
 /// re-derives every seed via numeric::split_seed(seed, k), keeping retries
 /// deterministic. After max_attempts failures the job is quarantined.
+/// The wait doubles per further attempt, up to 30 s.
 struct RetryPolicy {
   int max_attempts = 1;          ///< total attempts per job; min 1
   double backoff_seconds = 0.0;  ///< wait before the second attempt
-  double backoff_growth = 2.0;   ///< wait multiplier per further attempt
-  double max_backoff_seconds = 30.0;
 };
 
 struct BatchOptions {

@@ -89,7 +89,7 @@ struct FlowResult {
   double sa_moves_per_second = 0;
   double sa_net_eval_ratio = 0;
   /// This flow's span tree (stage timings: GP, each legalizer attempt,
-  /// evaluation, SA chains, ...), extracted from the global SpanCollector
+  /// evaluation, the SA anneal, ...), extracted from the global SpanCollector
   /// at the flow boundary. Empty when observability is disabled. Render
   /// with obs::chrome_trace_json() for chrome://tracing.
   std::vector<obs::SpanEvent> spans{};

@@ -17,6 +17,8 @@
 #define APLACE_HAVE_FSYNC 1
 #endif
 
+#include "base/fnv.hpp"
+#include "base/json.hpp"
 #include "io/netlist_io.hpp"
 
 namespace aplace::core {
@@ -41,28 +43,7 @@ std::string hex64(std::uint64_t v) {
 // booleans — all a journal line ever needs, and small enough to keep the
 // tolerant re-loader trivially auditable.
 
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char ch : s) {
-    const auto uc = static_cast<unsigned char>(ch);
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (uc < 0x20) {
-          out += "\\u00";
-          out += "0123456789abcdef"[uc >> 4];
-          out += "0123456789abcdef"[uc & 0xf];
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-}
+using base::append_json_string;
 
 /// Builds one record line. Numbers go through to_chars so reloading them
 /// with from_chars reproduces the exact double.
@@ -302,15 +283,6 @@ bool write_atomic(const std::string& path, const std::string& text) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char ch : bytes) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 struct RunJournal::Impl {
   std::mutex mu;
   std::FILE* file = nullptr;
@@ -443,7 +415,7 @@ Result<netlist::Placement> RunJournal::load_snapshot(
   std::ostringstream os;
   os << in.rdbuf();
   const std::string text = os.str();
-  if (fnv1a64(text) != entry.digest) {
+  if (base::fnv1a64(text) != entry.digest) {
     return Status::invalid_input("snapshot '" + path +
                                  "' does not match its recorded digest");
   }
@@ -520,9 +492,9 @@ void RunJournal::record_terminal(const std::string& key,
   std::uint64_t digest = 0;
   if (placement_is_finite(result.placement)) {
     const std::string text = io::placement_to_text(result.placement);
-    snapshot_name = hex64(fnv1a64(key)) + ".aplc";
+    snapshot_name = hex64(base::fnv1a64(key)) + ".aplc";
     if (write_atomic(impl_->snapshot_dir + "/" + snapshot_name, text)) {
-      digest = fnv1a64(text);
+      digest = base::fnv1a64(text);
     } else {
       snapshot_name.clear();  // record the result without a snapshot
     }

@@ -41,9 +41,6 @@
 
 namespace aplace::core {
 
-/// FNV-1a 64-bit digest used for snapshot integrity checks.
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
-
 /// Everything a terminal record says about a finished job — enough to
 /// rebuild its batch item without re-running the flow.
 struct JournalEntry {

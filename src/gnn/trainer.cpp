@@ -21,7 +21,7 @@ TrainReport Trainer::train(const std::vector<Sample>& samples) {
   const std::size_t n_val = std::min(
       samples.size() - 1,
       static_cast<std::size_t>(std::llround(
-          opts_.validation_fraction * static_cast<double>(samples.size()))));
+          kValidationFraction * static_cast<double>(samples.size()))));
   std::vector<std::size_t> val(order.begin(), order.begin() + n_val);
   std::vector<std::size_t> train(order.begin() + n_val, order.end());
 
@@ -45,7 +45,7 @@ TrainReport Trainer::train(const std::vector<Sample>& samples) {
     }
     const double inv = 1.0 / static_cast<double>(train.size());
     for (std::size_t k = 0; k < grad.size(); ++k) {
-      grad[k] = grad[k] * inv + opts_.weight_decay * params[k];
+      grad[k] = grad[k] * inv + kWeightDecay * params[k];
     }
     adam.step(params, grad);
     model_->set_parameters(params);

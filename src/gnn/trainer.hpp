@@ -17,12 +17,15 @@ struct Sample {
   double label = 0;               ///< 1 = unsatisfactory
 };
 
+/// L2 weight decay added to the mean loss gradient each epoch.
+inline constexpr double kWeightDecay = 1e-5;
+/// Share of the samples held out for validation (at least one trains).
+inline constexpr double kValidationFraction = 0.2;
+
 struct TrainOptions {
   int epochs = 120;
   double lr = 5e-3;
-  double weight_decay = 1e-5;
   std::uint64_t seed = 7;
-  double validation_fraction = 0.2;
 };
 
 struct TrainReport {

@@ -15,6 +15,17 @@
 namespace aplace::gp {
 namespace {
 
+/// Stop once density overflow drops below this; the ILP detailed placer
+/// removes the residual.
+constexpr double kStopOverflow = 0.18;
+/// Symmetry/alignment/ordering weight growth per Nesterov iteration.
+constexpr double kTauGrowth = 1.04;
+/// Initial density weight, relative to the wirelength gradient.
+constexpr double kLambdaRel = 0.06;
+/// Density weight growth per iteration (phase 2); phase 1 raises it to a
+/// self-adaptive exponent.
+constexpr double kLambdaGrowth = 1.05;
+
 geom::Rect make_region(const netlist::CompiledCircuit& cc,
                        double utilization) {
   const double side = std::sqrt(cc.total_device_area() / utilization);
@@ -44,7 +55,7 @@ EPlaceGlobalPlacer::EPlaceGlobalPlacer(netlist::CompiledRef compiled,
                     : std::make_unique<wirelength::LseWirelength>(compiled_)),
       wl_(*wl_owner_),
       area_(compiled_),
-      dens_(compiled_, region_, opts_.bins, opts_.bins, opts_.target_density),
+      dens_(compiled_, region_, opts_.bins, opts_.bins, kTargetDensity),
       pen_(compiled_) {}
 
 void EPlaceGlobalPlacer::set_extra_term(std::shared_ptr<ObjectiveTerm> term) {
@@ -78,33 +89,33 @@ void EPlaceGlobalPlacer::build_objective() {
   // Density growth is self-adaptive (exponent computed per iteration in the
   // solver callback), so its rule carries no static growth factor.
   scheduler_->set_rule("density", {.init = Rule::Init::RelToRefGrad,
-                                   .rel = opts_.lambda_rel});
+                                   .rel = kLambdaRel});
   scheduler_->set_rule("symmetry", {.init = Rule::Init::RelToRefGrad,
-                                    .rel = opts_.tau_rel,
-                                    .growth = opts_.tau_growth});
+                                    .rel = kTauRel,
+                                    .growth = kTauGrowth});
   scheduler_->set_rule("common-centroid", {.init = Rule::Init::TiedTo,
-                                           .rel = opts_.tau_rel,
+                                           .rel = kTauRel,
                                            .tied_to = "symmetry",
-                                           .tied_rel = opts_.tau_rel,
-                                           .growth = opts_.tau_growth});
+                                           .tied_rel = kTauRel,
+                                           .growth = kTauGrowth});
   scheduler_->set_rule("area", {.init = Rule::Init::RelToRefGrad,
                                 .rel = opts_.eta_rel});
   // Alignment/ordering share the symmetry scale heuristic: their gradients
   // are position-scale residuals like Sym's.
   scheduler_->set_rule("alignment", {.init = Rule::Init::TiedTo,
-                                     .rel = opts_.align_rel,
+                                     .rel = kAlignRel,
                                      .tied_to = "symmetry",
-                                     .tied_rel = opts_.tau_rel,
-                                     .growth = opts_.tau_growth});
+                                     .tied_rel = kTauRel,
+                                     .growth = kTauGrowth});
   scheduler_->set_rule("ordering", {.init = Rule::Init::TiedTo,
-                                    .rel = opts_.order_rel,
+                                    .rel = kOrderRel,
                                     .tied_to = "symmetry",
-                                    .tied_rel = opts_.tau_rel,
-                                    .growth = opts_.tau_growth});
+                                    .tied_rel = kTauRel,
+                                    .growth = kTauGrowth});
   // Boundary hinge: strong enough to dominate the wirelength pull within a
   // fraction of a bin of escaping the region.
   scheduler_->set_rule("boundary", {.init = Rule::Init::RefOverScale,
-                                    .rel = opts_.boundary_rel,
+                                    .rel = kBoundaryRel,
                                     .scale_div = dens_.grid().bin_w()});
   if (extra_) {
     // Calibrate the extra (GNN) term against the wirelength gradient so its
@@ -230,7 +241,7 @@ GpResult EPlaceGlobalPlacer::run_single(std::uint64_t seed) {
   // one (HPWL + area, the same mix the DP optimizes).
   numeric::Vec best_v = v;
   double best_score = std::numeric_limits<double>::infinity();
-  const double overflow_gate = std::max(0.35, opts_.stop_overflow);
+  const double overflow_gate = std::max(0.35, kStopOverflow);
   result.iterations = solver.minimize(
       v, gradient,
       [&](const numeric::NesterovState& st, std::span<const double> vv) {
@@ -256,12 +267,12 @@ GpResult EPlaceGlobalPlacer::run_single(std::uint64_t seed) {
         last_hpwl = hpwl;
         const double exponent = std::clamp(1.0 - rel / 0.01, -3.0, 1.0);
         scheduler_->advance("density",
-                            std::pow(opts_.lambda_growth, exponent));
+                            std::pow(kLambdaGrowth, exponent));
         if (!opts_.hard_symmetry) scheduler_->advance();
         obj.sample(st.iter);
         // A minimum iteration count lets wirelength/area optimization act
         // even when the initial state is accidentally overlap-free.
-        return st.iter < opts_.min_iters || overflow >= opts_.stop_overflow;
+        return st.iter < opts_.min_iters || overflow >= kStopOverflow;
       },
       &ninfo);
   result.diverged |= ninfo.diverged;
@@ -302,9 +313,9 @@ GpResult EPlaceGlobalPlacer::run_single(std::uint64_t seed) {
           wl_.set_gamma(gamma);
           area_.set_gamma(gamma);
           // Monotone density ramp: legality first.
-          scheduler_->advance("density", opts_.lambda_growth);
+          scheduler_->advance("density", kLambdaGrowth);
           obj.sample(phase1_iters + st.iter);
-          return st.iter < 10 || overflow >= opts_.stop_overflow;
+          return st.iter < 10 || overflow >= kStopOverflow;
         },
         &sinfo);
     result.diverged |= sinfo.diverged;

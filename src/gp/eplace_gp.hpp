@@ -32,8 +32,6 @@ struct EPlaceGpOptions : GpCommonOptions {
   int max_iters = 600;
   int min_iters = 60;  ///< run at least this many iterations
 
-  double lambda_rel = 0.06;  ///< initial density weight (vs. WL gradient)
-  double lambda_growth = 1.05;
   double eta_rel = 0.55;  ///< area-term weight; 0 disables (Fig. 2)
 
   /// Table I variant: emulate hard symmetry by a rigid (50x, non-ramped)

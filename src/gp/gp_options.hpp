@@ -2,7 +2,9 @@
 // Options shared by both analytical global placers. EPlaceGpOptions and
 // NtuGpOptions extend this struct, so call sites keep flat field access
 // (opts.gp.seed, opts.gp.utilization, ...) while the common knobs are
-// declared — and documented — exactly once.
+// declared — and documented — exactly once. The weights both placers fix
+// are the constants below; each placer keeps its own stop overflow and
+// symmetry growth.
 
 #include <cstddef>
 #include <cstdint>
@@ -12,22 +14,20 @@
 
 namespace aplace::gp {
 
+/// Density bin capacity fraction.
+inline constexpr double kTargetDensity = 0.85;
+/// Initial symmetry weight, relative to the wirelength gradient.
+inline constexpr double kTauRel = 0.04;
+/// Alignment and ordering weights, tied to the symmetry (tau) scale.
+inline constexpr double kAlignRel = 0.08;
+inline constexpr double kOrderRel = 0.08;
+/// Boundary hinge weight, relative to the wirelength gradient per bin.
+inline constexpr double kBoundaryRel = 2.0;
+
 struct GpCommonOptions {
   std::size_t bins = 32;        ///< density bins per side
   double utilization = 0.55;    ///< region side = sqrt(total area / util)
-  double target_density = 0.85; ///< bin capacity fraction
-  /// Stop once density overflow drops below this (the detailed placer
-  /// removes the residual). ePlace-A hands off earlier (0.18 default); the
-  /// prior-work flow runs its outer loop down to 0.07.
-  double stop_overflow = 0.18;
-
-  double tau_rel = 0.04;      ///< initial symmetry weight (vs. WL gradient)
-  double tau_growth = 1.04;   ///< symmetry/alignment/ordering growth per
-                              ///< outer iteration (1.5 for prior work)
-  double align_rel = 0.08;    ///< alignment weight, tied to the tau scale
-  double order_rel = 0.08;    ///< ordering weight, tied to the tau scale
-  double boundary_rel = 2.0;  ///< boundary hinge vs. WL gradient per bin
-  double extra_rel = 2.0;     ///< extra-term (GNN) weight vs. WL gradient
+  double extra_rel = 2.0;       ///< extra-term (GNN) weight vs. WL gradient
 
   std::uint64_t seed = 3;  ///< initial-spread jitter
   /// Wall-clock budget shared with the rest of the flow.

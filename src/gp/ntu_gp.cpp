@@ -10,6 +10,18 @@
 #include "obs/span.hpp"
 
 namespace aplace::gp {
+namespace {
+
+/// The outer loop iterates all the way down to DP hand-off quality, and
+/// ramps much harder per round than ePlace-A does per iteration.
+constexpr double kStopOverflow = 0.07;
+/// Symmetry/alignment/ordering weight growth per outer round.
+constexpr double kTauGrowth = 1.5;
+constexpr int kInnerIters = 60;      ///< CG iterations per outer round
+constexpr double kBetaRel = 0.03;    ///< initial density weight vs. WL gradient
+constexpr double kBetaGrowth = 2.0;  ///< density ramp per outer round
+
+}  // namespace
 
 PriorAnalyticalGlobalPlacer::PriorAnalyticalGlobalPlacer(
     netlist::CompiledRef compiled, NtuGpOptions opts)
@@ -21,7 +33,7 @@ PriorAnalyticalGlobalPlacer::PriorAnalyticalGlobalPlacer(
         return geom::Rect{0, 0, side, side};
       }()),
       wl_(compiled_),
-      dens_(compiled_, region_, opts.bins, opts.bins, opts.target_density),
+      dens_(compiled_, region_, opts.bins, opts.bins, kTargetDensity),
       pen_(compiled_) {}
 
 void PriorAnalyticalGlobalPlacer::set_extra_term(
@@ -49,28 +61,28 @@ void PriorAnalyticalGlobalPlacer::build_objective() {
   using Rule = WeightScheduler::Rule;
   scheduler_->set_rule("wirelength", {.init = Rule::Init::Fixed, .rel = 1.0});
   scheduler_->set_rule("density", {.init = Rule::Init::RelToRefGrad,
-                                   .rel = opts_.beta_rel,
-                                   .growth = opts_.beta_growth});
+                                   .rel = kBetaRel,
+                                   .growth = kBetaGrowth});
   scheduler_->set_rule("symmetry", {.init = Rule::Init::RelToRefGrad,
-                                    .rel = opts_.tau_rel,
-                                    .growth = opts_.tau_growth});
+                                    .rel = kTauRel,
+                                    .growth = kTauGrowth});
   scheduler_->set_rule("common-centroid", {.init = Rule::Init::TiedTo,
-                                           .rel = opts_.tau_rel,
+                                           .rel = kTauRel,
                                            .tied_to = "symmetry",
-                                           .tied_rel = opts_.tau_rel,
-                                           .growth = opts_.tau_growth});
+                                           .tied_rel = kTauRel,
+                                           .growth = kTauGrowth});
   scheduler_->set_rule("alignment", {.init = Rule::Init::TiedTo,
-                                     .rel = opts_.align_rel,
+                                     .rel = kAlignRel,
                                      .tied_to = "symmetry",
-                                     .tied_rel = opts_.tau_rel,
-                                     .growth = opts_.tau_growth});
+                                     .tied_rel = kTauRel,
+                                     .growth = kTauGrowth});
   scheduler_->set_rule("ordering", {.init = Rule::Init::TiedTo,
-                                    .rel = opts_.order_rel,
+                                    .rel = kOrderRel,
                                     .tied_to = "symmetry",
-                                    .tied_rel = opts_.tau_rel,
-                                    .growth = opts_.tau_growth});
+                                    .tied_rel = kTauRel,
+                                    .growth = kTauGrowth});
   scheduler_->set_rule("boundary", {.init = Rule::Init::RefOverScale,
-                                    .rel = opts_.boundary_rel,
+                                    .rel = kBoundaryRel,
                                     .scale_div = dens_.grid().bin_w()});
   if (extra_) {
     scheduler_->set_rule(std::string(extra_->name()),
@@ -104,7 +116,7 @@ GpResult PriorAnalyticalGlobalPlacer::run() {
 
   GpResult result;
   numeric::CgOptions copts;
-  copts.max_iters = opts_.inner_iters;
+  copts.max_iters = kInnerIters;
   copts.initial_step = 0.2 * bin_w;
   copts.deadline = opts_.deadline;
   copts.cancel = opts_.cancel;
@@ -144,7 +156,7 @@ GpResult PriorAnalyticalGlobalPlacer::run() {
     // hand off what we have.
     if (cinfo.diverged || cinfo.deadline_hit || cinfo.cancelled) break;
     const double overflow = dens_.overflow();
-    if (outer >= 1 && overflow < opts_.stop_overflow) break;
+    if (outer >= 1 && overflow < kStopOverflow) break;
     scheduler_->advance();  // NTUplace3-style outer ramp
     gamma = bin_w * (0.5 + 8.0 * std::clamp(overflow, 0.0, 1.0));
     wl_.set_gamma(gamma);

@@ -27,17 +27,7 @@
 namespace aplace::gp {
 
 struct NtuGpOptions : GpCommonOptions {
-  NtuGpOptions() {
-    // The outer loop iterates all the way down to DP hand-off quality, and
-    // ramps much harder per round than ePlace-A does per iteration.
-    stop_overflow = 0.07;
-    tau_growth = 1.5;
-  }
-
   int outer_iters = 10;    ///< density-weight doublings
-  int inner_iters = 60;    ///< CG iterations per outer round
-  double beta_rel = 0.03;  ///< initial density weight vs. WL gradient
-  double beta_growth = 2.0;  ///< density ramp per outer round
 };
 
 class PriorAnalyticalGlobalPlacer {

@@ -8,6 +8,9 @@
 namespace aplace::io {
 namespace {
 
+constexpr double kScale = 40.0;  ///< pixels per micron
+constexpr double kMargin = 1.0;  ///< microns of whitespace around the layout
+
 const char* fill_for(netlist::DeviceType t) {
   switch (t) {
     case netlist::DeviceType::Nmos: return "#7eb5e8";
@@ -25,8 +28,8 @@ const char* fill_for(netlist::DeviceType t) {
 
 std::string to_svg(const netlist::Placement& placement, SvgOptions opt) {
   const netlist::Circuit& c = placement.circuit();
-  const geom::Rect bb = placement.bounding_box().inflated(opt.margin);
-  const double s = opt.scale;
+  const geom::Rect bb = placement.bounding_box().inflated(kMargin);
+  const double s = kScale;
   const double w = bb.width() * s;
   const double h = bb.height() * s;
 

@@ -10,8 +10,6 @@
 namespace aplace::io {
 
 struct SvgOptions {
-  double scale = 40.0;        ///< pixels per micron
-  double margin = 1.0;        ///< microns of whitespace around the layout
   bool draw_nets = true;      ///< light net star-connections
   bool draw_pins = true;
   bool draw_symmetry = true;  ///< dashed symmetry-axis lines

@@ -20,6 +20,9 @@
 
 namespace aplace::legal {
 
+/// Pitch of the placement grid, um per grid unit, for both legalizers.
+inline constexpr double kGridPitch = 0.5;
+
 /// LP variable indices of the device centers and layout extents (grid units).
 struct DeviceVars {
   std::vector<int> x, y;

@@ -11,7 +11,6 @@ namespace aplace::legal {
 IlpDetailedPlacer::IlpDetailedPlacer(netlist::CompiledRef compiled,
                                      IlpOptions opts)
     : compiled_(std::move(compiled)), opts_(opts) {
-  APLACE_CHECK(opts.grid_pitch > 0);
   APLACE_CHECK(opts.utilization > 0 && opts.utilization <= 1.0);
 }
 
@@ -19,7 +18,7 @@ IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
   const netlist::Circuit& c = compiled_->circuit();
   const std::size_t n = c.num_devices();
   APLACE_CHECK(gp_positions.size() == 2 * n);
-  const double gu = opts_.grid_pitch;  // um per grid unit
+  const double gu = kGridPitch;
 
   // Initial separation directions from the (projected) GP solution, for
   // every pair (paper Fig. 4a).
@@ -218,7 +217,7 @@ solver::LpProblem IlpDetailedPlacer::build_round(
     RoundVars& vars) const {
   const netlist::CompiledCircuit& cc = *compiled_;
   const std::size_t n = cc.num_devices();
-  const double gu = opts_.grid_pitch;
+  const double gu = kGridPitch;
   const std::span<const double> dev_w = cc.dev_width();
   const std::span<const double> dev_h = cc.dev_height();
 
@@ -294,7 +293,7 @@ void IlpDetailedPlacer::finish_placement(const solver::MilpSolution& sol,
                                          IlpResult& result) const {
   SolvedPlacement solved =
       placement_from_solution(compiled_->circuit(), sol.x, vars.dev,
-                              opts_.grid_pitch, vars.fx, vars.fy);
+                              kGridPitch, vars.fx, vars.fy);
   result.placement = std::move(solved.placement);
   result.snapped = solved.snapped;
 }

@@ -30,7 +30,6 @@
 namespace aplace::legal {
 
 struct IlpOptions {
-  double grid_pitch = 0.5;   ///< um per grid unit
   double mu = 1.0;           ///< area weight in objective (4a)
   double utilization = 0.55; ///< zeta, defines the W~/H~ constants
   bool enable_flipping = true;

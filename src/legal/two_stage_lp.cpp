@@ -7,9 +7,7 @@ namespace aplace::legal {
 
 TwoStageLpLegalizer::TwoStageLpLegalizer(netlist::CompiledRef compiled,
                                          TwoStageOptions opts)
-    : compiled_(std::move(compiled)), opts_(opts) {
-  APLACE_CHECK(opts.grid_pitch > 0);
-}
+    : compiled_(std::move(compiled)), opts_(opts) {}
 
 TwoStageResult TwoStageLpLegalizer::place(
     std::span<const double> gp_positions) const {
@@ -35,7 +33,7 @@ TwoStageResult TwoStageLpLegalizer::place(
 void TwoStageLpLegalizer::run_stages(const std::vector<PairOrder>& orders,
                                      TwoStageResult& result) const {
   const netlist::CompiledCircuit& cc = *compiled_;
-  const double gu = opts_.grid_pitch;
+  const double gu = kGridPitch;
   // Rows shared by both stages, in the order of [11]'s formulation.
   auto skeleton = [&](solver::LpProblem& lp, double extent_cost) {
     const DeviceVars v = add_device_vars(lp, cc, gu, extent_cost);

@@ -23,7 +23,6 @@
 namespace aplace::legal {
 
 struct TwoStageOptions {
-  double grid_pitch = 0.5;
   /// Wall-clock budget; checked once before the two LPs run.
   Deadline deadline;
   /// Cooperative cancellation, checked at the same point; a cancelled

@@ -10,9 +10,6 @@ namespace aplace::numeric {
 
 struct AdamOptions {
   double lr = 1e-3;
-  double beta1 = 0.9;
-  double beta2 = 0.999;
-  double eps = 1e-8;
 };
 
 class Adam {
@@ -24,20 +21,24 @@ class Adam {
   void step(std::vector<double>& params, const std::vector<double>& grad) {
     APLACE_CHECK(params.size() == m_.size() && grad.size() == m_.size());
     ++t_;
-    const double bc1 = 1.0 - std::pow(opts_.beta1, t_);
-    const double bc2 = 1.0 - std::pow(opts_.beta2, t_);
+    const double bc1 = 1.0 - std::pow(kBeta1, t_);
+    const double bc2 = 1.0 - std::pow(kBeta2, t_);
     for (std::size_t i = 0; i < params.size(); ++i) {
-      m_[i] = opts_.beta1 * m_[i] + (1.0 - opts_.beta1) * grad[i];
-      v_[i] = opts_.beta2 * v_[i] + (1.0 - opts_.beta2) * grad[i] * grad[i];
+      m_[i] = kBeta1 * m_[i] + (1.0 - kBeta1) * grad[i];
+      v_[i] = kBeta2 * v_[i] + (1.0 - kBeta2) * grad[i] * grad[i];
       const double mh = m_[i] / bc1;
       const double vh = v_[i] / bc2;
-      params[i] -= opts_.lr * mh / (std::sqrt(vh) + opts_.eps);
+      params[i] -= opts_.lr * mh / (std::sqrt(vh) + kEps);
     }
   }
 
   [[nodiscard]] int steps_taken() const { return t_; }
 
  private:
+  static constexpr double kBeta1 = 0.9;    ///< first-moment decay
+  static constexpr double kBeta2 = 0.999;  ///< second-moment decay
+  static constexpr double kEps = 1e-8;     ///< denominator guard
+
   AdamOptions opts_;
   int t_ = 0;
   std::vector<double> m_, v_;

@@ -4,6 +4,14 @@
 #include <cmath>
 
 namespace aplace::numeric {
+namespace {
+
+constexpr double kArmijoC = 1e-4;        ///< sufficient-decrease constant
+constexpr double kBacktrackFactor = 0.5; ///< step shrink per rejected trial
+constexpr int kMaxLineSearch = 20;       ///< trial steps per line search
+constexpr double kGradTol = 1e-7;        ///< stop once ||g|| falls below
+
+}  // namespace
 
 int CgSolver::minimize(Vec& v, const ValueGradFn& fg, const Callback& cb,
                        CgInfo* info) const {
@@ -15,8 +23,7 @@ int CgSolver::minimize(Vec& v, const ValueGradFn& fg, const Callback& cb,
 
   Vec g(n), g_prev(n), dir(n), trial(n), g_trial(n);
   double f = fg(v, g);
-  if (opts_.watchdog &&
-      (!std::isfinite(f) || !all_finite(v) || !all_finite(g))) {
+  if (!std::isfinite(f) || !all_finite(v) || !all_finite(g)) {
     // The start state itself is poisoned; nothing to roll back to.
     inf.diverged = true;
     return 0;
@@ -36,7 +43,7 @@ int CgSolver::minimize(Vec& v, const ValueGradFn& fg, const Callback& cb,
       break;
     }
     const double gnorm = norm2(g);
-    if (gnorm <= opts_.grad_tol) break;
+    if (gnorm <= kGradTol) break;
 
     // Ensure descent; restart on uphill directions.
     double dg = dot(dir, g);
@@ -51,20 +58,19 @@ int CgSolver::minimize(Vec& v, const ValueGradFn& fg, const Callback& cb,
     double t = step;
     double f_new = f;
     bool accepted = false;
-    for (int ls = 0; ls < opts_.max_line_search; ++ls) {
+    for (int ls = 0; ls < kMaxLineSearch; ++ls) {
       for (std::size_t i = 0; i < n; ++i) trial[i] = v[i] + t * dir[i];
       f_new = fg(trial, g_trial);
-      const bool healthy = !opts_.watchdog ||
-                           (std::isfinite(f_new) && all_finite(g_trial) &&
-                            all_finite(trial));
-      if (healthy && f_new <= f + opts_.armijo_c * t * dg) {
+      const bool healthy = std::isfinite(f_new) && all_finite(g_trial) &&
+                           all_finite(trial);
+      if (healthy && f_new <= f + kArmijoC * t * dg) {
         accepted = true;
         break;
       }
-      t *= opts_.backtrack_factor;
+      t *= kBacktrackFactor;
     }
     if (!accepted) {
-      if (opts_.watchdog && !(std::isfinite(f) && all_finite(g))) {
+      if (!(std::isfinite(f) && all_finite(g))) {
         // The *current* state is poisoned (the objective can inject NaNs
         // through mutated weights between calls). Roll back once, damped.
         if (inf.restarts < 1) {
@@ -85,7 +91,7 @@ int CgSolver::minimize(Vec& v, const ValueGradFn& fg, const Callback& cb,
       // Could not make progress along this direction; steepest-descent
       // restart with a tiny step, then give the callback a chance to stop.
       for (std::size_t i = 0; i < n; ++i) dir[i] = -g[i];
-      step = std::max(step * opts_.backtrack_factor, 1e-12);
+      step = std::max(step * kBacktrackFactor, 1e-12);
       CgState st{iter, f, gnorm};
       if (cb && !cb(st, v)) {
         ++iter;

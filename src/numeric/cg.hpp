@@ -3,6 +3,11 @@
 // backtracking Armijo line search). This is the solver used by the
 // NTUplace3-style prior-work global placer [11]/[10], which predates the
 // Nesterov scheme of ePlace.
+//
+// The watchdog is always on: non-finite objective/gradient values are
+// treated as rejected trial points; when the current state itself is
+// poisoned the solver rolls back to the last healthy iterate and restarts
+// once, damped.
 
 #include <functional>
 #include <span>
@@ -16,18 +21,10 @@ namespace aplace::numeric {
 struct CgOptions {
   int max_iters = 500;
   double initial_step = 0.05;
-  double armijo_c = 1e-4;
-  double backtrack_factor = 0.5;
-  int max_line_search = 20;
-  double grad_tol = 1e-7;
   /// Wall-clock budget polled once per iteration; unlimited by default.
   Deadline deadline;
   /// Cooperative cancellation, polled at the same per-iteration site.
   base::CancelToken cancel;
-  /// Watchdog: non-finite objective/gradient values are treated as rejected
-  /// trial points; when the current state itself is poisoned the solver
-  /// rolls back to the last healthy iterate and restarts once, damped.
-  bool watchdog = true;
 };
 
 struct CgState {

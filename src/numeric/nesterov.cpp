@@ -6,12 +6,19 @@
 namespace aplace::numeric {
 namespace {
 
+constexpr int kBacktrackLimit = 10;  ///< max halvings per iteration
+constexpr double kMinStep = 1e-12;
+constexpr double kMaxStep = 1e6;
+/// Watchdog: a gradient norm above this times max(initial norm, 1) counts
+/// as divergence.
+constexpr double kExplosionFactor = 1e8;
+
 double lipschitz_step(const Vec& u_new, const Vec& u_old, const Vec& g_new,
-                      const Vec& g_old, const NesterovOptions& opts) {
+                      const Vec& g_old) {
   const double du = norm2(sub(u_new, u_old));
   const double dg = norm2(sub(g_new, g_old));
-  if (dg <= 1e-30 || du <= 1e-30) return opts.max_step;
-  return std::clamp(du / dg, opts.min_step, opts.max_step);
+  if (dg <= 1e-30 || du <= 1e-30) return kMaxStep;
+  return std::clamp(du / dg, kMinStep, kMaxStep);
 }
 
 }  // namespace
@@ -31,7 +38,7 @@ int NesterovSolver::minimize(Vec& v, const GradientFn& grad, const Callback& cb,
   Vec u_prev = u_cur;
 
   grad(u_cur, g_cur);
-  if (opts_.watchdog && (!all_finite(v_cur) || !all_finite(g_cur))) {
+  if (!all_finite(v_cur) || !all_finite(g_cur)) {
     // Nothing to roll back to: the start state itself is poisoned.
     inf.diverged = true;
     return 0;
@@ -39,9 +46,9 @@ int NesterovSolver::minimize(Vec& v, const GradientFn& grad, const Callback& cb,
   double a_cur = 1.0;
   double alpha = opts_.initial_step;
   const double g0 = norm2(g_cur);
-  if (g0 > 1e-30) alpha = std::clamp(alpha, opts_.min_step, opts_.max_step);
+  if (g0 > 1e-30) alpha = std::clamp(alpha, kMinStep, kMaxStep);
   // Gradient-explosion threshold, relative to the starting magnitude.
-  const double explode = opts_.explosion_factor * std::max(g0, 1.0);
+  const double explode = kExplosionFactor * std::max(g0, 1.0);
 
   Vec v_good = v_cur;  ///< last healthy major iterate (watchdog rollback)
   int iter = 0;
@@ -67,11 +74,10 @@ int NesterovSolver::minimize(Vec& v, const GradientFn& grad, const Callback& cb,
         u_next[i] = v_next[i] + lookahead * (v_next[i] - v_cur[i]);
       }
       grad(u_next, g_next);
-      if (opts_.watchdog &&
-          (!all_finite(v_next) || !all_finite(g_next))) {
+      if (!all_finite(v_next) || !all_finite(g_next)) {
         // Keep NaN/Inf out of the Lipschitz estimate: shrink and retry,
         // escalate to the watchdog when the step cannot shrink further.
-        if (bt >= opts_.backtrack_limit || trial <= opts_.min_step) {
+        if (bt >= kBacktrackLimit || trial <= kMinStep) {
           unhealthy = true;
           break;
         }
@@ -79,15 +85,15 @@ int NesterovSolver::minimize(Vec& v, const GradientFn& grad, const Callback& cb,
         continue;
       }
       const double predicted =
-          lipschitz_step(u_next, u_cur, g_next, g_cur, opts_);
-      if (predicted >= 0.95 * trial || bt >= opts_.backtrack_limit ||
-          trial <= opts_.min_step) {
+          lipschitz_step(u_next, u_cur, g_next, g_cur);
+      if (predicted >= 0.95 * trial || bt >= kBacktrackLimit ||
+          trial <= kMinStep) {
         trial = std::min(trial, predicted);
         break;
       }
       trial = std::max(predicted, trial * 0.5);
     }
-    if (opts_.watchdog && !unhealthy && norm2(g_next) > explode) {
+    if (!unhealthy && norm2(g_next) > explode) {
       unhealthy = true;
     }
 
@@ -105,7 +111,7 @@ int NesterovSolver::minimize(Vec& v, const GradientFn& grad, const Callback& cb,
           break;
         }
         a_cur = 1.0;
-        alpha = std::max(opts_.min_step, 0.01 * alpha);
+        alpha = std::max(kMinStep, 0.01 * alpha);
         continue;
       }
       inf.diverged = true;
@@ -118,8 +124,8 @@ int NesterovSolver::minimize(Vec& v, const GradientFn& grad, const Callback& cb,
     u_cur = u_next;
     g_cur = g_next;
     a_cur = a_next;
-    alpha = std::clamp(lipschitz_step(u_cur, u_prev, g_cur, g_prev, opts_),
-                       opts_.min_step, opts_.max_step);
+    alpha = std::clamp(lipschitz_step(u_cur, u_prev, g_cur, g_prev),
+                       kMinStep, kMaxStep);
     v_good = v_cur;
 
     NesterovState st;

@@ -12,6 +12,11 @@
 // early (e.g. when the density overflow target is reached) or mutate penalty
 // weights between iterations (the gradient closure sees the new weights on
 // the next evaluation).
+//
+// The watchdog is always on: a NaN/Inf iterate/gradient, or a gradient norm
+// above 1e8 * max(initial norm, 1), counts as divergence. The solver rolls
+// back to the last healthy iterate and retries once with a damped step
+// before giving up.
 
 #include <functional>
 #include <span>
@@ -25,19 +30,10 @@ namespace aplace::numeric {
 struct NesterovOptions {
   int max_iters = 1000;
   double initial_step = 0.01;   ///< fallback when no curvature info yet
-  int backtrack_limit = 10;     ///< max halvings per iteration
-  double min_step = 1e-12;
-  double max_step = 1e6;
   /// Wall-clock budget polled once per iteration; unlimited by default.
   Deadline deadline;
   /// Cooperative cancellation, polled at the same per-iteration site.
   base::CancelToken cancel;
-  /// Watchdog: treat a NaN/Inf iterate/gradient, or a gradient norm above
-  /// explosion_factor * max(initial norm, 1), as divergence. The solver
-  /// rolls back to the last healthy iterate and retries once with a damped
-  /// step before giving up.
-  bool watchdog = true;
-  double explosion_factor = 1e8;
 };
 
 struct NesterovState {

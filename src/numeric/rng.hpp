@@ -2,8 +2,8 @@
 // Deterministic RNG wrapper. All stochastic components (SA, GNN init,
 // dataset generation) take an explicit Rng so experiments are reproducible.
 //
-// Stream splitting: parallel multi-start (GP candidates, SA chains, batch
-// jobs) must give every task an *independent* stream derived from one
+// Stream splitting: parallel multi-start (GP candidates, GP starts, batch
+// retries) must give every task an *independent* stream derived from one
 // master seed. Deriving streams additively (seed + k * stride) aliases:
 // candidate k of one run collides with candidate k' of a run whose master
 // seed differs by a multiple of the stride, and nested derivations (start j

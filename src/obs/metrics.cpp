@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "base/check.hpp"
+#include "base/json.hpp"
 
 namespace aplace::obs {
 
@@ -37,15 +38,6 @@ void append_u64(std::string& out, std::uint64_t v) {
   std::array<char, 24> buf{};
   const auto res = std::to_chars(buf.data(), buf.data() + buf.size(), v);
   out.append(buf.data(), res.ptr);
-}
-
-void append_quoted(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out.push_back('"');
 }
 
 void append_indent(std::string& out, int indent, int depth) {
@@ -365,7 +357,7 @@ const MetricsSnapshot::HistogramRow* MetricsSnapshot::find_histogram(
 std::string MetricsSnapshot::to_json(int indent) const {
   using detail::append_double;
   using detail::append_indent;
-  using detail::append_quoted;
+  using base::append_json_string;
   using detail::append_u64;
 
   std::string out;
@@ -375,7 +367,7 @@ std::string MetricsSnapshot::to_json(int indent) const {
   for (std::size_t i = 0; i < counters.size(); ++i) {
     if (i != 0) out.push_back(',');
     append_indent(out, indent, 2);
-    append_quoted(out, counters[i].name);
+    append_json_string(out, counters[i].name);
     out += ": ";
     append_u64(out, counters[i].value);
   }
@@ -386,7 +378,7 @@ std::string MetricsSnapshot::to_json(int indent) const {
   for (std::size_t i = 0; i < gauges.size(); ++i) {
     if (i != 0) out.push_back(',');
     append_indent(out, indent, 2);
-    append_quoted(out, gauges[i].name);
+    append_json_string(out, gauges[i].name);
     out += ": ";
     append_double(out, gauges[i].value);
   }
@@ -398,7 +390,7 @@ std::string MetricsSnapshot::to_json(int indent) const {
     const auto& h = histograms[i];
     if (i != 0) out.push_back(',');
     append_indent(out, indent, 2);
-    append_quoted(out, h.name);
+    append_json_string(out, h.name);
     out += ": {\"count\": ";
     append_u64(out, h.count);
     out += ", \"sum\": ";

@@ -7,6 +7,8 @@
 #include <chrono>
 #include <mutex>
 
+#include "base/json.hpp"
+
 namespace aplace::obs {
 
 namespace {
@@ -26,15 +28,6 @@ void append_u64(std::string& out, std::uint64_t v) {
   std::array<char, 24> buf{};
   const auto res = std::to_chars(buf.data(), buf.data() + buf.size(), v);
   out.append(buf.data(), res.ptr);
-}
-
-void append_quoted(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out.push_back('"');
 }
 
 }  // namespace
@@ -179,7 +172,7 @@ std::string chrome_trace_json(const std::vector<SpanEvent>& events) {
     const SpanEvent& ev = events[i];
     if (i != 0) out.push_back(',');
     out += "\n  {\"name\": ";
-    append_quoted(out, ev.name);
+    base::append_json_string(out, ev.name);
     out += ", \"ph\": \"X\", \"ts\": ";
     append_u64(out, static_cast<std::uint64_t>(ev.start_seconds * 1e6));
     out += ", \"dur\": ";

@@ -11,6 +11,8 @@
 namespace aplace::route {
 namespace {
 
+constexpr double kMargin = 2.0;  ///< routing halo around the layout bbox (um)
+
 struct RoutingGrid {
   geom::Rect region;
   double pitch;
@@ -142,7 +144,7 @@ RoutingResult GridRouter::route(const netlist::CompiledCircuit& compiled,
   RoutingResult result;
   result.nets.resize(compiled.num_nets());
 
-  const geom::Rect bbox = placement.bounding_box().inflated(opts_.margin);
+  const geom::Rect bbox = placement.bounding_box().inflated(kMargin);
   double pitch = opts_.pitch;
   if (pitch <= 0) {
     pitch = std::max(bbox.width(), bbox.height()) / 64.0;
@@ -217,11 +219,6 @@ RoutingResult GridRouter::route(const netlist::CompiledCircuit& compiled,
   for (double u : grid.h_use) result.max_edge_usage = std::max(result.max_edge_usage, u);
   for (double u : grid.v_use) result.max_edge_usage = std::max(result.max_edge_usage, u);
   return result;
-}
-
-RoutingResult GridRouter::route(const netlist::Placement& placement) const {
-  const netlist::CompiledCircuit compiled(placement.circuit());
-  return route(compiled, placement);
 }
 
 }  // namespace aplace::route

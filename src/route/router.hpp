@@ -17,7 +17,6 @@ namespace aplace::route {
 struct RouterOptions {
   double pitch = 0.0;        ///< grid pitch in um; 0 = auto (~bbox/64)
   double congestion_penalty = 0.6;  ///< extra cost per prior use of an edge
-  double margin = 2.0;       ///< routing halo around the layout bbox (um)
 };
 
 struct NetRoute {
@@ -44,10 +43,6 @@ class GridRouter {
   /// circuit the placement was built on.
   [[nodiscard]] RoutingResult route(const netlist::CompiledCircuit& compiled,
                                     const netlist::Placement& placement) const;
-
-  /// Convenience: compile a private snapshot, then route. Prefer the
-  /// overload above when routing many placements of the same circuit.
-  [[nodiscard]] RoutingResult route(const netlist::Placement& placement) const;
 
  private:
   RouterOptions opts_;

@@ -4,10 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <utility>
 
-#include "base/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
@@ -97,10 +95,10 @@ std::vector<std::vector<Island::Member>> SaPlacer::block_members() const {
 }
 
 void SaPlacer::reset_anneal_state() {
-  // Rebuild the mutable representation from the circuit so every chain (and
-  // every place() call on this instance) starts from the pristine state —
-  // previously a second run inherited the island permutations and flips the
-  // first one ended in.
+  // Rebuild the mutable representation from the circuit so every place()
+  // call on this instance starts from the pristine state — previously a
+  // second run inherited the island permutations and flips the first one
+  // ended in.
   const netlist::Circuit& circuit = compiled_->circuit();
   device_orient_.assign(circuit.num_devices(), {});
   islands_.clear();
@@ -176,69 +174,7 @@ netlist::Placement SaPlacer::sample_random(numeric::Rng& rng) {
 }
 
 SaResult SaPlacer::place() {
-  const int chains = std::max(opts_.num_chains, 1);
-  if (chains == 1) return run_chain(numeric::split_seed(opts_.seed, 0));
-
-  // Multi-chain: each chain anneals on its own placer instance (a chain
-  // mutates island and orientation state) over the shared snapshot, with an
-  // RNG stream split from the master seed, then the best final cost wins
-  // with ties broken by the lowest chain index — an ordered reduction, so
-  // the outcome is identical for every thread count.
-  std::vector<std::optional<SaResult>> results(
-      static_cast<std::size_t>(chains));
-  auto run_one = [&](int c) {
-    SaOptions chain_opts = opts_;
-    chain_opts.num_chains = 1;
-    SaPlacer chain(compiled_, std::move(chain_opts));
-    results[static_cast<std::size_t>(c)] =
-        chain.run_chain(numeric::split_seed(opts_.seed, static_cast<std::uint64_t>(c)));
-  };
-  if (opts_.extra_cost) {
-    // A caller-supplied cost callback (perf-driven SA passes one) is not
-    // known to be thread-safe; keep the chains sequential but still split.
-    for (int c = 0; c < chains; ++c) run_one(c);
-  } else {
-    base::ThreadPool& pool = base::ThreadPool::global();
-    base::ThreadPool::TaskGroup group(pool);
-    for (int c = 1; c < chains; ++c) {
-      group.run([&run_one, c] { run_one(c); });
-    }
-    run_one(0);
-    group.wait();
-  }
-
-  std::optional<SaResult> best;
-  long moves_evaluated = 0, moves_accepted = 0;
-  long extra_cost_calls = 0, extra_cost_skips = 0;
-  double anneal_seconds = 0;
-  IncrementalCost::Stats stats;
-  bool deadline_hit = false;
-  bool cancelled = false;
-  for (std::optional<SaResult>& r : results) {
-    APLACE_CHECK(r.has_value());
-    moves_evaluated += r->moves_evaluated;
-    moves_accepted += r->moves_accepted;
-    extra_cost_calls += r->extra_cost_calls;
-    extra_cost_skips += r->extra_cost_skips;
-    anneal_seconds += r->anneal_seconds;
-    stats.merge(r->eval_stats);
-    deadline_hit |= r->deadline_hit;
-    cancelled |= r->cancelled;
-    if (!best || r->cost < best->cost) best = std::move(r);
-  }
-  best->moves_evaluated = moves_evaluated;
-  best->moves_accepted = moves_accepted;
-  best->extra_cost_calls = extra_cost_calls;
-  best->extra_cost_skips = extra_cost_skips;
-  best->deadline_hit = deadline_hit;
-  best->cancelled = cancelled;
-  best->anneal_seconds = anneal_seconds;
-  best->moves_per_second =
-      anneal_seconds > 0
-          ? static_cast<double>(moves_evaluated) / anneal_seconds
-          : 0.0;
-  best->eval_stats = stats;
-  return std::move(*best);
+  return run_chain(numeric::split_seed(opts_.seed, 0));
 }
 
 SaPlacer::Move SaPlacer::propose_move(numeric::Rng& rng) {
@@ -361,7 +297,7 @@ SaResult SaPlacer::run_chain(std::uint64_t chain_seed) {
   area0_ = std::max(pack_.width * pack_.height, 1e-9);
   penalty0_ = std::max(std::sqrt(area0_), 1e-9);
 
-  engine_.set_weights({opts_.area_weight, opts_.constraint_weight, hpwl0_,
+  engine_.set_weights({opts_.area_weight, kConstraintWeight, hpwl0_,
                        area0_, penalty0_});
   engine_.reset(block_members(), pack_.x.data(), pack_.y.data(), pack_.width,
                 pack_.height);
@@ -407,7 +343,7 @@ SaResult SaPlacer::run_chain(std::uint64_t chain_seed) {
   }
 
   double temp = t0;
-  const double t_stop = t0 * opts_.stop_temperature_ratio;
+  const double t_stop = t0 * kStopTemperatureRatio;
   const long moves_per_temp =
       static_cast<long>(opts_.moves_per_temp_per_block) *
       static_cast<long>(std::max<std::size_t>(nb, 1));
@@ -526,7 +462,7 @@ double SaPlacer::verify_incremental(std::uint64_t seed, int steps) {
   hpwl0_ = std::max(pl.total_hpwl(), 1e-9);
   area0_ = std::max(pack_.width * pack_.height, 1e-9);
   penalty0_ = std::max(std::sqrt(area0_), 1e-9);
-  engine_.set_weights({opts_.area_weight, opts_.constraint_weight, hpwl0_,
+  engine_.set_weights({opts_.area_weight, kConstraintWeight, hpwl0_,
                        area0_, penalty0_});
   engine_.reset(block_members(), pack_.x.data(), pack_.y.data(), pack_.width,
                 pack_.height);

@@ -30,28 +30,24 @@
 
 namespace aplace::sa {
 
+/// The anneal stops once T < kStopTemperatureRatio * T0.
+inline constexpr double kStopTemperatureRatio = 1e-4;
+/// Alignment / ordering penalty weight in the cost.
+inline constexpr double kConstraintWeight = 8.0;
+
 struct SaOptions {
   double cooling = 0.96;          ///< geometric temperature decay
-  double stop_temperature_ratio = 1e-4;  ///< stop when T < ratio * T0
   int moves_per_temp_per_block = 60;
   long max_moves = 0;             ///< 0 = schedule-driven only
   /// Wall-clock budget polled every few moves; the best state found so far
   /// is returned when it expires (the initial packing when it already was).
   Deadline deadline;
   /// Cooperative cancellation, polled at the same every-64-moves site; a
-  /// cancelled chain returns its best state so far with `cancelled` set.
+  /// cancelled run returns its best state so far with `cancelled` set.
   base::CancelToken cancel;
   std::uint64_t seed = 1;
-  /// Independent annealing chains, each on its own RNG stream split from
-  /// `seed` (chain c is independent of the chain count). Chains run
-  /// concurrently on the global thread pool — except when `extra_cost` is
-  /// set, which may not be thread-safe, so chains then run sequentially —
-  /// and the best chain by final cost wins (ties: lowest chain index), so
-  /// the result is identical for every thread count.
-  int num_chains = 1;
 
   double area_weight = 0.38;      ///< vs. (1 - area_weight) wirelength
-  double constraint_weight = 8.0; ///< alignment / ordering penalty weight
 
   /// Optional extra cost term evaluated on candidate placements (already
   /// weighted by the caller). Used for performance-driven SA. Its values
@@ -71,8 +67,7 @@ struct SaResult {
   long moves_accepted = 0;
   bool deadline_hit = false;  ///< annealing truncated by the wall-clock budget
   bool cancelled = false;     ///< annealing truncated by cancellation
-  double anneal_seconds = 0.0;    ///< wall time inside run_chain (summed
-                                  ///< over chains for multi-chain runs)
+  double anneal_seconds = 0.0;    ///< wall time inside the anneal
   double moves_per_second = 0.0;  ///< moves_evaluated / anneal_seconds
   /// Moves on which `extra_cost` was evaluated, and moves rejected without
   /// evaluating it (see SaOptions::extra_cost). With `extra_cost` set they
@@ -87,8 +82,8 @@ class SaPlacer {
  public:
   SaPlacer(netlist::CompiledRef compiled, SaOptions options);
 
-  /// Run `num_chains` independent annealing chains from shuffled initial
-  /// states; returns the best result found (see SaOptions::num_chains).
+  /// Anneal from a shuffled initial state on the RNG stream
+  /// numeric::split_seed(seed, 0); returns the best state found.
   [[nodiscard]] SaResult place();
 
   /// One random legal state (shuffled sequence pair, random flips and island
@@ -157,7 +152,7 @@ class SaPlacer {
   std::vector<double> block_w_, block_h_;
   std::vector<geom::Orientation> device_orient_;
 
-  // Annealing state (re-initialized per chain).
+  // Annealing state (re-initialized per run).
   SequencePair sp_{0};
   SequencePair::Packing pack_;        ///< committed block positions
   SequencePair::Packing pack_trial_;  ///< scratch for proposed packings

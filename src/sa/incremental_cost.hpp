@@ -88,13 +88,6 @@ class IncrementalCost {
                                   static_cast<double>(nets_total)
                             : 0.0;
     }
-    void merge(const Stats& o) {
-      evals += o.evals;
-      nets_evaluated += o.nets_evaluated;
-      nets_total += o.nets_total;
-      constraints_evaluated += o.constraints_evaluated;
-      devices_staged += o.devices_staged;
-    }
   };
 
   explicit IncrementalCost(netlist::CompiledRef compiled);

@@ -42,7 +42,7 @@ class SequencePair {
   /// Pack blocks of the given sizes into `out`, reusing its buffers
   /// (allocation-free after the first call). O(n log n) LCS formulation.
   /// Not thread-safe across concurrent calls on the same SequencePair
-  /// (shared Fenwick scratch); each SA chain owns its own instance.
+  /// (shared Fenwick scratch); each SaPlacer owns its own instance.
   void pack_into(const std::vector<double>& widths,
                  const std::vector<double>& heights, Packing& out) const;
 

@@ -402,7 +402,7 @@ TEST(TrainerTest, MatchesDenseOracleTrainingBitwise) {
   const std::size_t n_val = std::min(
       samples.size() - 1,
       static_cast<std::size_t>(std::llround(
-          topts.validation_fraction * static_cast<double>(samples.size()))));
+          kValidationFraction * static_cast<double>(samples.size()))));
   const std::vector<std::size_t> train(order.begin() + n_val, order.end());
 
   oracle::DenseGnn dense(cc, 10.0, params);
@@ -422,7 +422,7 @@ TEST(TrainerTest, MatchesDenseOracleTrainingBitwise) {
     }
     const double inv = 1.0 / static_cast<double>(train.size());
     for (std::size_t k = 0; k < grad.size(); ++k) {
-      grad[k] = grad[k] * inv + topts.weight_decay * params[k];
+      grad[k] = grad[k] * inv + kWeightDecay * params[k];
     }
     adam.step(params, grad);
     dense.set_parameters(params);

@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "base/fnv.hpp"
 #include "circuits/testcases.hpp"
 #include "io/netlist_io.hpp"
 #include "io/svg.hpp"
@@ -323,6 +324,15 @@ TEST(SvgTest, OptionsDisableLayers) {
   const std::string svg = to_svg(pl, opt);
   EXPECT_EQ(svg.find("<circle"), std::string::npos);
   EXPECT_EQ(svg.find("<text"), std::string::npos);
+}
+
+TEST(SvgTest, DefaultRenderPinned) {
+  // The default scale (40 px/um) and margin (1 um) reach every coordinate
+  // of the document, so one digest pins both, along with the layer order.
+  circuits::TestCase tc = circuits::make_testcase("Adder");
+  const std::string svg = to_svg(quick_placement(tc.circuit));
+  EXPECT_EQ(svg.size(), 9391u);
+  EXPECT_EQ(base::fnv1a64(svg), 16137287348278445186ULL);
 }
 
 TEST(IoFileTest, WriteAndReadBack) {

@@ -43,7 +43,6 @@
 #include <cmath>
 #include <cstdint>
 #include <numbers>
-#include <optional>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -672,7 +671,7 @@ class ReferenceChain {
     const double hpwl0 = std::max(pl.total_hpwl(), 1e-9);
     const double area0 = std::max(pack_.width * pack_.height, 1e-9);
     const double penalty0 = std::max(std::sqrt(area0), 1e-9);
-    engine_.set_weights({opts_.area_weight, opts_.constraint_weight, hpwl0,
+    engine_.set_weights({opts_.area_weight, sa::kConstraintWeight, hpwl0,
                          area0, penalty0});
     engine_.reset(block_members(), pack_.x.data(), pack_.y.data(),
                   pack_.width, pack_.height);
@@ -708,7 +707,7 @@ class ReferenceChain {
     }
 
     double temp = t0;
-    const double t_stop = t0 * opts_.stop_temperature_ratio;
+    const double t_stop = t0 * sa::kStopTemperatureRatio;
     const long moves_per_temp =
         static_cast<long>(opts_.moves_per_temp_per_block) *
         static_cast<long>(std::max<std::size_t>(nb, 1));
@@ -890,23 +889,11 @@ class ReferenceChain {
   std::vector<sa::Island::Member> member_scratch_, single_scratch_;
 };
 
-/// sa::SaPlacer::place() over ReferenceChain: chain c on split_seed(seed,
-/// c), one after another, the lowest final cost winning (ties: lowest
-/// chain index), move counts summed over chains.
+/// sa::SaPlacer::place() over ReferenceChain: one chain on
+/// split_seed(seed, 0).
 inline ReferenceAnneal reference_anneal(const netlist::CompiledRef& compiled,
                                         const sa::SaOptions& opts) {
-  std::optional<ReferenceAnneal> best;
-  long moves = 0, accepts = 0;
-  for (int c = 0; c < std::max(opts.num_chains, 1); ++c) {
-    ReferenceAnneal r = ReferenceChain(compiled, opts).run(
-        numeric::split_seed(opts.seed, static_cast<std::uint64_t>(c)));
-    moves += r.moves_evaluated;
-    accepts += r.moves_accepted;
-    if (!best || r.cost < best->cost) best = std::move(r);
-  }
-  best->moves_evaluated = moves;
-  best->moves_accepted = accepts;
-  return std::move(*best);
+  return ReferenceChain(compiled, opts).run(numeric::split_seed(opts.seed, 0));
 }
 
 // ---- GNN --------------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "legal/formulation.hpp"
 #include "legal/ilp_detailed.hpp"
 #include "legal/relative_order.hpp"
 #include "legal/two_stage_lp.hpp"
@@ -184,16 +185,14 @@ TEST(IlpDetailedTest, HardSymmetryExactInResult) {
 
 TEST(IlpDetailedTest, SnapsToGrid) {
   const netlist::Circuit c = test::two_device_circuit();
-  IlpOptions opts;
-  opts.grid_pitch = 0.5;
-  const IlpResult r = IlpDetailedPlacer(c, opts).place(
+  const IlpResult r = IlpDetailedPlacer(c).place(
       positions({2.13, 6.77}, {2.41, 2.02}));
   ASSERT_TRUE(r.ok());
   if (r.snapped) {
     for (std::size_t i = 0; i < c.num_devices(); ++i) {
       const geom::Point p = r.placement.position(DeviceId{i});
-      EXPECT_NEAR(std::round(p.x / 0.5) * 0.5, p.x, 1e-9);
-      EXPECT_NEAR(std::round(p.y / 0.5) * 0.5, p.y, 1e-9);
+      EXPECT_NEAR(std::round(p.x / kGridPitch) * kGridPitch, p.x, 1e-9);
+      EXPECT_NEAR(std::round(p.y / kGridPitch) * kGridPitch, p.y, 1e-9);
     }
   }
 }

@@ -117,6 +117,17 @@ TEST(ObsMetricsTest, ResetClearsAndRegistriesAreIndependent) {
   EXPECT_EQ(b.scrape().find_counter("n")->value, 5u);
 }
 
+TEST(ObsMetricsTest, ControlCharactersInNamesAreEscaped) {
+  // Metric names come from ObjectiveTerm::name(), which may hold any byte.
+  // RunJournal embeds to_json() in a one-line record, so a raw newline
+  // would split that record in two.
+  obs::MetricsRegistry reg;
+  reg.counter("a\nb\x01").inc();
+  const std::string json = reg.scrape().to_json(0);
+  EXPECT_NE(json.find("\"a\\nb\\u0001\""), std::string::npos) << json;
+  EXPECT_EQ(json.find('\n'), std::string::npos) << json;
+}
+
 // ---- spans -----------------------------------------------------------------
 
 TEST(ObsSpanTest, NestingBuildsParentAndDepthLinks) {
@@ -217,6 +228,19 @@ TEST(ObsSpanTest, ChromeTraceJsonShape) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("t/\\\"quoted\\\""), std::string::npos);
+}
+
+TEST(ObsSpanTest, ChromeTraceJsonEscapesControlCharacters) {
+  EnabledGuard guard;
+  obs::set_enabled(true);
+  std::uint64_t root_id = 0;
+  {
+    obs::Span root("a\nb\x01", obs::Span::Root::New);
+    root_id = root.root_id();
+  }
+  const std::string json = obs::chrome_trace_json(
+      obs::SpanCollector::global().take_events_for_root(root_id));
+  EXPECT_NE(json.find("\"a\\nb\\u0001\""), std::string::npos) << json;
 }
 
 // ---- kill switch -----------------------------------------------------------

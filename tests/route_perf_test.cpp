@@ -22,7 +22,8 @@ netlist::Placement legal_placement(const netlist::Circuit& c) {
 TEST(RouterTest, RoutesEveryNet) {
   circuits::TestCase tc = circuits::make_testcase("CC-OTA");
   const netlist::Placement pl = legal_placement(tc.circuit);
-  const route::RoutingResult rr = route::GridRouter().route(pl);
+  const netlist::CompiledCircuit compiled(tc.circuit);
+  const route::RoutingResult rr = route::GridRouter().route(compiled, pl);
   ASSERT_EQ(rr.nets.size(), tc.circuit.num_nets());
   for (std::size_t e = 0; e < rr.nets.size(); ++e) {
     EXPECT_GT(rr.net_length(NetId{e}), 0.0)
@@ -38,7 +39,8 @@ TEST(RouterTest, RoutedLengthAtLeastGridHpwl) {
   const netlist::Placement pl = legal_placement(tc.circuit);
   route::RouterOptions opts;
   opts.pitch = 0.25;
-  const route::RoutingResult rr = route::GridRouter(opts).route(pl);
+  const netlist::CompiledCircuit compiled(tc.circuit);
+  const route::RoutingResult rr = route::GridRouter(opts).route(compiled, pl);
   for (std::size_t e = 0; e < rr.nets.size(); ++e) {
     const double hpwl = pl.net_hpwl(NetId{e});
     EXPECT_GE(rr.net_length(NetId{e}), hpwl - 4 * 0.25 - 1e-9)
@@ -49,9 +51,21 @@ TEST(RouterTest, RoutedLengthAtLeastGridHpwl) {
 TEST(RouterTest, Deterministic) {
   circuits::TestCase tc = circuits::make_testcase("VGA");
   const netlist::Placement pl = legal_placement(tc.circuit);
-  const route::RoutingResult a = route::GridRouter().route(pl);
-  const route::RoutingResult b = route::GridRouter().route(pl);
+  const netlist::CompiledCircuit compiled(tc.circuit);
+  const route::RoutingResult a = route::GridRouter().route(compiled, pl);
+  const route::RoutingResult b = route::GridRouter().route(compiled, pl);
   EXPECT_DOUBLE_EQ(a.total_length, b.total_length);
+}
+
+TEST(RouterTest, DefaultTotalLengthPinned) {
+  // Default options: auto pitch, congestion penalty 0.6 and the 2 um halo
+  // around the layout, which sets the grid origin.
+  circuits::TestCase tc = circuits::make_testcase("Adder");
+  const netlist::Placement pl = legal_placement(tc.circuit);
+  const netlist::CompiledCircuit compiled(tc.circuit);
+  const route::RoutingResult rr = route::GridRouter().route(compiled, pl);
+  EXPECT_EQ(rr.total_length, 80.640625);
+  EXPECT_EQ(rr.max_edge_usage, 3.0);
 }
 
 TEST(RouterTest, CongestionPenaltySpreadsRoutes) {
@@ -60,8 +74,9 @@ TEST(RouterTest, CongestionPenaltySpreadsRoutes) {
   route::RouterOptions congested, relaxed;
   congested.congestion_penalty = 2.0;
   relaxed.congestion_penalty = 0.0;
-  const auto rc = route::GridRouter(congested).route(pl);
-  const auto rr = route::GridRouter(relaxed).route(pl);
+  const netlist::CompiledCircuit compiled(tc.circuit);
+  const auto rc = route::GridRouter(congested).route(compiled, pl);
+  const auto rr = route::GridRouter(relaxed).route(compiled, pl);
   EXPECT_LE(rr.total_length, rc.total_length + 1e-9)
       << "zero congestion cost yields shortest paths";
   EXPECT_LE(rc.max_edge_usage, rr.max_edge_usage + 1e-9);
@@ -139,7 +154,8 @@ TEST(PerfModelTest, RoutedFeaturesLongerThanHpwl) {
   circuits::TestCase tc = circuits::make_testcase("Comp2");
   const perf::PerformanceModel model(tc.circuit, tc.spec);
   const netlist::Placement pl = legal_placement(tc.circuit);
-  const route::RoutingResult rr = route::GridRouter().route(pl);
+  const netlist::CompiledCircuit compiled(tc.circuit);
+  const route::RoutingResult rr = route::GridRouter().route(compiled, pl);
   const perf::Features unrouted = model.extract_features(pl, nullptr);
   const perf::Features routed = model.extract_features(pl, &rr);
   EXPECT_GE(routed.total_len, unrouted.total_len * 0.8)
@@ -157,7 +173,8 @@ TEST(RouterTest, WaypointsFormManhattanPaths) {
   const netlist::Placement pl = legal_placement(tc.circuit);
   route::RouterOptions opts;
   opts.pitch = 0.5;
-  const route::RoutingResult rr = route::GridRouter(opts).route(pl);
+  const netlist::CompiledCircuit compiled(tc.circuit);
+  const route::RoutingResult rr = route::GridRouter(opts).route(compiled, pl);
   for (const route::NetRoute& net : rr.nets) {
     for (std::size_t k = 1; k < net.waypoints.size(); ++k) {
       const geom::Point a = net.waypoints[k - 1];
@@ -185,7 +202,8 @@ TEST(RouterTest, CoincidentPinsYieldZeroLengthNet) {
   netlist::Placement pl(c);
   pl.set_position(a, {1, 1});
   pl.set_position(b, {3, 1});  // pins coincide at (2, 1)
-  const route::RoutingResult rr = route::GridRouter().route(pl);
+  const netlist::CompiledCircuit compiled(c);
+  const route::RoutingResult rr = route::GridRouter().route(compiled, pl);
   EXPECT_NEAR(rr.total_length, 0.0, 1e-9);
 }
 

@@ -255,24 +255,6 @@ TEST(SaSkipTest, NonNegativeExtraCostSkipIsExactOnEveryCircuit) {
   EXPECT_GT(skips, 0);
 }
 
-TEST(SaSkipTest, TwoChainsSkipIsExact) {
-  // Two sequential chains also cover the sums in place().
-  long skips = 0;
-  for (const char* name : {"Adder", "CM-OTA1", "VCO1"}) {
-    const circuits::TestCase tc = circuits::make_testcase(name);
-    SaOptions opts;
-    opts.seed = 3;
-    opts.max_moves = 2500;
-    opts.num_chains = 2;
-    opts.extra_cost = [](const netlist::Placement& pl) {
-      return 0.25 * spread_term(pl);
-    };
-    skips += test::expect_matches_reference_anneal(tc.circuit, opts, name)
-                 .extra_cost_skips;
-  }
-  EXPECT_GT(skips, 0);
-}
-
 TEST(SaSkipTest, InfiniteAndNanExtraCostSkipIsExact) {
   // +inf and NaN reject a move whatever u is; SA rejects such a move either
   // before the call or after it, never accepts it. The first 41 values
