@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "circuits/testcases.hpp"
 #include "gp/eplace_gp.hpp"
 #include "gp/ntu_gp.hpp"
@@ -216,6 +218,207 @@ TEST(NtuGpTest, Deterministic) {
   for (std::size_t i = 0; i < a.positions.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.positions[i], b.positions[i]);
   }
+}
+
+// --- term weight traces -----------------------------------------------------
+// Each placer's calibration and growth schedule, read back from its
+// TermTrace: per term, the name, the eval count, the final weight and the
+// weight at the first sample, plus the sample stride. Exact, so any change
+// to the calibration order, the tied weights or the growth factors shows.
+
+struct TermPin {
+  const char* name;
+  std::uint64_t evals;
+  double weight;        ///< final weight
+  double first_weight;  ///< samples.front().weights
+};
+
+void expect_trace(const TermTrace& t, int stride,
+                  const std::vector<TermPin>& pins) {
+  ASSERT_EQ(t.terms.size(), pins.size());
+  ASSERT_FALSE(t.samples.empty());
+  ASSERT_EQ(t.samples.front().weights.size(), pins.size());
+  EXPECT_EQ(t.sample_stride, stride);
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    EXPECT_EQ(t.terms[i].name, pins[i].name) << i;
+    EXPECT_EQ(t.terms[i].evals, pins[i].evals) << pins[i].name;
+    EXPECT_EQ(t.terms[i].weight, pins[i].weight) << pins[i].name;
+    EXPECT_EQ(t.samples.front().weights[i], pins[i].first_weight)
+        << pins[i].name;
+  }
+}
+
+// A smooth, non-negative stand-in for the GNN term.
+std::shared_ptr<ObjectiveTerm> quadratic_extra() {
+  return std::make_shared<FunctionTerm>(
+      "extra", [](std::span<const double> v, std::span<double> grad) {
+        double f = 0;
+        for (std::size_t i = 0; i < v.size(); ++i) {
+          f += 1e-3 * v[i] * v[i];
+          grad[i] += 2e-3 * v[i];
+        }
+        return f;
+      });
+}
+
+TermTrace eplace_trace(const EPlaceGpOptions& opts, bool extra) {
+  circuits::TestCase tc = circuits::make_testcase("CC-OTA");
+  EPlaceGlobalPlacer placer(tc.circuit, opts);
+  if (extra) placer.set_extra_term(quadratic_extra());
+  return placer.run().trace;
+}
+
+TermTrace ntu_trace(bool extra) {
+  circuits::TestCase tc = circuits::make_testcase("CC-OTA");
+  PriorAnalyticalGlobalPlacer placer(tc.circuit, {});
+  if (extra) placer.set_extra_term(quadratic_extra());
+  return placer.run().trace;
+}
+
+TEST(GpWeightTraceTest, EPlaceDefault) {
+  expect_trace(eplace_trace({}, false), 16,
+               {
+                   {"wirelength", 1619, 0x1p+0, 0x1p+0},
+                   {"density", 1622, 0x1.fbc261f61e24dp+6,
+                    0x1.ac88eafabb242p-9},
+                   {"symmetry", 1619, 0x1.14608e747e08fp+14,
+                    0x1.5c3f995e2221dp-5},
+                   {"common-centroid", 1616, 0x1.14608e747e08fp+14,
+                    0x1.5c3f995e2221dp-5},
+                   {"area", 1619, 0x1.0ae0bf9efcaacp+3, 0x1.0b3f4204fd189p+3},
+                   {"alignment", 1616, 0x1.14608e747e08fp+15,
+                    0x1.5c3f995e2221dp-4},
+                   {"ordering", 1616, 0x1.14608e747e08fp+15,
+                    0x1.5c3f995e2221dp-4},
+                   {"boundary", 1616, 0x1.074d45438692cp+1,
+                    0x1.0752c501ff674p+1}
+               });
+}
+
+TEST(GpWeightTraceTest, EPlaceHardSymmetry) {
+  EPlaceGpOptions opts;
+  opts.hard_symmetry = true;
+  expect_trace(eplace_trace(opts, false), 32,
+               {
+                   {"wirelength", 3418, 0x1p+0, 0x1p+0},
+                   {"density", 3421, 0x1.25497d5cdbba5p+3,
+                    0x1.ac88eafabb242p-9},
+                   {"symmetry", 3418, 0x1.0482ee32e304ep+1,
+                    0x1.059ada497b7c8p+1},
+                   {"common-centroid", 3415, 0x1.0482ee32e304ep+1,
+                    0x1.059ada497b7c8p+1},
+                   {"area", 3418, 0x1.0ae0bf9efcaacp+3, 0x1.0b3f4204fd189p+3},
+                   {"alignment", 3415, 0x1.4d7464182cd3p-2,
+                    0x1.4edab101e5be1p-2},
+                   {"ordering", 3415, 0x1.4d7464182cd3p-2,
+                    0x1.4edab101e5be1p-2},
+                   {"boundary", 3415, 0x1.074d45438692cp+1,
+                    0x1.0752c501ff674p+1}
+               });
+}
+
+TEST(GpWeightTraceTest, EPlaceLse) {
+  EPlaceGpOptions opts;
+  opts.smoothing = WlSmoothing::LogSumExp;
+  expect_trace(eplace_trace(opts, false), 16,
+               {
+                   {"wirelength", 1608, 0x1p+0, 0x1p+0},
+                   {"density", 1611, 0x1.ff7ce5b1ad48fp+5,
+                    0x1.b33ae2a436869p-10},
+                   {"symmetry", 1608, 0x1.18b0b61eb8256p+13,
+                    0x1.61b073fff219fp-6},
+                   {"common-centroid", 1605, 0x1.18b0b61eb8256p+13,
+                    0x1.61b073fff219fp-6},
+                   {"area", 1608, 0x1.0f0af3f739488p+2, 0x1.0f6c239afb3aep+2},
+                   {"alignment", 1605, 0x1.18b0b61eb8256p+14,
+                    0x1.61b073fff219fp-5},
+                   {"ordering", 1605, 0x1.18b0b61eb8256p+14,
+                    0x1.61b073fff219fp-5},
+                   {"boundary", 1605, 0x1.0b69302e4a1e1p+0,
+                    0x1.0b6ff50b1a2b4p+0}
+               });
+}
+
+TEST(GpWeightTraceTest, EPlaceWithoutAreaTerm) {
+  EPlaceGpOptions opts;
+  opts.eta_rel = 0;
+  expect_trace(eplace_trace(opts, false), 8,
+               {
+                   {"wirelength", 1008, 0x1p+0, 0x1p+0},
+                   {"density", 1011, 0x1.5e9d92f699cadp+1,
+                    0x1.ac88eafabb242p-9},
+                   {"symmetry", 1008, 0x1.6797da762b7adp+7,
+                    0x1.5c3f995e2221dp-5},
+                   {"common-centroid", 1005, 0x1.6797da762b7adp+7,
+                    0x1.5c3f995e2221dp-5},
+                   {"area", 0, 0x0p+0, 0x0p+0},
+                   {"alignment", 1005, 0x1.6797da762b7adp+8,
+                    0x1.5c3f995e2221dp-4},
+                   {"ordering", 1005, 0x1.6797da762b7adp+8,
+                    0x1.5c3f995e2221dp-4},
+                   {"boundary", 1005, 0x1.074d45438692cp+1,
+                    0x1.0752c501ff674p+1}
+               });
+}
+
+TEST(GpWeightTraceTest, EPlaceWithExtraTerm) {
+  expect_trace(eplace_trace({}, true), 16,
+               {
+                   {"wirelength", 2737, 0x1p+0, 0x1p+0},
+                   {"density", 2740, 0x1.a86d03f68a702p+14,
+                    0x1.ac88eafabb242p-9},
+                   {"symmetry", 2737, 0x1.22b5b2e4bd65p+21,
+                    0x1.5c3f995e2221dp-5},
+                   {"common-centroid", 2734, 0x1.22b5b2e4bd65p+21,
+                    0x1.5c3f995e2221dp-5},
+                   {"area", 2737, 0x1.0ae0bf9efcaacp+3, 0x1.0b3f4204fd189p+3},
+                   {"alignment", 2734, 0x1.22b5b2e4bd65p+22,
+                    0x1.5c3f995e2221dp-4},
+                   {"ordering", 2734, 0x1.22b5b2e4bd65p+22,
+                    0x1.5c3f995e2221dp-4},
+                   {"boundary", 2734, 0x1.074d45438692cp+1,
+                    0x1.0752c501ff674p+1},
+                   {"extra", 2737, 0x1.0035638108ad8p+6, 0x1.003de24676143p+6}
+               });
+}
+
+TEST(GpWeightTraceTest, Prior) {
+  expect_trace(ntu_trace(false), 1,
+               {
+                   {"wirelength", 1642, 0x1p+0, 0x1p+0},
+                   {"density", 1642, 0x1.71b6a809cefacp+1,
+                    0x1.71b6a809cefacp-9},
+                   {"symmetry", 1642, 0x1.2fef6c64cfecp+0,
+                    0x1.51532f47e6e83p-6},
+                   {"common-centroid", 1641, 0x1.2fef6c64cfecp+0,
+                    0x1.51532f47e6e83p-6},
+                   {"alignment", 1641, 0x1.2fef6c64cfecp+1,
+                    0x1.51532f47e6e83p-5},
+                   {"ordering", 1641, 0x1.2fef6c64cfecp+1,
+                    0x1.51532f47e6e83p-5},
+                   {"boundary", 1641, 0x1.0b6254ec05ae7p+0,
+                    0x1.0b6254ec05ae7p+0}
+               });
+}
+
+TEST(GpWeightTraceTest, PriorWithExtraTerm) {
+  expect_trace(ntu_trace(true), 1,
+               {
+                   {"wirelength", 4848, 0x1p+0, 0x1p+0},
+                   {"density", 4848, 0x1.71b6a809cefacp+1,
+                    0x1.71b6a809cefacp-9},
+                   {"symmetry", 4848, 0x1.2fef6c64cfecp+0,
+                    0x1.51532f47e6e83p-6},
+                   {"common-centroid", 4847, 0x1.2fef6c64cfecp+0,
+                    0x1.51532f47e6e83p-6},
+                   {"alignment", 4847, 0x1.2fef6c64cfecp+1,
+                    0x1.51532f47e6e83p-5},
+                   {"ordering", 4847, 0x1.2fef6c64cfecp+1,
+                    0x1.51532f47e6e83p-5},
+                   {"boundary", 4847, 0x1.0b6254ec05ae7p+0,
+                    0x1.0b6254ec05ae7p+0},
+                   {"extra", 4848, 0x1.043999f8d3ac7p+5, 0x1.043999f8d3ac7p+5}
+               });
 }
 
 }  // namespace
