@@ -1,10 +1,9 @@
 #include "gp/eplace_gp.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
-#include <numbers>
-
-#include <algorithm>
 
 #include "netlist/placement.hpp"
 #include "numeric/fft.hpp"
@@ -26,11 +25,21 @@ constexpr double kLambdaRel = 0.06;
 /// self-adaptive exponent.
 constexpr double kLambdaGrowth = 1.05;
 
-geom::Rect make_region(const netlist::CompiledCircuit& cc,
-                       double utilization) {
-  const double side = std::sqrt(cc.total_device_area() / utilization);
-  return {0, 0, side, side};
-}
+/// Term indices: the registration order of build_objective(), which is
+/// also the accumulation order.
+enum Term : std::size_t {
+  kWirelength,
+  kDensity,
+  kSymmetry,
+  kCentroid,
+  kArea,
+  kAlignment,
+  kOrdering,
+  kBoundary,
+  kExtra,  ///< registered only when an extra term is set
+};
+/// The terms whose weights grow by kTauGrowth per iteration.
+constexpr std::array kTauTerms{kSymmetry, kCentroid, kAlignment, kOrdering};
 
 // Validate the density bin count and round it up to a power of two of at
 // least fft::kMinSize, as ElectroDensity's FFT-backed Poisson solve
@@ -48,7 +57,7 @@ EPlaceGlobalPlacer::EPlaceGlobalPlacer(netlist::CompiledRef compiled,
                                        EPlaceGpOptions opts)
     : compiled_(std::move(compiled)),
       opts_(normalized(opts)),
-      region_(make_region(*compiled_, opts.utilization)),
+      region_(placement_region(*compiled_, opts.utilization)),
       wl_owner_(opts.smoothing == WlSmoothing::WeightedAverage
                     ? std::unique_ptr<wirelength::SmoothWirelength>(
                           std::make_unique<wirelength::WaWirelength>(compiled_))
@@ -81,49 +90,7 @@ void EPlaceGlobalPlacer::build_objective() {
   obj.add_term(std::make_shared<PenaltyTerm>(pen_, PenaltyTerm::Kind::Ordering));
   obj.add_term(std::make_shared<PenaltyTerm>(pen_, region_));
   if (extra_) obj.add_term(extra_);
-
-  scheduler_ = std::make_unique<WeightScheduler>(obj);
-  using Rule = WeightScheduler::Rule;
-  scheduler_->set_rule("wirelength",
-                       {.init = Rule::Init::Fixed, .rel = 1.0});
-  // Density growth is self-adaptive (exponent computed per iteration in the
-  // solver callback), so its rule carries no static growth factor.
-  scheduler_->set_rule("density", {.init = Rule::Init::RelToRefGrad,
-                                   .rel = kLambdaRel});
-  scheduler_->set_rule("symmetry", {.init = Rule::Init::RelToRefGrad,
-                                    .rel = kTauRel,
-                                    .growth = kTauGrowth});
-  scheduler_->set_rule("common-centroid", {.init = Rule::Init::TiedTo,
-                                           .rel = kTauRel,
-                                           .tied_to = "symmetry",
-                                           .tied_rel = kTauRel,
-                                           .growth = kTauGrowth});
-  scheduler_->set_rule("area", {.init = Rule::Init::RelToRefGrad,
-                                .rel = opts_.eta_rel});
-  // Alignment/ordering share the symmetry scale heuristic: their gradients
-  // are position-scale residuals like Sym's.
-  scheduler_->set_rule("alignment", {.init = Rule::Init::TiedTo,
-                                     .rel = kAlignRel,
-                                     .tied_to = "symmetry",
-                                     .tied_rel = kTauRel,
-                                     .growth = kTauGrowth});
-  scheduler_->set_rule("ordering", {.init = Rule::Init::TiedTo,
-                                    .rel = kOrderRel,
-                                    .tied_to = "symmetry",
-                                    .tied_rel = kTauRel,
-                                    .growth = kTauGrowth});
-  // Boundary hinge: strong enough to dominate the wirelength pull within a
-  // fraction of a bin of escaping the region.
-  scheduler_->set_rule("boundary", {.init = Rule::Init::RefOverScale,
-                                    .rel = kBoundaryRel,
-                                    .scale_div = dens_.grid().bin_w()});
-  if (extra_) {
-    // Calibrate the extra (GNN) term against the wirelength gradient so its
-    // forces are comparable regardless of model scale.
-    scheduler_->set_rule(std::string(extra_->name()),
-                         {.init = Rule::Init::RelToRefGrad,
-                          .rel = opts_.extra_rel});
-  }
+  APLACE_DCHECK(obj.num_terms() == (extra_ ? kExtra + 1 : kExtra));
 }
 
 GpResult EPlaceGlobalPlacer::run() {
@@ -177,8 +144,8 @@ GpResult EPlaceGlobalPlacer::run() {
   }
   best.deadline_hit |= any_deadline_hit;
   best.cancelled |= any_cancelled || opts_.cancel.cancelled();
-  // The trace accumulates over every start; the samples belong to whichever
-  // start ran last, the counters to the whole run.
+  // The trace accumulates over every start: the counters and the decimated
+  // sample history cover the whole run, the last values the last start.
   best.trace = objective_->trace();
   return best;
 }
@@ -186,21 +153,7 @@ GpResult EPlaceGlobalPlacer::run() {
 GpResult EPlaceGlobalPlacer::run_single(std::uint64_t seed) {
   const std::size_t n = compiled_->num_devices();
   numeric::Vec v(2 * n);
-
-  // Initial spread: golden-angle spiral around the region center (compact,
-  // deterministic, no two devices exactly coincident).
-  numeric::Rng rng(seed);
-  const geom::Point c = region_.center();
-  // Tight initial cluster: density overflow starts high (ePlace-like) so
-  // the solver actually spreads + optimizes instead of stopping at once.
-  const double r0 = 0.02 * region_.width();
-  const double golden = std::numbers::pi * (3.0 - std::sqrt(5.0));
-  for (std::size_t i = 0; i < n; ++i) {
-    const double r = r0 * std::sqrt(static_cast<double>(i) + 0.5);
-    const double th = golden * static_cast<double>(i) + rng.uniform(0, 0.05);
-    v[i] = c.x + r * std::cos(th);
-    v[n + i] = c.y + r * std::sin(th);
-  }
+  spiral_start(region_, seed, v);
 
   // --- calibrate weights from initial gradient magnitudes -------------------
   const double bin_w = dens_.grid().bin_w();
@@ -208,15 +161,31 @@ GpResult EPlaceGlobalPlacer::run_single(std::uint64_t seed) {
   wl_.set_gamma(gamma);
   area_.set_gamma(gamma);
 
+  // Wirelength (weight 1) is the reference every calibrated weight is
+  // relative to; its gradient magnitude is also the score's length scale.
   CompositeObjective& obj = *objective_;
-  const double mw = scheduler_->calibrate(v, "wirelength");
+  const double mw = std::max(obj.probe_grad_magnitude(kWirelength, v), 1e-12);
+  calibrate_weight(obj, kDensity, v, mw, kLambdaRel);
+  const double w_sym = calibrate_weight(obj, kSymmetry, v, mw, kTauRel);
+  if (opts_.eta_rel > 0) calibrate_weight(obj, kArea, v, mw, opts_.eta_rel);
+  // Boundary hinge: strong enough to dominate the wirelength pull within a
+  // fraction of a bin of escaping the region.
+  obj.set_weight(kBoundary, kBoundaryRel * mw / bin_w);
+  // The extra (GNN) term is calibrated against the wirelength gradient so
+  // its forces are comparable regardless of model scale.
+  if (extra_) calibrate_weight(obj, kExtra, v, mw, opts_.extra_rel);
+  // Common-centroid, alignment and ordering share the symmetry scale: their
+  // gradients are position-scale residuals like Sym's.
+  obj.set_weight(kCentroid, w_sym);
+  obj.set_weight(kAlignment, w_sym * kAlignRel / kTauRel);
+  obj.set_weight(kOrdering, w_sym * kOrderRel / kTauRel);
   if (opts_.hard_symmetry) {
     // Rigid symmetry: 50x weight held flat (no growth), stiffer
     // alignment/ordering, plus projection onto the symmetric set.
-    obj.scale_weight("symmetry", 50.0);
-    obj.scale_weight("common-centroid", 50.0);
-    obj.scale_weight("alignment", 4.0);
-    obj.scale_weight("ordering", 4.0);
+    obj.scale_weight(kSymmetry, 50.0);
+    obj.scale_weight(kCentroid, 50.0);
+    obj.scale_weight(kAlignment, 4.0);
+    obj.scale_weight(kOrdering, 4.0);
     pen_.project_symmetry(v);
   }
 
@@ -266,9 +235,10 @@ GpResult EPlaceGlobalPlacer::run_single(std::uint64_t seed) {
         const double rel = (hpwl - last_hpwl) / std::max(last_hpwl, 1e-9);
         last_hpwl = hpwl;
         const double exponent = std::clamp(1.0 - rel / 0.01, -3.0, 1.0);
-        scheduler_->advance("density",
-                            std::pow(kLambdaGrowth, exponent));
-        if (!opts_.hard_symmetry) scheduler_->advance();
+        obj.scale_weight(kDensity, std::pow(kLambdaGrowth, exponent));
+        if (!opts_.hard_symmetry) {
+          for (const Term t : kTauTerms) obj.scale_weight(t, kTauGrowth);
+        }
         obj.sample(st.iter);
         // A minimum iteration count lets wirelength/area optimization act
         // even when the initial state is accidentally overlap-free.
@@ -288,7 +258,7 @@ GpResult EPlaceGlobalPlacer::run_single(std::uint64_t seed) {
   // pair directions are only reliable when residual overlap is small.
   if (!opts_.deadline.expired() && !opts_.cancel.cancelled()) {
     // Refresh overflow at the restart point (best_v, not the last iterate).
-    obj.probe_grad_magnitude(obj.index_of("density"), v);
+    obj.probe_grad_magnitude(kDensity, v);
     double best2_score = std::numeric_limits<double>::infinity();
     numeric::Vec best2_v = v;
     const double gate2 = 0.16;
@@ -313,7 +283,7 @@ GpResult EPlaceGlobalPlacer::run_single(std::uint64_t seed) {
           wl_.set_gamma(gamma);
           area_.set_gamma(gamma);
           // Monotone density ramp: legality first.
-          scheduler_->advance("density", kLambdaGrowth);
+          obj.scale_weight(kDensity, kLambdaGrowth);
           obj.sample(phase1_iters + st.iter);
           return st.iter < 10 || overflow >= kStopOverflow;
         },

@@ -4,11 +4,12 @@
 // Minimizes  W(v) + lambda*N(v) + tau*Sym(v) + eta*Area(v)  (+ alignment,
 // ordering and boundary penalties) with Nesterov's method. The objective is
 // assembled declaratively as a gp::CompositeObjective — one ObjectiveTerm
-// per summand — and the penalty weights are calibrated from the initial
-// gradient magnitudes and annealed by a gp::WeightScheduler: lambda and tau
-// grow multiplicatively, the smoothing gamma shrinks as density overflow
-// falls. Per-term eval counts, wall time and convergence samples come back
-// in GpResult::trace.
+// per summand, addressed by a fixed term index. The weights are calibrated
+// against the wirelength gradient at the starting point
+// (gp::calibrate_weight) and then grown in the solver callback: lambda by
+// a self-adaptive factor, tau by a constant one, while the smoothing gamma
+// shrinks as density overflow falls. Per-term eval counts, wall time and
+// convergence samples come back in GpResult::trace.
 //
 // The performance-driven variant (ePlace-AP) plugs the GNN term in as one
 // more ObjectiveTerm via set_extra_term().
@@ -72,9 +73,9 @@ class EPlaceGlobalPlacer {
   [[nodiscard]] GpResult run();
 
  private:
-  /// Build the composite objective + scheduler mirroring opts_ (term order
-  /// fixed: wirelength, density, symmetry, common-centroid, area,
-  /// alignment, ordering, boundary, extra).
+  /// Build the composite objective mirroring opts_ (term order fixed:
+  /// wirelength, density, symmetry, common-centroid, area, alignment,
+  /// ordering, boundary, extra — the Term indices of eplace_gp.cpp).
   void build_objective();
   [[nodiscard]] GpResult run_single(std::uint64_t seed);
 
@@ -88,7 +89,6 @@ class EPlaceGlobalPlacer {
   ConstraintPenalties pen_;
   std::shared_ptr<ObjectiveTerm> extra_;
   std::unique_ptr<CompositeObjective> objective_;
-  std::unique_ptr<WeightScheduler> scheduler_;
 };
 
 }  // namespace aplace::gp

@@ -1,11 +1,9 @@
 #include "gp/ntu_gp.hpp"
 
-#include <cmath>
-#include <numbers>
-
 #include <algorithm>
+#include <array>
+#include <cmath>
 
-#include "numeric/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
@@ -21,17 +19,28 @@ constexpr int kInnerIters = 60;      ///< CG iterations per outer round
 constexpr double kBetaRel = 0.03;    ///< initial density weight vs. WL gradient
 constexpr double kBetaGrowth = 2.0;  ///< density ramp per outer round
 
+/// Term indices: the registration order of build_objective(), which is
+/// also the accumulation order.
+enum Term : std::size_t {
+  kWirelength,
+  kDensity,
+  kSymmetry,
+  kCentroid,
+  kAlignment,
+  kOrdering,
+  kBoundary,
+  kExtra,  ///< registered only when an extra term is set
+};
+/// The terms whose weights grow by kTauGrowth per outer round.
+constexpr std::array kTauTerms{kSymmetry, kCentroid, kAlignment, kOrdering};
+
 }  // namespace
 
 PriorAnalyticalGlobalPlacer::PriorAnalyticalGlobalPlacer(
     netlist::CompiledRef compiled, NtuGpOptions opts)
     : compiled_(std::move(compiled)),
       opts_(opts),
-      region_([&] {
-        const double side =
-            std::sqrt(compiled_->total_device_area() / opts.utilization);
-        return geom::Rect{0, 0, side, side};
-      }()),
+      region_(placement_region(*compiled_, opts.utilization)),
       wl_(compiled_),
       dens_(compiled_, region_, opts.bins, opts.bins, kTargetDensity),
       pen_(compiled_) {}
@@ -56,63 +65,29 @@ void PriorAnalyticalGlobalPlacer::build_objective() {
   obj.add_term(std::make_shared<PenaltyTerm>(pen_, PenaltyTerm::Kind::Ordering));
   obj.add_term(std::make_shared<PenaltyTerm>(pen_, region_));
   if (extra_) obj.add_term(extra_);
-
-  scheduler_ = std::make_unique<WeightScheduler>(obj);
-  using Rule = WeightScheduler::Rule;
-  scheduler_->set_rule("wirelength", {.init = Rule::Init::Fixed, .rel = 1.0});
-  scheduler_->set_rule("density", {.init = Rule::Init::RelToRefGrad,
-                                   .rel = kBetaRel,
-                                   .growth = kBetaGrowth});
-  scheduler_->set_rule("symmetry", {.init = Rule::Init::RelToRefGrad,
-                                    .rel = kTauRel,
-                                    .growth = kTauGrowth});
-  scheduler_->set_rule("common-centroid", {.init = Rule::Init::TiedTo,
-                                           .rel = kTauRel,
-                                           .tied_to = "symmetry",
-                                           .tied_rel = kTauRel,
-                                           .growth = kTauGrowth});
-  scheduler_->set_rule("alignment", {.init = Rule::Init::TiedTo,
-                                     .rel = kAlignRel,
-                                     .tied_to = "symmetry",
-                                     .tied_rel = kTauRel,
-                                     .growth = kTauGrowth});
-  scheduler_->set_rule("ordering", {.init = Rule::Init::TiedTo,
-                                    .rel = kOrderRel,
-                                    .tied_to = "symmetry",
-                                    .tied_rel = kTauRel,
-                                    .growth = kTauGrowth});
-  scheduler_->set_rule("boundary", {.init = Rule::Init::RefOverScale,
-                                    .rel = kBoundaryRel,
-                                    .scale_div = dens_.grid().bin_w()});
-  if (extra_) {
-    scheduler_->set_rule(std::string(extra_->name()),
-                         {.init = Rule::Init::RelToRefGrad,
-                          .rel = opts_.extra_rel});
-  }
+  APLACE_DCHECK(obj.num_terms() == (extra_ ? kExtra + 1 : kExtra));
 }
 
 GpResult PriorAnalyticalGlobalPlacer::run() {
   build_objective();
   const std::size_t n = compiled_->num_devices();
   numeric::Vec v(2 * n);
-
-  numeric::Rng rng(opts_.seed);
-  const geom::Point c = region_.center();
-  const double r0 = 0.02 * region_.width();
-  const double golden = std::numbers::pi * (3.0 - std::sqrt(5.0));
-  for (std::size_t i = 0; i < n; ++i) {
-    const double r = r0 * std::sqrt(static_cast<double>(i) + 0.5);
-    const double th = golden * static_cast<double>(i) + rng.uniform(0, 0.05);
-    v[i] = c.x + r * std::cos(th);
-    v[n + i] = c.y + r * std::sin(th);
-  }
+  spiral_start(region_, opts_.seed, v);
 
   const double bin_w = dens_.grid().bin_w();
   double gamma = bin_w * 8.0;
   wl_.set_gamma(gamma);
 
+  // Same calibration as ePlace-A, against the wirelength gradient.
   CompositeObjective& obj = *objective_;
-  scheduler_->calibrate(v, "wirelength");
+  const double ref = std::max(obj.probe_grad_magnitude(kWirelength, v), 1e-12);
+  calibrate_weight(obj, kDensity, v, ref, kBetaRel);
+  const double w_sym = calibrate_weight(obj, kSymmetry, v, ref, kTauRel);
+  obj.set_weight(kBoundary, kBoundaryRel * ref / bin_w);
+  if (extra_) calibrate_weight(obj, kExtra, v, ref, opts_.extra_rel);
+  obj.set_weight(kCentroid, w_sym);
+  obj.set_weight(kAlignment, w_sym * kAlignRel / kTauRel);
+  obj.set_weight(kOrdering, w_sym * kOrderRel / kTauRel);
 
   GpResult result;
   numeric::CgOptions copts;
@@ -157,7 +132,9 @@ GpResult PriorAnalyticalGlobalPlacer::run() {
     if (cinfo.diverged || cinfo.deadline_hit || cinfo.cancelled) break;
     const double overflow = dens_.overflow();
     if (outer >= 1 && overflow < kStopOverflow) break;
-    scheduler_->advance();  // NTUplace3-style outer ramp
+    // NTUplace3-style outer ramp.
+    obj.scale_weight(kDensity, kBetaGrowth);
+    for (const Term t : kTauTerms) obj.scale_weight(t, kTauGrowth);
     gamma = bin_w * (0.5 + 8.0 * std::clamp(overflow, 0.0, 1.0));
     wl_.set_gamma(gamma);
   }

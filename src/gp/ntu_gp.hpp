@@ -10,8 +10,9 @@
 //       outer loop that doubles the density weight (NTUplace3 style) instead
 //       of the Nesterov + electrostatics machinery.
 //
-// Like ePlace-A the objective is a gp::CompositeObjective; only the term
-// choices and the WeightScheduler growth rules differ.
+// Like ePlace-A the objective is a gp::CompositeObjective calibrated by
+// gp::calibrate_weight; only the term choices and the weight growth per
+// outer round differ.
 
 #include <memory>
 
@@ -44,6 +45,9 @@ class PriorAnalyticalGlobalPlacer {
   [[nodiscard]] GpResult run();
 
  private:
+  /// Build the composite objective (term order fixed: wirelength,
+  /// density, symmetry, common-centroid, alignment, ordering, boundary,
+  /// extra — the Term indices of ntu_gp.cpp).
   void build_objective();
 
   netlist::CompiledRef compiled_;
@@ -54,7 +58,6 @@ class PriorAnalyticalGlobalPlacer {
   ConstraintPenalties pen_;
   std::shared_ptr<ObjectiveTerm> extra_;
   std::unique_ptr<CompositeObjective> objective_;
-  std::unique_ptr<WeightScheduler> scheduler_;
 };
 
 }  // namespace aplace::gp

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numbers>
 
+#include "numeric/rng.hpp"
 #include "obs/metrics.hpp"
 
 namespace aplace::gp {
@@ -85,46 +87,21 @@ std::size_t CompositeObjective::add_term(std::shared_ptr<ObjectiveTerm> term,
   return terms_.size() - 1;
 }
 
-std::size_t CompositeObjective::index_of(std::string_view name) const {
-  for (std::size_t i = 0; i < terms_.size(); ++i) {
-    if (terms_[i].term->name() == name) return i;
-  }
-  return terms_.size();
+double CompositeObjective::weight(std::size_t term) const {
+  APLACE_DCHECK(term < terms_.size());
+  return terms_[term].weight;
 }
 
-bool CompositeObjective::has_term(std::string_view name) const {
-  return index_of(name) < terms_.size();
+void CompositeObjective::set_weight(std::size_t term, double w) {
+  APLACE_DCHECK(term < terms_.size());
+  terms_[term].weight = w;
+  trace_.terms[term].weight = w;
 }
 
-std::size_t CompositeObjective::must_find(std::string_view name) const {
-  const std::size_t i = index_of(name);
-  APLACE_CHECK_MSG(i < terms_.size(),
-                   "objective has no term named '" << std::string(name) << "'");
-  return i;
-}
-
-double CompositeObjective::weight(std::string_view name) const {
-  return terms_[must_find(name)].weight;
-}
-
-void CompositeObjective::set_weight(std::string_view name, double w) {
-  const std::size_t i = must_find(name);
-  terms_[i].weight = w;
-  trace_.terms[i].weight = w;
-}
-
-void CompositeObjective::scale_weight(std::string_view name, double factor) {
-  const std::size_t i = must_find(name);
-  terms_[i].weight *= factor;
-  trace_.terms[i].weight = terms_[i].weight;
-}
-
-bool CompositeObjective::enabled(std::string_view name) const {
-  return terms_[must_find(name)].enabled;
-}
-
-void CompositeObjective::set_enabled(std::string_view name, bool enabled) {
-  terms_[must_find(name)].enabled = enabled;
+void CompositeObjective::scale_weight(std::size_t term, double factor) {
+  APLACE_DCHECK(term < terms_.size());
+  terms_[term].weight *= factor;
+  trace_.terms[term].weight = terms_[term].weight;
 }
 
 double CompositeObjective::value_and_grad(std::span<const double> v,
@@ -192,81 +169,35 @@ void CompositeObjective::sample(int iter) {
   }
 }
 
-// ---- WeightScheduler --------------------------------------------------------
+// ---- shared placer set-up ---------------------------------------------------
 
-void WeightScheduler::set_rule(std::string term, Rule rule) {
-  for (auto& [name, r] : rules_) {
-    if (name == term) {
-      r = std::move(rule);
-      return;
-    }
-  }
-  rules_.emplace_back(std::move(term), std::move(rule));
+double calibrate_weight(CompositeObjective& obj, std::size_t term,
+                        std::span<const double> v0, double ref, double rel) {
+  const double mag = obj.probe_grad_magnitude(term, v0);
+  const double w = mag > 1e-12 ? rel * ref / mag : rel;
+  obj.set_weight(term, w);
+  return w;
 }
 
-const WeightScheduler::Rule* WeightScheduler::rule(
-    std::string_view term) const {
-  for (const auto& [name, r] : rules_) {
-    if (name == term) return &r;
-  }
-  return nullptr;
+geom::Rect placement_region(const netlist::CompiledCircuit& cc,
+                            double utilization) {
+  const double side = std::sqrt(cc.total_device_area() / utilization);
+  return {0, 0, side, side};
 }
 
-double WeightScheduler::calibrate(std::span<const double> v0,
-                                  std::string_view ref) {
-  const std::size_t ref_idx = obj_->index_of(ref);
-  APLACE_CHECK_MSG(ref_idx < obj_->num_terms(),
-                   "calibration reference term '" << std::string(ref)
-                                                  << "' is not registered");
-  const double ref_mag =
-      std::max(obj_->probe_grad_magnitude(ref_idx, v0), 1e-12);
-
-  // First pass: measured rules (everything a TiedTo rule may reference).
-  for (const auto& [name, r] : rules_) {
-    if (!obj_->has_term(name) || !obj_->enabled(name)) continue;
-    switch (r.init) {
-      case Rule::Init::Fixed:
-        obj_->set_weight(name, r.rel);
-        break;
-      case Rule::Init::RelToRefGrad: {
-        const double mag =
-            obj_->probe_grad_magnitude(obj_->index_of(name), v0);
-        obj_->set_weight(name, mag > 1e-12 ? r.rel * ref_mag / mag : r.rel);
-        break;
-      }
-      case Rule::Init::RefOverScale:
-        obj_->set_weight(name, r.rel * ref_mag / r.scale_div);
-        break;
-      case Rule::Init::TiedTo:
-        break;  // second pass
-    }
+void spiral_start(const geom::Rect& region, std::uint64_t seed,
+                  std::span<double> v) {
+  const std::size_t n = v.size() / 2;
+  numeric::Rng rng(seed);
+  const geom::Point c = region.center();
+  const double r0 = 0.02 * region.width();
+  const double golden = std::numbers::pi * (3.0 - std::sqrt(5.0));
+  for (std::size_t i = 0; i < n; ++i) {
+    const double r = r0 * std::sqrt(static_cast<double>(i) + 0.5);
+    const double th = golden * static_cast<double>(i) + rng.uniform(0, 0.05);
+    v[i] = c.x + r * std::cos(th);
+    v[n + i] = c.y + r * std::sin(th);
   }
-  // Second pass: tied weights, derived from their master's calibrated
-  // value with the same arithmetic the placers used
-  // (w = w_master * rel / max(master_rel, 1e-12)).
-  for (const auto& [name, r] : rules_) {
-    if (r.init != Rule::Init::TiedTo) continue;
-    if (!obj_->has_term(name) || !obj_->enabled(name)) continue;
-    const double master = obj_->weight(r.tied_to);
-    // rel == tied_rel means "same weight as the master": short-circuit the
-    // ratio so the tie is exact (x*r/r can round away from x).
-    obj_->set_weight(name, r.rel == r.tied_rel
-                               ? master
-                               : master * r.rel / std::max(r.tied_rel, 1e-12));
-  }
-  return ref_mag;
-}
-
-void WeightScheduler::advance() {
-  for (const auto& [name, r] : rules_) {
-    if (r.growth == 1.0) continue;
-    if (!obj_->has_term(name) || !obj_->enabled(name)) continue;
-    obj_->scale_weight(name, r.growth);
-  }
-}
-
-void WeightScheduler::advance(std::string_view term, double factor) {
-  obj_->scale_weight(term, factor);
 }
 
 // ---- adapters ---------------------------------------------------------------

@@ -15,10 +15,11 @@
 //                           underlying kernels keep their own thread-pool
 //                           parallelism) and records per-term observability:
 //                           eval counts, wall time, last value/grad-norm.
-//   * WeightScheduler     — centralizes the initial-gradient-magnitude
-//                           weight calibration and the per-iteration growth
-//                           rules previously duplicated across the two
-//                           placers.
+//   * calibrate_weight    — the initial-gradient-magnitude weight rule
+//                           both placers apply term by term; each placer
+//                           keeps its term indices as named constants and
+//                           sets and grows its weights in straight-line
+//                           code.
 //   * TermTrace           — the per-term instrumentation snapshot threaded
 //                           through GpResult/FlowResult into the bench JSON.
 //
@@ -41,6 +42,7 @@
 #include "density/electro.hpp"
 #include "geom/rect.hpp"
 #include "gp/penalties.hpp"
+#include "netlist/compiled.hpp"
 #include "numeric/vec.hpp"
 #include "wirelength/area_term.hpp"
 #include "wirelength/smooth_wl.hpp"
@@ -87,7 +89,7 @@ struct TermStats {
   double seconds = 0;        ///< wall time spent inside the term
   double value = 0;          ///< raw value at the last evaluation
   double grad_norm = 0;      ///< mean-abs of the last weighted contribution
-  double weight = 0;         ///< current scheduled weight
+  double weight = 0;         ///< current weight
 };
 
 /// Per-term instrumentation of one GP run: cumulative totals plus a
@@ -143,14 +145,10 @@ class CompositeObjective {
   [[nodiscard]] std::size_t num_terms() const { return terms_.size(); }
   [[nodiscard]] std::size_t num_vars() const { return num_vars_; }
 
-  [[nodiscard]] std::size_t index_of(std::string_view name) const;
-  [[nodiscard]] bool has_term(std::string_view name) const;
-
-  [[nodiscard]] double weight(std::string_view name) const;
-  void set_weight(std::string_view name, double w);
-  void scale_weight(std::string_view name, double factor);
-  [[nodiscard]] bool enabled(std::string_view name) const;
-  void set_enabled(std::string_view name, bool enabled);
+  /// Weights by term index (the index add_term returned).
+  [[nodiscard]] double weight(std::size_t term) const;
+  void set_weight(std::size_t term, double w);
+  void scale_weight(std::size_t term, double factor);
 
   /// F(v) and its gradient: zeroes `grad`, then accumulates every enabled
   /// term in registration order with its current weight. Returns the
@@ -178,8 +176,6 @@ class CompositeObjective {
     bool enabled = true;
   };
 
-  [[nodiscard]] std::size_t must_find(std::string_view name) const;
-
   std::size_t num_vars_;
   std::vector<Entry> terms_;
   TermTrace trace_;
@@ -187,59 +183,24 @@ class CompositeObjective {
   int sample_calls_ = 0;
 };
 
-/// Centralized weight calibration + growth scheduling.
-///
-/// Initial weights come from gradient magnitudes at the starting point v0
-/// (the rule both placers previously duplicated):
-///
-///   RelToRefGrad:  w = rel * |g_ref| / |g_own|   (fallback: rel when the
-///                  own-gradient magnitude vanishes)
-///   TiedTo:        w = w(master) * rel / max(master_rel, 1e-12), and the
-///                  weight is *stored* (not recomputed), so subsequent
-///                  growth applies to it independently — exactly the old
-///                  align/order derivation from tau.
-///   RefOverScale:  w = rel * |g_ref| / scale_div  (boundary hinge: strong
-///                  enough to beat the wirelength pull within a fraction
-///                  of a bin, no own-gradient normalization)
-///   Fixed:         w = rel verbatim (the reference wirelength term, w=1)
-///
-/// Per-iteration growth: advance() multiplies every term's weight by its
-/// rule's growth factor; advance(name, factor) applies a caller-computed
-/// factor (ePlace's self-adaptive lambda exponent).
-class WeightScheduler {
- public:
-  struct Rule {
-    enum class Init : std::uint8_t { Fixed, RelToRefGrad, TiedTo, RefOverScale };
-    Init init = Init::RelToRefGrad;
-    double rel = 1.0;
-    std::string tied_to{};  ///< TiedTo: master term name
-    double tied_rel = 1.0;  ///< TiedTo: master's rel (the denominator)
-    double scale_div = 1.0; ///< RefOverScale: length scale divisor
-    double growth = 1.0;    ///< multiplicative factor per advance()
-  };
+/// Calibrate one term's weight at the starting point v0 against the
+/// reference gradient magnitude `ref`: w = rel * ref / |g| with |g| the
+/// term's mean-abs gradient at v0, or w = rel when |g| vanishes. Probes the
+/// term once, sets its weight and returns it.
+double calibrate_weight(CompositeObjective& obj, std::size_t term,
+                        std::span<const double> v0, double ref, double rel);
 
-  explicit WeightScheduler(CompositeObjective& objective)
-      : obj_(&objective) {}
+/// The square placement region both placers spread into: side
+/// sqrt(total device area / utilization), lower-left corner at the origin.
+[[nodiscard]] geom::Rect placement_region(const netlist::CompiledCircuit& cc,
+                                          double utilization);
 
-  void set_rule(std::string term, Rule rule);
-  [[nodiscard]] const Rule* rule(std::string_view term) const;
-
-  /// Assign every ruled term's initial weight from gradient magnitudes at
-  /// v0. `ref` names the reference term (its magnitude is the numerator;
-  /// disabled terms are skipped). Probes each RelToRefGrad term once.
-  /// Returns the clamped reference magnitude max(|g_ref|, 1e-12) — the
-  /// placers reuse it as their length/score scale.
-  double calibrate(std::span<const double> v0, std::string_view ref);
-
-  /// w *= growth for every ruled term whose growth != 1.
-  void advance();
-  /// w *= factor for one term (self-adaptive schedules).
-  void advance(std::string_view term, double factor);
-
- private:
-  CompositeObjective* obj_;
-  std::vector<std::pair<std::string, Rule>> rules_;
-};
+/// Both placers' starting point: a tight golden-angle spiral around the
+/// region center (radius step 0.02 * region width, up to 0.05 rad of seeded
+/// angle jitter), so the density overflow starts high and no two devices
+/// coincide. Writes v = (x.., y..).
+void spiral_start(const geom::Rect& region, std::uint64_t seed,
+                  std::span<double> v);
 
 // ---- kernel adapters --------------------------------------------------------
 

@@ -10,9 +10,7 @@ namespace aplace::legal {
 
 IlpDetailedPlacer::IlpDetailedPlacer(netlist::CompiledRef compiled,
                                      IlpOptions opts)
-    : compiled_(std::move(compiled)), opts_(opts) {
-  APLACE_CHECK(opts.utilization > 0 && opts.utilization <= 1.0);
-}
+    : compiled_(std::move(compiled)), opts_(opts) {}
 
 IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
   const netlist::Circuit& c = compiled_->circuit();
@@ -211,6 +209,11 @@ solver::LpProblem IlpDetailedPlacer::round0_problem(
                      nullptr, vars);
 }
 
+/// zeta of objective (4a): the utilization that fixes the constants
+/// W~ = H~ = sqrt(sum s_i / zeta). A constant of the formulation, separate
+/// from GpCommonOptions::utilization, which sizes the GP region.
+constexpr double kZeta = 0.55;
+
 solver::LpProblem IlpDetailedPlacer::build_round(
     const std::vector<PairOrder>& orders,
     const std::vector<geom::Orientation>* fixed_flips,
@@ -226,7 +229,7 @@ solver::LpProblem IlpDetailedPlacer::build_round(
   for (std::size_t i = 0; i < n; ++i) {
     total_area_gu += (dev_w[i] / gu) * (dev_h[i] / gu);
   }
-  const double wh_tilde = std::sqrt(total_area_gu / opts_.utilization);
+  const double wh_tilde = std::sqrt(total_area_gu / kZeta);
 
   solver::LpProblem lp;
   vars.dev = add_device_vars(lp, cc, gu, opts_.mu * wh_tilde / 2.0);

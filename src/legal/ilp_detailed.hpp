@@ -31,7 +31,6 @@ namespace aplace::legal {
 
 struct IlpOptions {
   double mu = 1.0;           ///< area weight in objective (4a)
-  double utilization = 0.55; ///< zeta, defines the W~/H~ constants
   bool enable_flipping = true;
   /// Branch-and-bound node budget of round 0, per axis. The final flip
   /// re-optimization uses 8 per axis; the other rounds are single LPs.

@@ -300,25 +300,21 @@ void MetricsRegistry::reset() {
 // Handles
 
 void Counter::add(std::uint64_t delta) const {
-  if constexpr (!kCompiledIn) return;
   if (reg_ == nullptr || !enabled()) return;
   reg_->counter_add(id_, delta);
 }
 
 void Gauge::set(double value) const {
-  if constexpr (!kCompiledIn) return;
   if (reg_ == nullptr || !enabled()) return;
   reg_->gauge_set(id_, value, /*max_only=*/false);
 }
 
 void Gauge::set_max(double value) const {
-  if constexpr (!kCompiledIn) return;
   if (reg_ == nullptr || !enabled()) return;
   reg_->gauge_set(id_, value, /*max_only=*/true);
 }
 
 void Histogram::record(double value) const {
-  if constexpr (!kCompiledIn) return;
   if (reg_ == nullptr || !enabled()) return;
   reg_->histogram_record(id_, value);
 }

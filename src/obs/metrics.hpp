@@ -20,7 +20,7 @@
 //    values are integers (every partial sum is representable), and within
 //    rounding otherwise.
 //  * Every record call is behind obs::enabled() (metrics disabled = one
-//    relaxed atomic load) and compiles out entirely under APLACE_OBS=OFF.
+//    relaxed atomic load).
 //
 // Capacity is fixed at registration caps (kMaxCounters/...) so shard
 // storage never reallocates under a concurrent reader; exceeding a cap is

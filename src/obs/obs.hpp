@@ -1,33 +1,21 @@
 #pragma once
-// Process-wide observability kill switches.
+// Process-wide observability kill switch.
 //
 // The observability layer (MetricsRegistry in metrics.hpp, scoped Spans in
 // span.hpp) answers the paper's central runtime question — *where* does
 // wall-clock go in each flow — but must never change what the flows
-// compute. Two switches guarantee that:
-//
-//   * Compile time: configure with -DAPLACE_OBS=OFF and every metric /
-//     span call site compiles to nothing (the headers degrade to inline
-//     no-ops behind APLACE_OBS_DISABLED; no registry, no clocks, no
-//     atomics anywhere in the binary).
-//   * Run time: obs::set_enabled(false) — or the APLACE_OBS=0 environment
-//     variable read on first use — short-circuits every record call behind
-//     one relaxed atomic load.
+// compute. obs::set_enabled(false) — or the APLACE_OBS=0 environment
+// variable read on first use — short-circuits every record call behind one
+// relaxed atomic load.
 //
 // Instrumentation is observation-only by construction (it never feeds back
-// into any solver), so results are bit-identical with the layer enabled,
-// disabled, or compiled out; tests/obs_test.cpp pins that contract on the
-// full circuit registry.
+// into any solver), so results are bit-identical with the layer enabled or
+// disabled; tests/obs_test.cpp and tests/determinism_test.cpp pin that
+// contract on the full circuit registry.
 
 #include <atomic>
 
 namespace aplace::obs {
-
-#ifdef APLACE_OBS_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 namespace detail {
 /// The runtime switch. Initialized on first use from APLACE_OBS (unset or
@@ -38,18 +26,12 @@ std::atomic<bool>& enabled_flag();
 
 /// Is telemetry being recorded right now?
 [[nodiscard]] inline bool enabled() {
-  if constexpr (!kCompiledIn) return false;
   return detail::enabled_flag().load(std::memory_order_relaxed);
 }
 
 /// Flip the runtime switch (tests and the bit-identity harness use this).
-/// A no-op in APLACE_OBS=OFF builds.
 inline void set_enabled(bool on) {
-  if constexpr (kCompiledIn) {
-    detail::enabled_flag().store(on, std::memory_order_relaxed);
-  } else {
-    (void)on;
-  }
+  detail::enabled_flag().store(on, std::memory_order_relaxed);
 }
 
 }  // namespace aplace::obs

@@ -38,28 +38,15 @@ double now_seconds() {
   return std::chrono::duration<double>(clock::now() - epoch).count();
 }
 
-SpanContext current_context() {
-  if constexpr (!kCompiledIn) return SpanContext{};
-  return t_context;
-}
+SpanContext current_context() { return t_context; }
 
-ContextGuard::ContextGuard(const SpanContext& ctx) {
-  if constexpr (!kCompiledIn) return;
-  saved_ = t_context;
+ContextGuard::ContextGuard(const SpanContext& ctx) : saved_(t_context) {
   t_context = ctx;
-  active_ = true;
 }
 
-ContextGuard::~ContextGuard() {
-  if (active_) t_context = saved_;
-}
+ContextGuard::~ContextGuard() { t_context = saved_; }
 
 Span::Span(const char* name, Root root) {
-  if constexpr (!kCompiledIn) {
-    (void)name;
-    (void)root;
-    return;
-  }
   if (!enabled()) return;
   name_ = name;
   saved_ = t_context;

@@ -20,8 +20,8 @@
 // docs/OBSERVABILITY.md).
 //
 // Like metrics, spans are observation-only: with the layer disabled
-// (runtime or APLACE_OBS=OFF) construction is a no-op and nothing is
-// recorded.
+// (obs::set_enabled(false) or APLACE_OBS=0) construction is a no-op and
+// nothing is recorded.
 
 #include <cstdint>
 #include <string>
@@ -66,7 +66,6 @@ class ContextGuard {
 
  private:
   SpanContext saved_;
-  bool active_ = false;
 };
 
 /// Scoped timer. `name` must outlive the span (string literals only).

@@ -330,7 +330,7 @@ TEST(PerfFlowTest, AdderGnnAndPerfFlowsPinnedExactly) {
 
 // --- SA's Phi skip -----------------------------------------------------------
 
-// The annealer's global counters (all zero when telemetry is compiled out).
+// The annealer's global counters (all zero when telemetry is disabled).
 struct SaCounters {
   std::uint64_t moves = 0, accepts = 0, calls = 0, skips = 0;
 };
@@ -401,14 +401,12 @@ TEST(PerfFlowTest, SaPerfSkipsPhiCallsAndMatchesReference) {
     ASSERT_TRUE(sp.flow.legal(1e-6)) << label;
     EXPECT_EQ(sp.flow.placement.positions(), ref.placement.positions())
         << label;
-    if (obs::kCompiledIn) {
-      EXPECT_EQ(fast.moves, static_cast<std::uint64_t>(ref.moves_evaluated))
-          << label;
-      EXPECT_EQ(fast.accepts, static_cast<std::uint64_t>(ref.moves_accepted))
-          << label;
-      EXPECT_EQ(fast.calls + fast.skips, fast.moves) << label;
-      EXPECT_GT(fast.skips, 0u) << label;
-    }
+    EXPECT_EQ(fast.moves, static_cast<std::uint64_t>(ref.moves_evaluated))
+        << label;
+    EXPECT_EQ(fast.accepts, static_cast<std::uint64_t>(ref.moves_accepted))
+        << label;
+    EXPECT_EQ(fast.calls + fast.skips, fast.moves) << label;
+    EXPECT_GT(fast.skips, 0u) << label;
   }
   obs::set_enabled(saved);
 }

@@ -3,6 +3,9 @@
 // return Result<T> with line/column context instead of throwing).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
 
 #include <string>
 
@@ -337,7 +340,11 @@ TEST(SvgTest, DefaultRenderPinned) {
 
 TEST(IoFileTest, WriteAndReadBack) {
   circuits::TestCase tc = circuits::make_testcase("Adder");
-  const std::string dir = ::testing::TempDir();
+  // One directory per process, so concurrent runs do not collide.
+  const std::string dir = (std::filesystem::path(::testing::TempDir()) /
+                           ("io_test_" + std::to_string(::getpid())))
+                              .string();
+  std::filesystem::create_directories(dir);
   ASSERT_TRUE(write_circuit(tc.circuit, dir + "/adder.acirc").ok());
   const Result<netlist::Circuit> back = read_circuit(dir + "/adder.acirc");
   ASSERT_TRUE(back.ok()) << back.status().to_string();
@@ -352,6 +359,7 @@ TEST(IoFileTest, WriteAndReadBack) {
 
   write_svg(pl, dir + "/adder.svg");
   EXPECT_THROW(write_svg(pl, "/nonexistent-dir/x.svg"), CheckError);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(IoFileTest, MissingFilesReportThePath) {

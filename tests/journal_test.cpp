@@ -9,6 +9,7 @@
 // finished journal.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -70,8 +71,10 @@ void expect_bit_identical(const core::BatchItem& ref,
 class JournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // One directory per process and test, so concurrent runs on one
+    // machine do not collide.
     dir_ = fs::path(::testing::TempDir()) /
-           ("journal_test_" +
+           ("journal_test_" + std::to_string(::getpid()) + "_" +
             std::string(
                 ::testing::UnitTest::GetInstance()->current_test_info()->name()));
     fs::remove_all(dir_);

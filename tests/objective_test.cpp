@@ -1,7 +1,7 @@
 // Composable objective layer: finite-difference gradient property test for
 // every ObjectiveTerm adapter through the common interface, the
-// composite-equals-sum-of-terms invariant, weight scheduling rules, and the
-// TermTrace observability plumbing.
+// composite-equals-sum-of-terms invariant, weights by term index and their
+// calibration, and the TermTrace observability plumbing.
 
 #include <gtest/gtest.h>
 
@@ -254,10 +254,13 @@ TEST(CompositeObjectiveTest, DisabledTermIsSkippedButStaysInTrace) {
   EXPECT_EQ(obj.trace().find("area")->evals, 0u);
   EXPECT_EQ(obj.trace().find("wirelength")->evals, 1u);
 
-  obj.set_enabled("area", true);
+  // The same composite with the area term enabled evaluates it.
+  CompositeObjective on(v.size());
+  on.add_term(k.make("wirelength-wa"), 1.0);
+  on.add_term(k.make("area"), 5.0);
   std::vector<double> g2(v.size(), 0.0);
-  EXPECT_GT(obj.value_and_grad(v, g2), total);
-  EXPECT_EQ(obj.trace().find("area")->evals, 1u);
+  EXPECT_GT(on.value_and_grad(v, g2), total);
+  EXPECT_EQ(on.trace().find("area")->evals, 1u);
 }
 
 TEST(CompositeObjectiveTest, TraceRecordsStatsAndSamples) {
@@ -320,42 +323,31 @@ TEST(TermTraceTest, MergeCountsSumsEvalsKeepsWinnerSamples) {
   EXPECT_EQ(win.find("gnn-phi")->evals, 2u);
 }
 
-// --- WeightScheduler ---------------------------------------------------------
+TEST(CompositeObjectiveTest, WeightsAreSetByIndex) {
+  Kernels k;
+  CompositeObjective obj(2 * k.circuit.num_devices());
+  EXPECT_EQ(obj.add_term(k.make("symmetry"), 2.0), 0u);
+  EXPECT_EQ(obj.add_term(k.make("boundary"), 3.0), 1u);
 
-TEST(WeightSchedulerTest, CalibratesEveryRuleKind) {
+  obj.scale_weight(0, 1.5);
+  EXPECT_DOUBLE_EQ(obj.weight(0), 3.0);
+  EXPECT_DOUBLE_EQ(obj.weight(1), 3.0);  // untouched
+  obj.set_weight(1, 0.5);
+  EXPECT_DOUBLE_EQ(obj.weight(1), 0.5);
+  // The trace follows every change.
+  EXPECT_DOUBLE_EQ(obj.trace().terms[0].weight, 3.0);
+  EXPECT_DOUBLE_EQ(obj.trace().terms[1].weight, 0.5);
+}
+
+TEST(CompositeObjectiveTest, CalibrateWeightScalesToTheReference) {
   Kernels k;
   const std::vector<double> v = test_positions(k.circuit);
   CompositeObjective obj(v.size());
   obj.add_term(k.make("wirelength-wa"), 1.0);
   obj.add_term(k.make("symmetry"), 0.0);
-  obj.add_term(k.make("boundary"), 0.0);
-  obj.add_term(k.make("common-centroid"), 0.0);
+  const double ref = obj.probe_grad_magnitude(0, v);
+  EXPECT_GT(ref, 0.0);
 
-  WeightScheduler sched(obj);
-  using Rule = WeightScheduler::Rule;
-  Rule wl_rule;
-  wl_rule.init = Rule::Init::Fixed;
-  wl_rule.rel = 1.0;
-  sched.set_rule("wirelength", wl_rule);
-  Rule sym_rule;
-  sym_rule.init = Rule::Init::RelToRefGrad;
-  sym_rule.rel = 0.04;
-  sched.set_rule("symmetry", sym_rule);
-  Rule bound_rule;
-  bound_rule.init = Rule::Init::RefOverScale;
-  bound_rule.rel = 2.0;
-  bound_rule.scale_div = 0.5;
-  sched.set_rule("boundary", bound_rule);
-  Rule cc_rule;
-  cc_rule.init = Rule::Init::TiedTo;
-  cc_rule.rel = 0.04;
-  cc_rule.tied_to = "symmetry";
-  cc_rule.tied_rel = 0.04;
-  sched.set_rule("common-centroid", cc_rule);
-  const double ref_mag = sched.calibrate(v, "wirelength");
-  EXPECT_GT(ref_mag, 0.0);
-
-  EXPECT_DOUBLE_EQ(obj.weight("wirelength"), 1.0);
   // symmetry: rel * |g_wl| / |g_sym|, reproduced by hand.
   std::vector<double> g(v.size(), 0.0);
   Kernels k2;
@@ -363,35 +355,16 @@ TEST(WeightSchedulerTest, CalibratesEveryRuleKind) {
   double mg = 0;
   for (double x : g) mg += std::abs(x);
   mg /= static_cast<double>(g.size());
-  EXPECT_NEAR(obj.weight("symmetry"), 0.04 * ref_mag / mg, 1e-12);
-  EXPECT_DOUBLE_EQ(obj.weight("boundary"), 2.0 * ref_mag / 0.5);
-  // rel == tied_rel ties the weight to the master bit-for-bit.
-  EXPECT_EQ(obj.weight("common-centroid"), obj.weight("symmetry"));
-}
+  const double w = calibrate_weight(obj, 1, v, ref, 0.04);
+  EXPECT_EQ(w, obj.weight(1));
+  EXPECT_NEAR(w, 0.04 * ref / mg, 1e-12);
+  EXPECT_EQ(obj.trace().terms[1].evals, 1u);  // one probe
 
-TEST(WeightSchedulerTest, AdvanceAppliesGrowthRules) {
-  Kernels k;
-  CompositeObjective obj(2 * k.circuit.num_devices());
-  obj.add_term(k.make("symmetry"), 2.0);
-  obj.add_term(k.make("boundary"), 3.0);
-
-  WeightScheduler sched(obj);
-  using Rule = WeightScheduler::Rule;
-  Rule sym_rule;
-  sym_rule.init = Rule::Init::Fixed;
-  sym_rule.rel = 2.0;
-  sym_rule.growth = 1.5;
-  sched.set_rule("symmetry", sym_rule);
-  Rule bound_rule;
-  bound_rule.init = Rule::Init::Fixed;
-  bound_rule.rel = 3.0;
-  sched.set_rule("boundary", bound_rule);
-
-  sched.advance();
-  EXPECT_DOUBLE_EQ(obj.weight("symmetry"), 3.0);
-  EXPECT_DOUBLE_EQ(obj.weight("boundary"), 3.0);  // growth 1 -> untouched
-  sched.advance("symmetry", 2.0);
-  EXPECT_DOUBLE_EQ(obj.weight("symmetry"), 6.0);
+  // A term whose gradient vanishes at v0 keeps rel verbatim.
+  CompositeObjective flat(v.size());
+  flat.add_term(std::make_shared<FunctionTerm>(
+      "flat", [](std::span<const double>, std::span<double>) { return 0.0; }));
+  EXPECT_EQ(calibrate_weight(flat, 0, v, ref, 0.7), 0.7);
 }
 
 }  // namespace
