@@ -4,10 +4,13 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <utility>
 
+#include "base/thread_pool.hpp"
 #include "gnn/phi_term.hpp"
 #include "numeric/rng.hpp"
+#include "obs/span.hpp"
 #include "sa/annealer.hpp"
 
 namespace aplace::core {
@@ -44,42 +47,72 @@ double coord_scale_of(const netlist::Circuit& c) {
 std::unique_ptr<PerfContext> build_perf_context(
     const netlist::Circuit& circuit, const perf::PerformanceSpec& spec,
     DatasetOptions opts, gnn::TrainOptions train_opts) {
+  APLACE_CHECK_MSG(opts.random_samples >= 0 && opts.optimized_samples >= 0 &&
+                       opts.analytic_samples >= 0,
+                   "dataset sample counts must be non-negative");
+  APLACE_CHECK_MSG(
+      opts.random_samples + opts.optimized_samples + opts.analytic_samples > 0,
+      "the dataset needs at least one sample");
+  obs::Span span("perf/context");
   auto compiled = std::make_shared<const netlist::CompiledCircuit>(circuit);
   auto ctx = std::make_unique<PerfContext>(
       compiled, perf::PerformanceModel(compiled, spec),
       gnn::CircuitGraph(compiled, coord_scale_of(circuit)));
+  base::ThreadPool& pool = base::ThreadPool::global();
 
   // --- sample placements ------------------------------------------------------
+  // Every draw from `rng` happens on this thread in the serial order: the
+  // random packings, the short-SA area weights, then (after the concurrent
+  // jobs) the jitter. The short SA runs and the analytical base placement
+  // draw from nothing shared, so they run concurrently.
+  const auto n_random = static_cast<std::size_t>(opts.random_samples);
+  const auto n_optimized = static_cast<std::size_t>(opts.optimized_samples);
   numeric::Rng rng(opts.seed);
   std::vector<netlist::Placement> placements;
-  placements.reserve(
-      static_cast<std::size_t>(opts.random_samples + opts.optimized_samples));
+  placements.reserve(n_random + n_optimized +
+                     static_cast<std::size_t>(opts.analytic_samples));
   {
-    sa::SaOptions sopts;
-    sopts.seed = opts.seed;
-    sa::SaPlacer sampler(circuit, sopts);
-    for (int k = 0; k < opts.random_samples; ++k) {
-      placements.push_back(sampler.sample_random(rng));
+    obs::Span sample_span("perf/context/sample");
+    {
+      sa::SaOptions sopts;
+      sopts.seed = opts.seed;
+      sa::SaPlacer sampler(compiled, sopts);
+      for (std::size_t k = 0; k < n_random; ++k) {
+        placements.push_back(sampler.sample_random(rng));
+      }
     }
-  }
-  for (int k = 0; k < opts.optimized_samples; ++k) {
-    sa::SaOptions sopts;
-    sopts.seed = opts.seed + 1000 + static_cast<std::uint64_t>(k);
-    sopts.max_moves = opts.sa_moves_per_sample;
-    sopts.area_weight = 0.25 + 0.5 * rng.uniform();
-    sa::SaPlacer sap(circuit, sopts);
-    placements.push_back(sap.place().placement);
-  }
-  if (opts.analytic_samples > 0) {
-    // Neighborhood of a good analytical placement: jittered copies teach
-    // the model the local landscape where ePlace-AP descends.
-    EPlaceAOptions eopts;
-    eopts.candidates = 1;
-    eopts.gp.num_starts = 1;
-    const FlowResult base = run_eplace_a(circuit, eopts);
+    std::vector<double> area_weights(n_optimized);
+    for (double& w : area_weights) w = 0.25 + 0.5 * rng.uniform();
+    placements.resize(n_random + n_optimized, netlist::Placement(circuit));
+
+    // The short SA runs go to the pool while this thread computes the
+    // analytical base placement, the largest of the jobs (its ILP tableau
+    // stays in this thread's heap instead of growing a worker's).
+    base::ThreadPool::TaskGroup group(pool);
+    for (std::size_t k = 0; k < n_optimized; ++k) {
+      group.run([&, k] {
+        sa::SaOptions sopts;
+        sopts.seed = opts.seed + 1000 + k;
+        sopts.max_moves = opts.sa_moves_per_sample;
+        sopts.area_weight = area_weights[k];
+        placements[n_random + k] =
+            sa::SaPlacer(compiled, sopts).place().placement;
+      });
+    }
+    std::optional<FlowResult> analytic_base;
+    if (opts.analytic_samples > 0) {
+      // Neighborhood of a good analytical placement: jittered copies teach
+      // the model the local landscape where ePlace-AP descends.
+      EPlaceAOptions eopts;
+      eopts.candidates = 1;
+      eopts.gp.num_starts = 1;
+      analytic_base = run_eplace_a(circuit, eopts);
+    }
+    group.wait();
+
     const std::size_t n = circuit.num_devices();
     for (int k = 0; k < opts.analytic_samples; ++k) {
-      netlist::Placement pl = base.placement;
+      netlist::Placement pl = analytic_base->placement;
       const double sigma = 0.1 + 2.0 * rng.uniform();
       for (std::size_t i = 0; i < n; ++i) {
         const geom::Point p = pl.position(DeviceId{i});
@@ -91,12 +124,26 @@ std::unique_ptr<PerfContext> build_perf_context(
   }
 
   // --- label by routed surrogate performance ---------------------------------
-  const route::GridRouter router;
-  std::vector<double> foms;
-  foms.reserve(placements.size());
-  for (const netlist::Placement& pl : placements) {
-    const route::RoutingResult rr = router.route(*ctx->compiled, pl);
-    foms.push_back(ctx->model.evaluate(pl, &rr).fom);
+  std::vector<double> foms(placements.size());
+  {
+    obs::Span label_span("perf/context/label");
+    // One chunk and one router scratch per pool thread, the scratches
+    // allocated here: routing then allocates little on the workers, whose
+    // heaps would keep that memory after the stage. Each FOM is written by
+    // index, so the split cannot change a result.
+    const route::GridRouter router;
+    std::vector<route::RouteScratch> scratch(pool.num_threads());
+    const std::size_t grain =
+        (placements.size() + scratch.size() - 1) / scratch.size();
+    pool.parallel_for(0, placements.size(), grain,
+                      [&](std::size_t lo, std::size_t hi) {
+                        route::RouteScratch& rs = scratch[lo / grain];
+                        for (std::size_t k = lo; k < hi; ++k) {
+                          const route::RoutingResult rr =
+                              router.route(*ctx->compiled, placements[k], rs);
+                          foms[k] = ctx->model.evaluate(placements[k], &rr).fom;
+                        }
+                      });
   }
   // Median-FOM threshold keeps the two classes balanced for every circuit
   // (the paper's threshold is user-specified; balance is what training
@@ -124,6 +171,7 @@ std::unique_ptr<PerfContext> build_perf_context(
 
 perf::PerformanceResult evaluate_routed(const PerfContext& ctx,
                                         const netlist::Placement& placement) {
+  obs::Span span("route/estimate");
   const route::GridRouter router;
   const route::RoutingResult rr = router.route(*ctx.compiled, placement);
   return ctx.model.evaluate(placement, &rr);

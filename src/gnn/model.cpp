@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "gnn/row_ops.hpp"
 
@@ -133,31 +134,79 @@ double GnnModel::forward(const CircuitGraph& graph, std::span<const double> v,
 void GnnModel::backward(const CircuitGraph& graph, Workspace& ws,
                         double dlogit, std::span<double> param_grad,
                         std::span<double> grad_v) const {
+  APLACE_CHECK(param_grad.empty() || param_grad.size() == kNumParameters);
+  backward_impl<false>(graph, ws, dlogit,
+                       param_grad.empty() ? nullptr : param_grad.data(),
+                       grad_v);
+}
+
+void GnnModel::weight_terms(const CircuitGraph& graph, Workspace& ws,
+                            double dlogit, GradTerms& out) const {
+  backward_impl<true>(graph, ws, dlogit, out.w.data(), {});
+  out.da1.resize(ws.da1.size());
+  out.da2.resize(ws.da2.size());
+  std::swap(out.da1, ws.da1);
+  std::swap(out.da2, ws.da2);
+}
+
+void GnnModel::add_terms(const GradTerms& terms, std::span<double> grad,
+                         std::size_t lo, std::size_t hi) {
+  APLACE_DCHECK(grad.size() == kNumParameters && hi <= kNumParameters);
+  const std::size_t n = terms.da1.size() / kH;
+  // Entries [a, b) of the one-term blocks.
+  const auto add_block = [&](std::size_t a, std::size_t b) {
+    a = std::max(a, lo);
+    b = std::min(b, hi);
+    for (std::size_t k = a; k < b; ++k) grad[k] += terms.w[k];
+  };
+  // A bias block at `off`: each node's row in turn, as backward() adds it.
+  const auto add_rows = [&](std::size_t off, const std::vector<double>& da) {
+    const std::size_t a = std::max(off, lo), b = std::min(off + kH, hi);
+    for (std::size_t i = 0; i < n && a < b; ++i)
+      for (std::size_t k = a; k < b; ++k) grad[k] += da[i * kH + (k - off)];
+  };
+  add_block(kOffW1, kOffB1);
+  add_rows(kOffB1, terms.da1);
+  add_block(kOffW2, kOffB2);
+  add_rows(kOffB2, terms.da2);
+  add_block(kOffW3, kNumParameters);
+}
+
+template <bool kWrite>
+void GnnModel::backward_impl(const CircuitGraph& graph, Workspace& ws,
+                             double dlogit, double* pg,
+                             std::span<double> grad_v) const {
   const std::size_t n = graph.num_nodes();
   APLACE_CHECK(ws.n == n);
-  const bool weights = !param_grad.empty();
-  APLACE_CHECK(!weights || param_grad.size() == kNumParameters);
-  double* pg = param_grad.data();
+  const bool weights = pg != nullptr;
+  // One weight-gradient term: added in, or written for weight_terms().
+  const auto put = [pg](std::size_t k, double v) {
+    if constexpr (kWrite) {
+      pg[k] = v;
+    } else {
+      pg[k] += v;
+    }
+  };
 
   // Head. A ReLU's derivative is read off its output: h <= 0 exactly where
   // the pre-activation is <= 0.
   std::array<double, kM> da3{};
   for (std::size_t j = 0; j < kM; ++j) {
-    if (weights) pg[kOffW4 + j] += dlogit * ws.u[j];
+    if (weights) put(kOffW4 + j, dlogit * ws.u[j]);
     const double du = dlogit * w4_[j];
     da3[j] = ws.a3[j] > 0 ? du : 0.0;
   }
-  if (weights) pg[kOffB4] += dlogit;
+  if (weights) put(kOffB4, dlogit);
 
   std::array<double, kH> dg{};
   for (std::size_t k = 0; k < kH; ++k) {
     for (std::size_t j = 0; j < kM; ++j) {
-      if (weights) pg[kOffW3 + k * kM + j] += ws.g[k] * da3[j];
+      if (weights) put(kOffW3 + k * kM + j, ws.g[k] * da3[j]);
       dg[k] += w3_[k * kM + j] * da3[j];
     }
   }
   if (weights) {
-    for (std::size_t j = 0; j < kM; ++j) pg[kOffB3 + j] += da3[j];
+    for (std::size_t j = 0; j < kM; ++j) put(kOffB3 + j, da3[j]);
   }
 
   // Mean pool: every row of dH2 is dg / n; dA2 masks it by ReLU'.
@@ -168,17 +217,19 @@ void GnnModel::backward(const CircuitGraph& graph, Workspace& ws,
       ws.da2[i * kH + j] = ws.h2[i * kH + j] <= 0 ? 0.0 : dgn[j];
 
   // dW2 = (A~H1)^T dA2, each row summed over the nodes from zero and then
-  // added in; db2 = colsum dA2.
+  // added in; db2 = colsum dA2, added node by node.
   if (weights) {
     for (std::size_t k = 0; k < kH; ++k) {
       double acc[kH] = {};
       for (std::size_t i = 0; i < n; ++i)
         madd<kH>(acc, ws.ah1[i * kH + k], &ws.da2[i * kH]);
-      for (std::size_t j = 0; j < kH; ++j) pg[kOffW2 + k * kH + j] += acc[j];
+      for (std::size_t j = 0; j < kH; ++j) put(kOffW2 + k * kH + j, acc[j]);
     }
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < kH; ++j)
-        pg[kOffB2 + j] += ws.da2[i * kH + j];
+    if constexpr (!kWrite) {
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < kH; ++j)
+          pg[kOffB2 + j] += ws.da2[i * kH + j];
+    }
   }
 
   // dA1 = (A~^T dA2 W2^T) masked by ReLU'.
@@ -192,17 +243,19 @@ void GnnModel::backward(const CircuitGraph& graph, Workspace& ws,
       d[j] = ws.h1[i * kH + j] <= 0 ? 0.0 : acc[j];
   }
 
-  // dW1 = (A~X)^T dA1, the same way; db1 = colsum dA1.
+  // dW1 = (A~X)^T dA1, the same way; db1 = colsum dA1, node by node.
   if (weights) {
     for (std::size_t k = 0; k < kFeatureDim; ++k) {
       double acc[kH] = {};
       for (std::size_t i = 0; i < n; ++i)
         madd<kH>(acc, ws.ax[i * kFeatureDim + k], &ws.da1[i * kH]);
-      for (std::size_t j = 0; j < kH; ++j) pg[kOffW1 + k * kH + j] += acc[j];
+      for (std::size_t j = 0; j < kH; ++j) put(kOffW1 + k * kH + j, acc[j]);
     }
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < kH; ++j)
-        pg[kOffB1 + j] += ws.da1[i * kH + j];
+    if constexpr (!kWrite) {
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < kH; ++j)
+          pg[kOffB1 + j] += ws.da1[i * kH + j];
+    }
   }
 
   // dX = A~^T dA1 W1^T, needed on the dynamic columns only.

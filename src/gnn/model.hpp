@@ -59,12 +59,43 @@ class GnnModel {
                 std::span<double> param_grad,
                 std::span<double> grad_v) const;
 
+  /// One sample's weight gradient held as the terms backward() adds into
+  /// `param_grad`, so that samples evaluated concurrently can be added into
+  /// one running sum in sample order (gnn::Trainer). `w` holds the single
+  /// term each W1, W2, W3, b3, w4 and b4 entry takes; its b1 and b2 entries
+  /// are unused. b1 and b2 take one term per node: the rows of `da1` and
+  /// `da2` (n x kHiddenDim each).
+  struct GradTerms {
+    std::array<double, kNumParameters> w{};
+    std::vector<double> da1, da2;
+  };
+
+  /// The weight half of backward(), writing the sample's terms into `out`
+  /// instead of adding them. The pass's dA1/dA2 rows are swapped out of
+  /// `ws` into `out` rather than copied; `ws` stays ready for the next
+  /// forward().
+  void weight_terms(const CircuitGraph& graph, Workspace& ws, double dlogit,
+                    GradTerms& out) const;
+
+  /// Adds `terms` into grad[lo, hi) exactly as backward() adds the same
+  /// sample's weight gradient: one add per entry, node by node for b1 and
+  /// b2. Each entry's adds are independent of every other entry's, so
+  /// disjoint ranges may be added concurrently.
+  static void add_terms(const GradTerms& terms, std::span<double> grad,
+                        std::size_t lo, std::size_t hi);
+
   /// Phi(v), with d(Phi)/dv added into grad_v (dlogit = phi * (1 - phi)).
   double phi_and_grad(const CircuitGraph& graph, std::span<const double> v,
                       Workspace& ws, std::span<double> grad_v) const;
 
  private:
   void update_transposes();
+  // backward() with the weight gradient added into `pg` (kWrite = false)
+  // or, for weight_terms(), written into it term by term, b1/b2 left to
+  // the dA1/dA2 rows (kWrite = true).
+  template <bool kWrite>
+  void backward_impl(const CircuitGraph& graph, Workspace& ws, double dlogit,
+                     double* pg, std::span<double> grad_v) const;
 
   std::array<double, kFeatureDim * kHiddenDim> w1_{};
   std::array<double, kHiddenDim * kHiddenDim> w2_{};

@@ -22,6 +22,13 @@ inline constexpr double kWeightDecay = 1e-5;
 /// Share of the samples held out for validation (at least one trains).
 inline constexpr double kValidationFraction = 0.2;
 
+/// Train samples whose forward and backward passes run concurrently before
+/// their gradients are added in, and samples per pool task within a wave.
+/// Any thread count runs the same waves and chunks, so the trained weights
+/// do not depend on it.
+inline constexpr std::size_t kTrainWave = 32;
+inline constexpr std::size_t kTrainChunk = 8;
+
 struct TrainOptions {
   int epochs = 120;
   double lr = 5e-3;
@@ -39,7 +46,9 @@ class Trainer {
  public:
   Trainer(const CircuitGraph& graph, GnnModel& model, TrainOptions opts = {});
 
-  /// Full-batch training; returns the final report.
+  /// Full-batch training on the global thread pool; returns the final
+  /// report. Bit-identical to one serial pass over the train set per epoch
+  /// at any pool size.
   TrainReport train(const std::vector<Sample>& samples);
 
  private:

@@ -2,16 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <queue>
 
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 
 namespace aplace::route {
 namespace {
 
 constexpr double kMargin = 2.0;  ///< routing halo around the layout bbox (um)
+/// Nodes per side of the auto-pitch grid (pitch = longer side / 64), at
+/// most.
+constexpr std::size_t kAutoGridSide = 66;
 
 struct RoutingGrid {
   geom::Rect region;
@@ -22,16 +24,22 @@ struct RoutingGrid {
   // and nx*(ny-1) vertical edges — the arrays used to be allocated nx*ny
   // each, silently over-sized and indexed by source-node id, so the last
   // column's "horizontal" slots (and last row's vertical ones) were dead
-  // weight that also hid any indexing bug from ASan.
-  std::vector<double> h_use, v_use;
+  // weight that also hid any indexing bug from ASan. They live in the
+  // call's RouteScratch.
+  std::vector<double>& h_use;
+  std::vector<double>& v_use;
 
-  RoutingGrid(const geom::Rect& r, double p)
+  RoutingGrid(const geom::Rect& r, double p, std::vector<double>& h,
+              std::vector<double>& v)
       : region(r),
         pitch(p),
         nx(static_cast<std::size_t>(std::ceil(r.width() / p)) + 1),
         ny(static_cast<std::size_t>(std::ceil(r.height() / p)) + 1),
-        h_use((nx - 1) * ny, 0.0),
-        v_use(nx * (ny - 1), 0.0) {}
+        h_use(h),
+        v_use(v) {
+    h_use.assign((nx - 1) * ny, 0.0);
+    v_use.assign(nx * (ny - 1), 0.0);
+  }
 
   [[nodiscard]] std::size_t idx(std::size_t cx, std::size_t cy) const {
     return cy * nx + cx;
@@ -70,13 +78,76 @@ struct AstarNode {
   }
 };
 
-// A* from source node to target node; returns path of node ids (reversed).
-std::vector<std::size_t> astar(const RoutingGrid& g, std::size_t src,
-                               std::size_t dst, double congestion_penalty) {
+}  // namespace
+
+// The grid's edge usage, and the A* state for every connection of a
+// route() call. A search leaves best = inf and parent = none everywhere
+// except on the nodes it reached, which it lists in `touched`, so the next
+// search of the call resets just those instead of refilling the grid.
+struct RouteScratch::State {
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  /// Sized for an n-node grid with no search run yet.
+  void start(std::size_t n) {
+    best.assign(n, kInf);
+    parent.assign(n, n);
+    touched.clear();
+  }
+
+  void reset() {
+    for (std::size_t id : touched) {
+      best[id] = kInf;
+      parent[id] = parent.size();
+    }
+    touched.clear();
+    open.clear();
+    path.clear();
+  }
+
+  std::vector<double> h_use, v_use;
+  std::vector<double> best;
+  std::vector<std::size_t> parent;
+  std::vector<std::size_t> touched;
+  std::vector<AstarNode> open;    ///< min-heap on f (std::greater)
+  std::vector<std::size_t> path;  ///< the last search's path
+};
+
+RouteScratch::RouteScratch() : state_(std::make_unique<State>()) {
+  // Capacity for the auto-pitch grid (at most kAutoGridSide nodes a side):
+  // reserved here, so the calls that use this scratch do not allocate it.
+  const std::size_t n = kAutoGridSide * kAutoGridSide;
+  for (std::vector<double>* v :
+       {&state_->h_use, &state_->v_use, &state_->best}) {
+    v->reserve(n);
+  }
+  for (std::vector<std::size_t>* v :
+       {&state_->parent, &state_->touched, &state_->path}) {
+    v->reserve(n);
+  }
+  state_->open.reserve(n);
+}
+
+RouteScratch::~RouteScratch() = default;
+RouteScratch::RouteScratch(RouteScratch&&) noexcept = default;
+RouteScratch& RouteScratch::operator=(RouteScratch&&) noexcept = default;
+
+namespace {
+
+using AstarScratch = RouteScratch::State;
+
+// A* from source node to target node; fills s.path with the path's node
+// ids, target first (empty if unreachable).
+void astar(const RoutingGrid& g, std::size_t src, std::size_t dst,
+           double congestion_penalty, AstarScratch& s) {
   const std::size_t n = g.nx * g.ny;
-  std::vector<double> best(n, std::numeric_limits<double>::infinity());
-  std::vector<std::size_t> parent(n, n);
-  std::priority_queue<AstarNode, std::vector<AstarNode>, std::greater<>> open;
+  s.reset();
+  std::vector<double>& best = s.best;
+  std::vector<std::size_t>& parent = s.parent;
+  std::vector<AstarNode>& open = s.open;
+  const auto push = [&](AstarNode node) {
+    open.push_back(node);
+    std::push_heap(open.begin(), open.end(), std::greater<>{});
+  };
 
   const auto hx = [&](std::size_t id) {
     const long ax = static_cast<long>(id % g.nx), ay = static_cast<long>(id / g.nx);
@@ -85,10 +156,12 @@ std::vector<std::size_t> astar(const RoutingGrid& g, std::size_t src,
   };
 
   best[src] = 0;
-  open.push({hx(src), 0, src});
+  s.touched.push_back(src);
+  push({hx(src), 0, src});
   while (!open.empty()) {
-    const AstarNode cur = open.top();
-    open.pop();
+    std::pop_heap(open.begin(), open.end(), std::greater<>{});
+    const AstarNode cur = open.back();
+    open.pop_back();
     if (cur.g > best[cur.id] + 1e-12) continue;
     if (cur.id == dst) break;
     const std::size_t cx = cur.id % g.nx, cy = cur.id / g.nx;
@@ -97,9 +170,10 @@ std::vector<std::size_t> astar(const RoutingGrid& g, std::size_t src,
       const double cost =
           cur.g + g.pitch * (1.0 + congestion_penalty * edge_use);
       if (cost < best[nid] - 1e-12) {
+        if (best[nid] == AstarScratch::kInf) s.touched.push_back(nid);
         best[nid] = cost;
         parent[nid] = cur.id;
-        open.push({cost + hx(nid), cost, nid});
+        push({cost + hx(nid), cost, nid});
       }
     };
     if (cx + 1 < g.nx) relax(g.idx(cx + 1, cy), g.h_use[g.h_idx(cx, cy)]);
@@ -108,14 +182,12 @@ std::vector<std::size_t> astar(const RoutingGrid& g, std::size_t src,
     if (cy > 0) relax(g.idx(cx, cy - 1), g.v_use[g.v_idx(cx, cy - 1)]);
   }
 
-  std::vector<std::size_t> path;
-  if (parent[dst] == n && src != dst) return path;  // unreachable (never
-                                                    // happens on a full grid)
+  if (parent[dst] == n && src != dst) return;  // unreachable (never happens
+                                               // on a full grid)
   for (std::size_t at = dst;; at = parent[at]) {
-    path.push_back(at);
+    s.path.push_back(at);
     if (at == src) break;
   }
-  return path;
 }
 
 void commit_path(RoutingGrid& g, const std::vector<std::size_t>& path) {
@@ -138,7 +210,13 @@ void commit_path(RoutingGrid& g, const std::vector<std::size_t>& path) {
 
 RoutingResult GridRouter::route(const netlist::CompiledCircuit& compiled,
                                 const netlist::Placement& placement) const {
-  obs::Span span("route/estimate");
+  RouteScratch scratch;
+  return route(compiled, placement, scratch);
+}
+
+RoutingResult GridRouter::route(const netlist::CompiledCircuit& compiled,
+                                const netlist::Placement& placement,
+                                RouteScratch& scratch_in) const {
   obs::counter("route/runs").inc();
   APLACE_DCHECK(&compiled.circuit() == &placement.circuit());
   RoutingResult result;
@@ -150,7 +228,9 @@ RoutingResult GridRouter::route(const netlist::CompiledCircuit& compiled,
     pitch = std::max(bbox.width(), bbox.height()) / 64.0;
     pitch = std::max(pitch, 0.1);
   }
-  RoutingGrid grid(bbox, pitch);
+  AstarScratch& scratch = *scratch_in.state_;
+  RoutingGrid grid(bbox, pitch, scratch.h_use, scratch.v_use);
+  scratch.start(grid.nx * grid.ny);
 
   // Route nets in ascending bbox half-perimeter order (small first), the
   // usual global-routing heuristic.
@@ -201,8 +281,9 @@ RoutingResult GridRouter::route(const netlist::CompiledCircuit& compiled,
           }
         }
       }
-      const std::vector<std::size_t> path =
-          astar(grid, best_src, pins[best_pin], opts_.congestion_penalty);
+      astar(grid, best_src, pins[best_pin], opts_.congestion_penalty,
+            scratch);
+      const std::vector<std::size_t>& path = scratch.path;
       commit_path(grid, path);
       out.length += grid.pitch * static_cast<double>(
                         path.size() > 0 ? path.size() - 1 : 0);

@@ -7,6 +7,7 @@
 // is routed with A* over a uniform grid whose edge cost grows with usage, so
 // parallel nets spread out and routed length responds to placement quality.
 
+#include <memory>
 #include <vector>
 
 #include "netlist/compiled.hpp"
@@ -34,6 +35,25 @@ struct RoutingResult {
   }
 };
 
+/// Buffers route() reuses from net to net: the grid's edge usage and the
+/// A* search state. A caller routing many placements may keep one per
+/// concurrent call and pass it to each; no result depends on what the
+/// scratch held before. It is created with room for the auto-pitch grid,
+/// so route() calls on that grid do not allocate these buffers.
+class RouteScratch {
+ public:
+  RouteScratch();
+  ~RouteScratch();
+  RouteScratch(RouteScratch&&) noexcept;
+  RouteScratch& operator=(RouteScratch&&) noexcept;
+
+  struct State;  ///< the buffers; defined in router.cpp
+
+ private:
+  friend class GridRouter;
+  std::unique_ptr<State> state_;
+};
+
 class GridRouter {
  public:
   explicit GridRouter(RouterOptions options = {}) : opts_(options) {}
@@ -43,6 +63,10 @@ class GridRouter {
   /// circuit the placement was built on.
   [[nodiscard]] RoutingResult route(const netlist::CompiledCircuit& compiled,
                                     const netlist::Placement& placement) const;
+  /// The same, on the caller's scratch.
+  [[nodiscard]] RoutingResult route(const netlist::CompiledCircuit& compiled,
+                                    const netlist::Placement& placement,
+                                    RouteScratch& scratch) const;
 
  private:
   RouterOptions opts_;

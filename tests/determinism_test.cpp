@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <memory>
 #include <vector>
 
 #include "base/fnv.hpp"
@@ -15,6 +16,7 @@
 #include "circuits/testcases.hpp"
 #include "core/batch.hpp"
 #include "core/flow.hpp"
+#include "core/perf_flow.hpp"
 #include "io/netlist_io.hpp"
 #include "legal/ilp_detailed.hpp"
 #include "numeric/rng.hpp"
@@ -270,6 +272,39 @@ TEST_F(DeterminismTest, GoldenSaQualityPinned) {
   EXPECT_EQ(r.quality.area, 48);
   EXPECT_EQ(base::fnv1a64(io::placement_to_text(r.placement)),
             10763793568902481928ULL);
+}
+
+TEST_F(DeterminismTest, PerfContextIdenticalAcrossThreadCounts) {
+  // build_perf_context samples, labels and trains on the pool: the dataset
+  // threshold, the training report and every trained weight are the same
+  // at any pool size (flow_test's quick dataset).
+  circuits::TestCase tc = circuits::make_testcase("CC-OTA");
+  core::DatasetOptions data;
+  data.random_samples = 120;
+  data.optimized_samples = 4;
+  data.sa_moves_per_sample = 500;
+  gnn::TrainOptions train;
+  train.epochs = 60;
+
+  std::vector<std::unique_ptr<core::PerfContext>> ctxs;
+  for (unsigned threads : kThreadCounts) {
+    base::ThreadPool::set_global_threads(threads);
+    ctxs.push_back(
+        core::build_perf_context(tc.circuit, tc.spec, data, train));
+  }
+  const core::PerfContext& a = *ctxs[0];
+  for (std::size_t i = 1; i < ctxs.size(); ++i) {
+    const core::PerfContext& b = *ctxs[i];
+    const unsigned threads = kThreadCounts[i];
+    EXPECT_EQ(a.label_threshold, b.label_threshold) << threads;
+    EXPECT_EQ(a.training.final_loss, b.training.final_loss) << threads;
+    EXPECT_EQ(a.training.train_accuracy, b.training.train_accuracy)
+        << threads;
+    EXPECT_EQ(a.training.validation_accuracy, b.training.validation_accuracy)
+        << threads;
+    EXPECT_EQ(a.training.epochs_run, b.training.epochs_run) << threads;
+    EXPECT_EQ(a.net.parameters(), b.net.parameters()) << threads;
+  }
 }
 
 TEST_F(DeterminismTest, BatchResultsIdenticalSequentialVsParallel) {

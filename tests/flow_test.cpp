@@ -13,6 +13,7 @@
 #include "kernel_oracle.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "obs/span.hpp"
 #include "sa/annealer.hpp"
 #include "test_util.hpp"
 
@@ -230,6 +231,67 @@ TEST(PerfFlowTest, ContextBuildsAndGnnLearnsSomething) {
   EXPECT_LT(ctx->label_threshold, 1.0);
   EXPECT_GT(ctx->training.train_accuracy, 0.6)
       << "GNN failed to fit the placement-quality labels at all";
+}
+
+TEST(PerfFlowTest, BadDatasetSizesAreRejected) {
+  // An empty dataset, or a negative count, fails the entry check instead
+  // of reaching the median of no labels.
+  circuits::TestCase tc = circuits::make_testcase("Adder");
+  DatasetOptions none;
+  none.random_samples = 0;
+  none.optimized_samples = 0;
+  none.analytic_samples = 0;
+  EXPECT_THROW((void)build_perf_context(tc.circuit, tc.spec, none),
+               CheckError);
+  DatasetOptions negative = quick_dataset();
+  negative.optimized_samples = -1;
+  EXPECT_THROW((void)build_perf_context(tc.circuit, tc.spec, negative),
+               CheckError);
+}
+
+TEST(PerfFlowTest, ContextSpansAndTrainingCounters) {
+  // One perf/context span per build, with its sampling, labeling and
+  // training stages as children; the training counters grow by the
+  // epochs run and by epochs x train-set size.
+  const bool saved = obs::enabled();
+  obs::set_enabled(true);
+  obs::SpanCollector::global().clear();
+  const auto counter = [](const char* name) -> std::uint64_t {
+    const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().scrape();
+    const obs::MetricsSnapshot::CounterRow* row = snap.find_counter(name);
+    return row != nullptr ? row->value : 0;
+  };
+  const std::uint64_t epochs0 = counter("gnn/train_epochs");
+  const std::uint64_t samples0 = counter("gnn/train_samples");
+
+  circuits::TestCase tc = circuits::make_testcase("Adder");
+  DatasetOptions data = quick_dataset();
+  data.analytic_samples = 0;
+  gnn::TrainOptions train = quick_training();
+  train.epochs = 3;
+  auto ctx = build_perf_context(tc.circuit, tc.spec, data, train);
+  const std::vector<obs::SpanEvent> events =
+      obs::SpanCollector::global().drain();
+  obs::set_enabled(saved);
+
+  const auto find = [&](std::string_view name) {
+    std::vector<const obs::SpanEvent*> out;
+    for (const obs::SpanEvent& e : events) {
+      if (e.name == name) out.push_back(&e);
+    }
+    return out;
+  };
+  const auto context = find("perf/context");
+  ASSERT_EQ(context.size(), 1u);
+  for (const char* child :
+       {"perf/context/sample", "perf/context/label", "gnn/train"}) {
+    const auto spans = find(child);
+    ASSERT_EQ(spans.size(), 1u) << child;
+    EXPECT_EQ(spans[0]->parent, context[0]->id) << child;
+  }
+  // 124 samples: 25 validate (round(0.2 * 124)), 99 train.
+  EXPECT_EQ(counter("gnn/train_epochs") - epochs0, 3u);
+  EXPECT_EQ(counter("gnn/train_samples") - samples0, 3u * 99u);
 }
 
 TEST(PerfFlowTest, EPlaceApLegalAndScored) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <thread>
 
+#include "base/thread_pool.hpp"
 #include "circuits/testcases.hpp"
 #include "gnn/graph.hpp"
 #include "gnn/model.hpp"
@@ -284,6 +285,38 @@ INSTANTIATE_TEST_SUITE_P(
       return s;
     });
 
+TEST(GnnModelTest, WeightTermsAddUpExactlyAsBackwardAdds) {
+  // Training's split backward: terms written per sample, then added into a
+  // running sum in sample order, a parameter range at a time. The sum
+  // matches backward() adding the same samples in, bit for bit.
+  circuits::TestCase tc = circuits::make_testcase("CC-OTA");
+  const double side = std::sqrt(tc.circuit.total_device_area() / 0.5);
+  const CircuitGraph g(tc.circuit, side);
+  numeric::Rng rng(31);
+  GnnModel model;
+  model.initialize(rng);
+
+  std::vector<double> added(GnnModel::kNumParameters);
+  for (double& x : added) x = rng.uniform(-1.0, 1.0);
+  std::vector<double> replayed = added;
+  std::vector<GnnModel::GradTerms> terms(3);
+  Workspace ws;
+  for (GnnModel::GradTerms& t : terms) {
+    const std::vector<double> v = random_positions(g.num_nodes(), side, rng);
+    const double phi = model.forward(g, v, ws);
+    model.backward(g, ws, phi - 0.25, added, {});
+    model.weight_terms(g, ws, phi - 0.25, t);
+  }
+  // Uneven ranges that cut through the b1 and b2 blocks.
+  const std::size_t cuts[] = {0, 100, 395, 990, 1001, GnnModel::kNumParameters};
+  for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
+    for (const GnnModel::GradTerms& t : terms) {
+      GnnModel::add_terms(t, replayed, cuts[c], cuts[c + 1]);
+    }
+  }
+  EXPECT_EQ(replayed, added);
+}
+
 TEST(GnnWorkspaceTest, InterleavedEvaluationsStayIsolated) {
   // Everything an evaluation needs between forward and backward (the
   // laplacian signs included) lives in its workspace: two placements
@@ -430,6 +463,82 @@ TEST(TrainerTest, MatchesDenseOracleTrainingBitwise) {
   }
   EXPECT_EQ(report.final_loss, final_loss);
   EXPECT_EQ(model.parameters(), params);
+}
+
+// Trainer's epochs replayed on the dense oracle: the same split, the
+// per-sample losses and gradients summed in train order, the same Adam
+// steps. Returns the final loss; `params` ends as the trained weights.
+double dense_oracle_training(const netlist::CompiledCircuit& cc, double scale,
+                             const std::vector<Sample>& samples,
+                             const TrainOptions& topts,
+                             std::vector<double>& params) {
+  numeric::Rng rng(topts.seed);
+  std::vector<std::size_t> order(samples.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(order.begin(), order.end(), rng.engine());
+  const std::size_t n_val = std::min(
+      samples.size() - 1,
+      static_cast<std::size_t>(std::llround(
+          kValidationFraction * static_cast<double>(samples.size()))));
+  const std::vector<std::size_t> train(order.begin() + n_val, order.end());
+
+  oracle::DenseGnn dense(cc, scale, params);
+  numeric::Adam adam(params.size(), {.lr = topts.lr});
+  std::vector<double> grad(params.size());
+  double final_loss = 0;
+  for (int epoch = 0; epoch < topts.epochs; ++epoch) {
+    std::fill(grad.begin(), grad.end(), 0.0);
+    double loss = 0;
+    for (const std::size_t si : train) {
+      const Sample& s = samples[si];
+      oracle::DenseGnn::Activations act;
+      const double phi = dense.forward(dense.features(s.positions).x, act);
+      const double p = std::clamp(phi, 1e-9, 1.0 - 1e-9);
+      loss += -(s.label * std::log(p) + (1.0 - s.label) * std::log(1.0 - p));
+      dense.backward(act, phi - s.label, grad, nullptr);
+    }
+    const double inv = 1.0 / static_cast<double>(train.size());
+    for (std::size_t k = 0; k < grad.size(); ++k) {
+      grad[k] = grad[k] * inv + kWeightDecay * params[k];
+    }
+    adam.step(params, grad);
+    dense.set_parameters(params);
+    final_loss = loss * inv;
+  }
+  return final_loss;
+}
+
+TEST(TrainerTest, PartialWaveMatchesDenseOracleAtAnyThreadCount) {
+  // Two full waves plus a partial one whose last chunk is partial too: the
+  // waves' gradients, added in sample order, give the serial oracle's
+  // weights and loss at 1 and 4 threads.
+  const int n_samples = 93;
+  const std::size_t n_train = 93 - 19;  // 19 = round(0.2 * 93) validate
+  ASSERT_EQ(std::llround(kValidationFraction * n_samples), 19);
+  ASSERT_GT(n_train, 2 * kTrainWave);
+  ASSERT_NE(n_train % kTrainWave % kTrainChunk, 0u);
+  circuits::TestCase tc = circuits::make_testcase("CM-OTA1");
+  const netlist::CompiledCircuit cc(tc.circuit);
+  const CircuitGraph g(tc.circuit, 10.0);
+  const std::vector<Sample> samples = separable_samples(tc.circuit, n_samples);
+  TrainOptions topts;
+  topts.epochs = 4;
+
+  GnnModel init_model;
+  numeric::Rng init(29);
+  init_model.initialize(init);
+  std::vector<double> params = init_model.parameters();
+  const double final_loss =
+      dense_oracle_training(cc, 10.0, samples, topts, params);
+
+  for (const unsigned threads : {1u, 4u}) {
+    base::ThreadPool::set_global_threads(threads);
+    GnnModel model = init_model;
+    const TrainReport report = Trainer(g, model, topts).train(samples);
+    EXPECT_EQ(report.final_loss, final_loss) << threads << " threads";
+    EXPECT_EQ(model.parameters(), params) << threads << " threads";
+  }
+  base::ThreadPool::set_global_threads(base::ThreadPool::default_threads());
 }
 
 }  // namespace

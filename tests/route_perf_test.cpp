@@ -68,6 +68,33 @@ TEST(RouterTest, DefaultTotalLengthPinned) {
   EXPECT_EQ(rr.max_edge_usage, 3.0);
 }
 
+TEST(RouterTest, ReusedScratchRoutesLikeAFreshOne) {
+  // One scratch through placements of different grid sizes, including a
+  // fine pitch whose grid outgrows the reserved auto-pitch one: every
+  // result equals the call that builds its own scratch.
+  route::RouteScratch scratch;
+  for (const char* name : {"Adder", "VGA", "Comp1"}) {
+    circuits::TestCase tc = circuits::make_testcase(name);
+    const netlist::Placement pl = legal_placement(tc.circuit);
+    const netlist::CompiledCircuit compiled(tc.circuit);
+    route::RouterOptions fine;
+    fine.pitch = 0.1;
+    for (const route::RouterOptions& opts : {route::RouterOptions{}, fine}) {
+      const route::GridRouter router(opts);
+      const route::RoutingResult a = router.route(compiled, pl);
+      const route::RoutingResult b = router.route(compiled, pl, scratch);
+      EXPECT_EQ(a.total_length, b.total_length) << name;
+      EXPECT_EQ(a.max_edge_usage, b.max_edge_usage) << name;
+      ASSERT_EQ(a.nets.size(), b.nets.size()) << name;
+      for (std::size_t e = 0; e < a.nets.size(); ++e) {
+        EXPECT_EQ(a.nets[e].length, b.nets[e].length) << name << " net " << e;
+        EXPECT_EQ(a.nets[e].waypoints.size(), b.nets[e].waypoints.size())
+            << name << " net " << e;
+      }
+    }
+  }
+}
+
 TEST(RouterTest, CongestionPenaltySpreadsRoutes) {
   circuits::TestCase tc = circuits::make_testcase("Comp1");
   const netlist::Placement pl = legal_placement(tc.circuit);
