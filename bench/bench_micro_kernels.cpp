@@ -397,11 +397,14 @@ void print_gnn_table(bench::JsonReport& json) {
       }
       sink += grad_w[0];
     });
+    gnn::GnnModel::GradTerms terms;
     const double kernel_us = best_of3(epochs, [&] {
       std::fill(grad_w.begin(), grad_w.end(), 0.0);
       for (const std::vector<double>& v : samples) {
         const double phi = model.forward(graph, v, ws);
-        model.backward(graph, ws, phi - 0.5, grad_w, {});
+        model.weight_terms(graph, ws, phi - 0.5, terms);
+        gnn::GnnModel::add_terms(terms, grad_w, 0,
+                                 gnn::GnnModel::kNumParameters);
       }
       sink += grad_w[0];
     });

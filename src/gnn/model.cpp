@@ -132,17 +132,25 @@ double GnnModel::forward(const CircuitGraph& graph, std::span<const double> v,
 }
 
 void GnnModel::backward(const CircuitGraph& graph, Workspace& ws,
-                        double dlogit, std::span<double> param_grad,
-                        std::span<double> grad_v) const {
-  APLACE_CHECK(param_grad.empty() || param_grad.size() == kNumParameters);
-  backward_impl<false>(graph, ws, dlogit,
-                       param_grad.empty() ? nullptr : param_grad.data(),
-                       grad_v);
+                        double dlogit, std::span<double> grad_v) const {
+  const std::size_t n = graph.num_nodes();
+  propagate(graph, ws, dlogit, nullptr);
+
+  // dX = A~^T dA1 W1^T, needed on the dynamic columns only.
+  aggregate<kH>(graph.adjacency_t(), ws.da1.data(), ws.t.data());
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* t = &ws.t[i * kH];
+    double acc[kNumDynamic] = {};
+    for (std::size_t k = 0; k < kH; ++k)
+      madd<kNumDynamic>(acc, t[k], &w1t_dyn_[k * kNumDynamic]);
+    std::copy(acc, acc + kNumDynamic, &ws.x_grad[i * kNumDynamic]);
+  }
+  graph.accumulate_position_grad(ws, grad_v);
 }
 
 void GnnModel::weight_terms(const CircuitGraph& graph, Workspace& ws,
                             double dlogit, GradTerms& out) const {
-  backward_impl<true>(graph, ws, dlogit, out.w.data(), {});
+  propagate(graph, ws, dlogit, out.w.data());
   out.da1.resize(ws.da1.size());
   out.da2.resize(ws.da2.size());
   std::swap(out.da1, ws.da1);
@@ -159,7 +167,7 @@ void GnnModel::add_terms(const GradTerms& terms, std::span<double> grad,
     b = std::min(b, hi);
     for (std::size_t k = a; k < b; ++k) grad[k] += terms.w[k];
   };
-  // A bias block at `off`: each node's row in turn, as backward() adds it.
+  // A bias block at `off`: each node's row in turn, in node order.
   const auto add_rows = [&](std::size_t off, const std::vector<double>& da) {
     const std::size_t a = std::max(off, lo), b = std::min(off + kH, hi);
     for (std::size_t i = 0; i < n && a < b; ++i)
@@ -172,41 +180,30 @@ void GnnModel::add_terms(const GradTerms& terms, std::span<double> grad,
   add_block(kOffW3, kNumParameters);
 }
 
-template <bool kWrite>
-void GnnModel::backward_impl(const CircuitGraph& graph, Workspace& ws,
-                             double dlogit, double* pg,
-                             std::span<double> grad_v) const {
+void GnnModel::propagate(const CircuitGraph& graph, Workspace& ws,
+                         double dlogit, double* w) const {
   const std::size_t n = graph.num_nodes();
   APLACE_CHECK(ws.n == n);
-  const bool weights = pg != nullptr;
-  // One weight-gradient term: added in, or written for weight_terms().
-  const auto put = [pg](std::size_t k, double v) {
-    if constexpr (kWrite) {
-      pg[k] = v;
-    } else {
-      pg[k] += v;
-    }
-  };
 
   // Head. A ReLU's derivative is read off its output: h <= 0 exactly where
   // the pre-activation is <= 0.
   std::array<double, kM> da3{};
   for (std::size_t j = 0; j < kM; ++j) {
-    if (weights) put(kOffW4 + j, dlogit * ws.u[j]);
+    if (w) w[kOffW4 + j] = dlogit * ws.u[j];
     const double du = dlogit * w4_[j];
     da3[j] = ws.a3[j] > 0 ? du : 0.0;
   }
-  if (weights) put(kOffB4, dlogit);
+  if (w) w[kOffB4] = dlogit;
 
   std::array<double, kH> dg{};
   for (std::size_t k = 0; k < kH; ++k) {
     for (std::size_t j = 0; j < kM; ++j) {
-      if (weights) put(kOffW3 + k * kM + j, ws.g[k] * da3[j]);
+      if (w) w[kOffW3 + k * kM + j] = ws.g[k] * da3[j];
       dg[k] += w3_[k * kM + j] * da3[j];
     }
   }
-  if (weights) {
-    for (std::size_t j = 0; j < kM; ++j) put(kOffB3 + j, da3[j]);
+  if (w) {
+    for (std::size_t j = 0; j < kM; ++j) w[kOffB3 + j] = da3[j];
   }
 
   // Mean pool: every row of dH2 is dg / n; dA2 masks it by ReLU'.
@@ -216,19 +213,14 @@ void GnnModel::backward_impl(const CircuitGraph& graph, Workspace& ws,
     for (std::size_t j = 0; j < kH; ++j)
       ws.da2[i * kH + j] = ws.h2[i * kH + j] <= 0 ? 0.0 : dgn[j];
 
-  // dW2 = (A~H1)^T dA2, each row summed over the nodes from zero and then
-  // added in; db2 = colsum dA2, added node by node.
-  if (weights) {
+  // dW2 = (A~H1)^T dA2, each row summed over the nodes from zero. db2 is
+  // left to dA2's rows.
+  if (w) {
     for (std::size_t k = 0; k < kH; ++k) {
       double acc[kH] = {};
       for (std::size_t i = 0; i < n; ++i)
         madd<kH>(acc, ws.ah1[i * kH + k], &ws.da2[i * kH]);
-      for (std::size_t j = 0; j < kH; ++j) put(kOffW2 + k * kH + j, acc[j]);
-    }
-    if constexpr (!kWrite) {
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < kH; ++j)
-          pg[kOffB2 + j] += ws.da2[i * kH + j];
+      std::copy(acc, acc + kH, &w[kOffW2 + k * kH]);
     }
   }
 
@@ -243,32 +235,14 @@ void GnnModel::backward_impl(const CircuitGraph& graph, Workspace& ws,
       d[j] = ws.h1[i * kH + j] <= 0 ? 0.0 : acc[j];
   }
 
-  // dW1 = (A~X)^T dA1, the same way; db1 = colsum dA1, node by node.
-  if (weights) {
+  // dW1 = (A~X)^T dA1, the same way; db1 is left to dA1's rows.
+  if (w) {
     for (std::size_t k = 0; k < kFeatureDim; ++k) {
       double acc[kH] = {};
       for (std::size_t i = 0; i < n; ++i)
         madd<kH>(acc, ws.ax[i * kFeatureDim + k], &ws.da1[i * kH]);
-      for (std::size_t j = 0; j < kH; ++j) put(kOffW1 + k * kH + j, acc[j]);
+      std::copy(acc, acc + kH, &w[kOffW1 + k * kH]);
     }
-    if constexpr (!kWrite) {
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < kH; ++j)
-          pg[kOffB1 + j] += ws.da1[i * kH + j];
-    }
-  }
-
-  // dX = A~^T dA1 W1^T, needed on the dynamic columns only.
-  if (!grad_v.empty()) {
-    aggregate<kH>(graph.adjacency_t(), ws.da1.data(), ws.t.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* t = &ws.t[i * kH];
-      double acc[kNumDynamic] = {};
-      for (std::size_t k = 0; k < kH; ++k)
-        madd<kNumDynamic>(acc, t[k], &w1t_dyn_[k * kNumDynamic]);
-      std::copy(acc, acc + kNumDynamic, &ws.x_grad[i * kNumDynamic]);
-    }
-    graph.accumulate_position_grad(ws, grad_v);
   }
 }
 
@@ -276,7 +250,7 @@ double GnnModel::phi_and_grad(const CircuitGraph& graph,
                               std::span<const double> v, Workspace& ws,
                               std::span<double> grad_v) const {
   const double phi = forward(graph, v, ws);
-  backward(graph, ws, phi * (1.0 - phi), {}, grad_v);
+  backward(graph, ws, phi * (1.0 - phi), grad_v);
   return phi;
 }
 

@@ -8,10 +8,10 @@
 //   u  = ReLU(g W3 + b3)
 //   Phi = sigmoid(u . w4 + b4)
 //
-// Everything is hand-differentiated; backward() produces the weight
-// gradients (for training) and/or d Phi / d v (for the analytical placer,
-// which descends through the model to device coordinates — the key
-// mechanism of ePlace-AP).
+// Everything is hand-differentiated; weight_terms() produces the weight
+// gradient (for training) and backward() d Phi / d v (for the analytical
+// placer, which descends through the model to device coordinates — the
+// key mechanism of ePlace-AP).
 //
 // The kernel is sparse and allocation-free: A~ is CSR, A~ X's static
 // columns come precomputed from the CircuitGraph, per-evaluation state
@@ -46,41 +46,36 @@ class GnnModel {
 
   // ---- forward / backward ---------------------------------------------------
   /// Phi in (0, 1) for the positions v = (x.., y..) on `graph`; leaves in
-  /// `ws` what backward() needs.
+  /// `ws` what backward() and weight_terms() need.
   double forward(const CircuitGraph& graph, std::span<const double> v,
                  Workspace& ws) const;
 
   /// Backward pass from d(loss)/d(logit) through the forward pass held in
-  /// `ws`. A non-empty `param_grad` (size kNumParameters) receives the
-  /// weight gradient, added in; a non-empty `grad_v` (size 2n) receives
-  /// d(loss)/dv, added in. Either may be empty, and the work it alone needs
-  /// is skipped.
+  /// `ws`: d(loss)/dv (size 2n), added into `grad_v`.
   void backward(const CircuitGraph& graph, Workspace& ws, double dlogit,
-                std::span<double> param_grad,
                 std::span<double> grad_v) const;
 
-  /// One sample's weight gradient held as the terms backward() adds into
-  /// `param_grad`, so that samples evaluated concurrently can be added into
-  /// one running sum in sample order (gnn::Trainer). `w` holds the single
-  /// term each W1, W2, W3, b3, w4 and b4 entry takes; its b1 and b2 entries
-  /// are unused. b1 and b2 take one term per node: the rows of `da1` and
-  /// `da2` (n x kHiddenDim each).
+  /// One sample's weight gradient, held as terms so that samples evaluated
+  /// concurrently can be added into one running sum in sample order
+  /// (gnn::Trainer). `w` holds the single term each W1, W2, W3, b3, w4 and
+  /// b4 entry takes; its b1 and b2 entries are unused. b1 and b2 take one
+  /// term per node: the rows of `da1` and `da2` (n x kHiddenDim each).
   struct GradTerms {
     std::array<double, kNumParameters> w{};
     std::vector<double> da1, da2;
   };
 
-  /// The weight half of backward(), writing the sample's terms into `out`
-  /// instead of adding them. The pass's dA1/dA2 rows are swapped out of
-  /// `ws` into `out` rather than copied; `ws` stays ready for the next
-  /// forward().
+  /// The weight gradient of the forward pass held in `ws`, from
+  /// d(loss)/d(logit), as the sample's terms in `out`. The pass's dA1/dA2
+  /// rows are swapped out of `ws` into `out` rather than copied; `ws` stays
+  /// ready for the next forward().
   void weight_terms(const CircuitGraph& graph, Workspace& ws, double dlogit,
                     GradTerms& out) const;
 
-  /// Adds `terms` into grad[lo, hi) exactly as backward() adds the same
-  /// sample's weight gradient: one add per entry, node by node for b1 and
-  /// b2. Each entry's adds are independent of every other entry's, so
-  /// disjoint ranges may be added concurrently.
+  /// Adds `terms` into grad[lo, hi) in the dense reference's order: one add
+  /// per entry, node by node for b1 and b2. Each entry's adds are
+  /// independent of every other entry's, so disjoint ranges may be added
+  /// concurrently.
   static void add_terms(const GradTerms& terms, std::span<double> grad,
                         std::size_t lo, std::size_t hi);
 
@@ -90,12 +85,11 @@ class GnnModel {
 
  private:
   void update_transposes();
-  // backward() with the weight gradient added into `pg` (kWrite = false)
-  // or, for weight_terms(), written into it term by term, b1/b2 left to
-  // the dA1/dA2 rows (kWrite = true).
-  template <bool kWrite>
-  void backward_impl(const CircuitGraph& graph, Workspace& ws, double dlogit,
-                     double* pg, std::span<double> grad_v) const;
+  // The part of the backward pass both outputs need: dA2 and dA1 into
+  // `ws`. A non-null `w` (size kNumParameters) also receives the weight
+  // terms of GradTerms::w.
+  void propagate(const CircuitGraph& graph, Workspace& ws, double dlogit,
+                 double* w) const;
 
   std::array<double, kFeatureDim * kHiddenDim> w1_{};
   std::array<double, kHiddenDim * kHiddenDim> w2_{};

@@ -11,9 +11,9 @@ namespace aplace::route {
 namespace {
 
 constexpr double kMargin = 2.0;  ///< routing halo around the layout bbox (um)
-/// Nodes per side of the auto-pitch grid (pitch = longer side / 64), at
-/// most.
-constexpr std::size_t kAutoGridSide = 66;
+/// Cells along the longer side of the auto-pitch grid (pitch = longer
+/// side / kAutoGridCells).
+constexpr std::size_t kAutoGridCells = 64;
 
 struct RoutingGrid {
   geom::Rect region;
@@ -113,9 +113,12 @@ struct RouteScratch::State {
 };
 
 RouteScratch::RouteScratch() : state_(std::make_unique<State>()) {
-  // Capacity for the auto-pitch grid (at most kAutoGridSide nodes a side):
-  // reserved here, so the calls that use this scratch do not allocate it.
-  const std::size_t n = kAutoGridSide * kAutoGridSide;
+  // Capacity for the auto-pitch grid, reserved here so the calls that use
+  // this scratch do not allocate it. A side has one node more than cells,
+  // and one more again where the rounded quotient side / pitch lands just
+  // above kAutoGridCells and its ceil adds a cell.
+  const std::size_t side = kAutoGridCells + 2;
+  const std::size_t n = side * side;
   for (std::vector<double>* v :
        {&state_->h_use, &state_->v_use, &state_->best}) {
     v->reserve(n);
@@ -128,8 +131,6 @@ RouteScratch::RouteScratch() : state_(std::make_unique<State>()) {
 }
 
 RouteScratch::~RouteScratch() = default;
-RouteScratch::RouteScratch(RouteScratch&&) noexcept = default;
-RouteScratch& RouteScratch::operator=(RouteScratch&&) noexcept = default;
 
 namespace {
 
@@ -225,7 +226,8 @@ RoutingResult GridRouter::route(const netlist::CompiledCircuit& compiled,
   const geom::Rect bbox = placement.bounding_box().inflated(kMargin);
   double pitch = opts_.pitch;
   if (pitch <= 0) {
-    pitch = std::max(bbox.width(), bbox.height()) / 64.0;
+    pitch = std::max(bbox.width(), bbox.height()) /
+            static_cast<double>(kAutoGridCells);
     pitch = std::max(pitch, 0.1);
   }
   AstarScratch& scratch = *scratch_in.state_;

@@ -44,8 +44,6 @@ class RouteScratch {
  public:
   RouteScratch();
   ~RouteScratch();
-  RouteScratch(RouteScratch&&) noexcept;
-  RouteScratch& operator=(RouteScratch&&) noexcept;
 
   struct State;  ///< the buffers; defined in router.cpp
 

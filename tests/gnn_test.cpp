@@ -166,7 +166,9 @@ TEST(GnnModelTest, WeightGradientMatchesFiniteDifference) {
   model.forward(g, v, ws);
   std::vector<double> grad(GnnModel::kNumParameters, 0.0);
   // d(logit)/d(params): dlogit = 1.
-  model.backward(g, ws, 1.0, grad, {});
+  GnnModel::GradTerms terms;
+  model.weight_terms(g, ws, 1.0, terms);
+  GnnModel::add_terms(terms, grad, 0, GnnModel::kNumParameters);
 
   std::vector<double> params = model.parameters();
   const double h = 1e-6;
@@ -254,7 +256,9 @@ TEST_P(GnnOracleParityTest, PhiInputGradientAndWeightGradientBitwise) {
     std::vector<double> pg(GnnModel::kNumParameters);
     for (double& x : pg) x = rng.uniform(-1.0, 1.0);
     std::vector<double> pg_dense = pg;
-    model.backward(g, ws, dlogit, pg, {});
+    GnnModel::GradTerms terms;
+    model.weight_terms(g, ws, dlogit, terms);
+    GnnModel::add_terms(terms, pg, 0, GnnModel::kNumParameters);
     dense.backward(act, dlogit, pg_dense, nullptr);
     EXPECT_EQ(pg, pg_dense) << "seed " << seed;
 
@@ -264,15 +268,23 @@ TEST_P(GnnOracleParityTest, PhiInputGradientAndWeightGradientBitwise) {
               dense.phi_and_position_grad(v, gv_dense));
     EXPECT_EQ(gv, gv_dense) << "seed " << seed;
 
-    // Both gradients from one backward pass.
+    // Both gradients from one forward pass, in either order: neither pass
+    // disturbs what the other reads from the workspace.
     std::vector<double> pg_both(GnnModel::kNumParameters, 0.0);
     std::vector<double> pg_alone(GnnModel::kNumParameters, 0.0);
-    std::vector<double> gv_both(2 * n, 0.0);
+    std::vector<double> gv_first(2 * n, 0.0), gv_last(2 * n, 0.0);
+    GnnModel::GradTerms t_both, t_alone;
     model.forward(g, v, ws);
-    model.backward(g, ws, phi * (1.0 - phi), pg_both, gv_both);
-    model.backward(g, ws, phi * (1.0 - phi), pg_alone, {});
+    model.backward(g, ws, phi * (1.0 - phi), gv_first);
+    model.weight_terms(g, ws, phi * (1.0 - phi), t_both);
+    model.backward(g, ws, phi * (1.0 - phi), gv_last);
+    model.forward(g, v, ws);
+    model.weight_terms(g, ws, phi * (1.0 - phi), t_alone);
+    GnnModel::add_terms(t_both, pg_both, 0, GnnModel::kNumParameters);
+    GnnModel::add_terms(t_alone, pg_alone, 0, GnnModel::kNumParameters);
     EXPECT_EQ(pg_both, pg_alone) << "seed " << seed;
-    EXPECT_EQ(gv_both, gv) << "seed " << seed;
+    EXPECT_EQ(gv_first, gv) << "seed " << seed;
+    EXPECT_EQ(gv_last, gv) << "seed " << seed;
   }
 }
 
@@ -286,15 +298,18 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(GnnModelTest, WeightTermsAddUpExactlyAsBackwardAdds) {
-  // Training's split backward: terms written per sample, then added into a
+  // Training's weight gradient: terms written per sample, then added into a
   // running sum in sample order, a parameter range at a time. The sum
-  // matches backward() adding the same samples in, bit for bit.
+  // matches the dense oracle's backward adding the same samples in, bit for
+  // bit.
   circuits::TestCase tc = circuits::make_testcase("CC-OTA");
+  const netlist::CompiledCircuit cc(tc.circuit);
   const double side = std::sqrt(tc.circuit.total_device_area() / 0.5);
   const CircuitGraph g(tc.circuit, side);
   numeric::Rng rng(31);
   GnnModel model;
   model.initialize(rng);
+  const oracle::DenseGnn dense(cc, side, model.parameters());
 
   std::vector<double> added(GnnModel::kNumParameters);
   for (double& x : added) x = rng.uniform(-1.0, 1.0);
@@ -304,7 +319,9 @@ TEST(GnnModelTest, WeightTermsAddUpExactlyAsBackwardAdds) {
   for (GnnModel::GradTerms& t : terms) {
     const std::vector<double> v = random_positions(g.num_nodes(), side, rng);
     const double phi = model.forward(g, v, ws);
-    model.backward(g, ws, phi - 0.25, added, {});
+    oracle::DenseGnn::Activations act;
+    dense.forward(dense.features(v).x, act);
+    dense.backward(act, phi - 0.25, added, nullptr);
     model.weight_terms(g, ws, phi - 0.25, t);
   }
   // Uneven ranges that cut through the b1 and b2 blocks.
@@ -343,8 +360,8 @@ TEST(GnnWorkspaceTest, InterleavedEvaluationsStayIsolated) {
   const double ia = model.forward(g, va, wa);
   const double ib = model.forward(g, vb, wb);
   std::vector<double> ia_grad(2 * n, 0.0), ib_grad(2 * n, 0.0);
-  model.backward(g, wa, ia * (1.0 - ia), {}, ia_grad);
-  model.backward(g, wb, ib * (1.0 - ib), {}, ib_grad);
+  model.backward(g, wa, ia * (1.0 - ia), ia_grad);
+  model.backward(g, wb, ib * (1.0 - ib), ib_grad);
   EXPECT_EQ(ia, phi_a);
   EXPECT_EQ(ib, phi_b);
   EXPECT_EQ(ia_grad, ga);
