@@ -429,7 +429,7 @@ void print_milp_table(bench::JsonReport& json) {
       legal::IlpDetailedPlacer(c, iopts).round0_problem(v);
   const solver::LpProblem block = solver::split_blocks(round0).at(0).problem;
   solver::MilpOptions mopts;
-  mopts.max_nodes = iopts.max_nodes;
+  mopts.max_nodes = legal::kRound0MaxNodes;
 
   const auto counter = [](const char* name) -> double {
     const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().scrape();

@@ -8,7 +8,6 @@
 // unlimited, so existing call sites pay nothing.
 
 #include <chrono>
-#include <limits>
 
 namespace aplace {
 
@@ -32,12 +31,6 @@ class Deadline {
   [[nodiscard]] bool limited() const { return limited_; }
   [[nodiscard]] bool expired() const {
     return limited_ && Clock::now() >= end_;
-  }
-  /// Seconds left (clamped at 0); +inf when unlimited.
-  [[nodiscard]] double remaining_seconds() const {
-    if (!limited_) return std::numeric_limits<double>::infinity();
-    const double s = std::chrono::duration<double>(end_ - Clock::now()).count();
-    return s > 0 ? s : 0.0;
   }
 
  private:

@@ -46,7 +46,6 @@ class Status {
   Status(StatusCode code, std::string message)
       : code_(code), message_(std::move(message)) {}
 
-  static Status ok_status() { return {}; }
   static Status invalid_input(std::string msg) {
     return {StatusCode::InvalidInput, std::move(msg)};
   }
@@ -126,9 +125,6 @@ class Result {
   [[nodiscard]] const T& value() const {
     APLACE_CHECK_MSG(ok(), "Result::value() on error: " << status_.to_string());
     return *value_;
-  }
-  [[nodiscard]] T value_or(T fallback) && {
-    return ok() ? std::move(*value_) : std::move(fallback);
   }
 
  private:

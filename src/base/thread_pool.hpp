@@ -10,8 +10,8 @@
 //     a single thread, which executes the same chunks in order).
 //  2. No deadlocks under nesting. A thread that waits on a TaskGroup helps
 //     execute queued tasks instead of blocking, so tasks may freely submit
-//     sub-tasks or call parallel_for (candidate flows call the density /
-//     wirelength hot loops, which parallelize again).
+//     sub-tasks or call parallel_for (a batch job on the pool runs its
+//     flow's candidate fan-out on the same pool).
 //  3. Simplicity over peak throughput. One shared FIFO queue guarded by one
 //     mutex, no work stealing; tasks are expected to be coarse (the grain
 //     thresholds at the call sites keep tiny problems on the inline path,

@@ -15,12 +15,6 @@
 namespace aplace::core {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
 /// Run the job's flow. Attempt 0 uses the job's own seeds (bit-compatible
 /// with a retry-free configuration); attempt k > 0 splits every seed
 /// deterministically so retries explore a different random stream without
@@ -78,8 +72,8 @@ void backoff_wait(const RetryPolicy& policy, int next_attempt,
   for (int k = 1; k < next_attempt; ++k) wait *= kBackoffGrowth;
   wait = std::min(wait, kMaxBackoffSeconds);
   if (wait <= 0) return;
-  const auto t0 = Clock::now();
-  while (seconds_since(t0) < wait) {
+  const double t0 = obs::now_seconds();
+  while (obs::now_seconds() - t0 < wait) {
     if (cancel.cancelled() || deadline.expired()) return;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
@@ -172,7 +166,7 @@ BatchReport run_batch(std::span<const BatchJob> jobs,
     journal.record_submit(keys[i], i);
   }
 
-  const auto batch_t0 = Clock::now();
+  const double batch_t0 = obs::now_seconds();
   obs::counter("batch/jobs").add(jobs.size());
   // One compiled-snapshot cache for the whole batch: the circuit x flow
   // matrix compiles each circuit once, not once per job. Scoped here (not
@@ -205,7 +199,7 @@ BatchReport run_batch(std::span<const BatchJob> jobs,
       // Torn snapshot or drifted circuit: execute the job for real.
     }
 
-    const auto t0 = Clock::now();
+    const double t0 = obs::now_seconds();
     const int max_attempts = std::max(1, opts.retry.max_attempts);
     FlowResult result{.placement = netlist::Placement(*job.circuit)};
     int attempt = 0;
@@ -236,7 +230,7 @@ BatchReport run_batch(std::span<const BatchJob> jobs,
       ++attempt;
     }
     const int attempts = attempt + 1;
-    const double wall = seconds_since(t0);
+    const double wall = obs::now_seconds() - t0;
 
     const StatusCode code = result.status.code();
     bool quarantined = false;
@@ -287,7 +281,7 @@ BatchReport run_batch(std::span<const BatchJob> jobs,
     report.num_quarantined += slot->quarantined ? 1 : 0;
     report.items.push_back(std::move(*slot));
   }
-  report.wall_seconds = seconds_since(batch_t0);
+  report.wall_seconds = obs::now_seconds() - batch_t0;
   if (obs::enabled()) {
     // One rollup line per batch so a journal file is self-describing about
     // where its wall-clock went.

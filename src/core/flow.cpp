@@ -1,6 +1,5 @@
 #include "core/flow.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -11,15 +10,10 @@
 #include "base/thread_pool.hpp"
 #include "numeric/rng.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 
 namespace aplace::core {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 // Placement requires a finalized circuit, but error results must be
 // constructible even for inputs validate() rejected before finalization.
@@ -67,19 +61,19 @@ FlowResult error_result(const netlist::Circuit& circuit, aplace::Status status,
 template <class Fn>
 FlowResult run_guarded(const char* flow_name, const netlist::Circuit& circuit,
                        const base::CancelToken& cancel, Fn&& body) {
-  const auto t0 = Clock::now();
+  const double t0 = obs::now_seconds();
   if (cancel.cancelled()) {
     return error_result(
         circuit,
         aplace::Status::cancelled("flow cancelled before it started")
             .add_context(std::string(flow_name) + " flow on circuit '" +
                          circuit.name() + "'"),
-        seconds_since(t0));
+        obs::now_seconds() - t0);
   }
   if (aplace::Status s = netlist::validate(circuit); !s.ok()) {
     s.add_context(std::string(flow_name) + " pre-flight validation of '" +
                   circuit.name() + "'");
-    return error_result(circuit, std::move(s), seconds_since(t0));
+    return error_result(circuit, std::move(s), obs::now_seconds() - t0);
   }
   // The flow root span starts a fresh trace tree (Root::New) so this
   // flow's subtree can be pulled out of the collector by root id — even
@@ -98,7 +92,7 @@ FlowResult run_guarded(const char* flow_name, const netlist::Circuit& circuit,
   };
   try {
     FlowResult out = timed_body();
-    out.total_seconds = seconds_since(t0);
+    out.total_seconds = obs::now_seconds() - t0;
     attach_spans(out);
     if (!out.status.ok() && cancel.cancelled() &&
         out.status.code() != aplace::StatusCode::Cancelled) {
@@ -121,7 +115,7 @@ FlowResult run_guarded(const char* flow_name, const netlist::Circuit& circuit,
                                  e.what())
             .add_context(std::string(flow_name) + " flow on circuit '" +
                          circuit.name() + "'"),
-        seconds_since(t0));
+        obs::now_seconds() - t0);
     attach_spans(out);  // the root span closed during unwinding
     return out;
   } catch (const std::exception& e) {
@@ -132,7 +126,7 @@ FlowResult run_guarded(const char* flow_name, const netlist::Circuit& circuit,
                                  e.what())
             .add_context(std::string(flow_name) + " flow on circuit '" +
                          circuit.name() + "'"),
-        seconds_since(t0));
+        obs::now_seconds() - t0);
     attach_spans(out);
     return out;
   }
@@ -316,22 +310,22 @@ FlowResult run_eplace_a(const netlist::Circuit& circuit, EPlaceAOptions opts) {
       gopts.deadline = deadline;
       gopts.cancel = opts.cancel;
 
-      const auto t0 = Clock::now();
+      const double t0 = obs::now_seconds();
       gp::GpResult gpr = [&] {
         obs::Span gp_span("gp/run");
         return gp::EPlaceGlobalPlacer(compiled, gopts).run();
       }();
       if (opts.inject.poison_gp) poison(gpr.positions);
-      const double gp_s = seconds_since(t0);
+      const double gp_s = obs::now_seconds() - t0;
 
-      const auto t1 = Clock::now();
+      const double t1 = obs::now_seconds();
       LegalizeOutcome leg = [&] {
         obs::Span dp_span("flow/legalize");
         return legalize_chain(compiled, gpr.positions, &opts.dp, {},
                               FallbackLevel::TwoStageLp, deadline, opts.cancel,
                               opts.inject);
       }();
-      const double dp_s = seconds_since(t1);
+      const double dp_s = obs::now_seconds() - t1;
 
       FlowResult cand =
           assemble_result(circuit, std::move(leg.placement), gp_s, dp_s);
@@ -438,15 +432,15 @@ FlowResult run_prior_work(const netlist::Circuit& circuit,
     gopts.deadline = deadline;
     gopts.cancel = opts.cancel;
 
-    const auto t0 = Clock::now();
+    const double t0 = obs::now_seconds();
     gp::GpResult gpr = [&] {
       obs::Span gp_span("gp/run");
       return gp::PriorAnalyticalGlobalPlacer(compiled, gopts).run();
     }();
     if (opts.inject.poison_gp) poison(gpr.positions);
-    const double gp_s = seconds_since(t0);
+    const double gp_s = obs::now_seconds() - t0;
 
-    const auto t1 = Clock::now();
+    const double t1 = obs::now_seconds();
     // The two-stage LP is this flow's *primary* legalizer (FallbackLevel
     // None on success); forcing it to fail via fail_primary_dp keeps the
     // injection knob uniform across flows.
@@ -458,7 +452,7 @@ FlowResult run_prior_work(const netlist::Circuit& circuit,
                             FallbackLevel::None, deadline, opts.cancel,
                             inject);
     }();
-    const double dp_s = seconds_since(t1);
+    const double dp_s = obs::now_seconds() - t1;
 
     FlowResult out =
         assemble_result(circuit, std::move(leg.placement), gp_s, dp_s);
@@ -482,12 +476,12 @@ FlowResult run_sa(const netlist::Circuit& circuit, SaFlowOptions opts) {
     sopts.deadline = deadline;
     sopts.cancel = opts.cancel;
 
-    const auto t0 = Clock::now();
+    const double t0 = obs::now_seconds();
     sa::SaResult sar = [&] {
       obs::Span sa_span("sa/place");
       return sa::SaPlacer(compiled, sopts).place();
     }();
-    const double sa_s = seconds_since(t0);
+    const double sa_s = obs::now_seconds() - t0;
 
     FlowResult out =
         assemble_result(circuit, std::move(sar.placement), 0.0, sa_s);
@@ -508,7 +502,7 @@ FlowResult run_sa(const netlist::Circuit& circuit, SaFlowOptions opts) {
       pos[i] = p.x;
       pos[n + i] = p.y;
     }
-    const auto t1 = Clock::now();
+    const double t1 = obs::now_seconds();
     FaultInjection inject = opts.inject;
     inject.fail_two_stage |= inject.fail_primary_dp;
     LegalizeOutcome leg = [&] {
@@ -517,7 +511,7 @@ FlowResult run_sa(const netlist::Circuit& circuit, SaFlowOptions opts) {
                             FallbackLevel::TwoStageLp, deadline, opts.cancel,
                             inject);
     }();
-    const double dp_s = seconds_since(t1);
+    const double dp_s = obs::now_seconds() - t1;
 
     FlowResult repaired =
         assemble_result(circuit, std::move(leg.placement), 0.0, sa_s + dp_s);

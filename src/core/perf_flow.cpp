@@ -1,7 +1,6 @@
 #include "core/perf_flow.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -15,12 +14,6 @@
 
 namespace aplace::core {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 void positions_into(const netlist::Placement& pl, std::vector<double>& v) {
   const std::size_t n = pl.circuit().num_devices();
@@ -203,20 +196,20 @@ PerfFlowResult run_eplace_ap(const netlist::Circuit& circuit, PerfContext& ctx,
     gp::EPlaceGpOptions gopts = opts.gp;
     gopts.seed = opts.gp.seed + 48ULL * static_cast<std::uint64_t>(k);
 
-    const auto t0 = Clock::now();
+    const double t0 = obs::now_seconds();
     gp::EPlaceGlobalPlacer placer(circuit, gopts);
     if (k > 0) {
       placer.set_extra_term(std::make_shared<gnn::PhiTerm>(ctx.graph, ctx.net));
     }
     gp::GpResult gpr = placer.run();
-    const double gp_s = seconds_since(t0);
+    const double gp_s = obs::now_seconds() - t0;
 
-    const auto t1 = Clock::now();
+    const double t1 = obs::now_seconds();
     const legal::IlpDetailedPlacer dp(circuit, opts.dp);
     legal::IlpResult dpr = dp.place(gpr.positions);
     APLACE_CHECK_MSG(dpr.ok(), "ePlace-AP detailed placement failed on '"
                                    << circuit.name() << "'");
-    const double dp_s = seconds_since(t1);
+    const double dp_s = obs::now_seconds() - t1;
     acc_gp += gp_s;
     acc_dp += dp_s;
     acc_total += gp_s + dp_s;
@@ -253,18 +246,18 @@ PerfFlowResult run_eplace_ap(const netlist::Circuit& circuit, PerfContext& ctx,
 
 PerfFlowResult run_prior_work_perf(const netlist::Circuit& circuit,
                                    PerfContext& ctx, PriorWorkOptions opts) {
-  const auto t0 = Clock::now();
+  const double t0 = obs::now_seconds();
   gp::PriorAnalyticalGlobalPlacer placer(circuit, opts.gp);
   placer.set_extra_term(std::make_shared<gnn::PhiTerm>(ctx.graph, ctx.net));
   gp::GpResult gpr = placer.run();
-  const double gp_s = seconds_since(t0);
+  const double gp_s = obs::now_seconds() - t0;
 
-  const auto t1 = Clock::now();
+  const double t1 = obs::now_seconds();
   const legal::TwoStageLpLegalizer dp(circuit, opts.dp);
   legal::TwoStageResult dpr = dp.place(gpr.positions);
   APLACE_CHECK_MSG(dpr.ok(), "Perf* detailed placement failed on '"
                                  << circuit.name() << "'");
-  const double dp_s = seconds_since(t1);
+  const double dp_s = obs::now_seconds() - t1;
 
   PerfFlowResult out{
       FlowResult{std::move(dpr.placement), {}, gp_s, dp_s, gp_s + dp_s}, {}};

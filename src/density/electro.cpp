@@ -5,7 +5,6 @@
 #include <numbers>
 
 #include "base/simd.hpp"
-#include "base/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
@@ -157,19 +156,8 @@ ElectroDensity::ElectroDensity(netlist::CompiledRef compiled,
     info.charge = cc.dev_area()[i];
     devices_.push_back(info);
   }
-  // Per-chunk partials for the parallel splat (one chunk on the paper-scale
-  // circuits, i.e. no extra memory and the direct serial path below).
-  const std::size_t chunks =
-      base::ThreadPool::chunk_count(devices_.size(), kDeviceGrain);
-  if (chunks > 1) {
-    rho_part_.assign(chunks, numeric::Matrix(ny, nx));
-    occ_part_.assign(chunks, numeric::Matrix(ny, nx));
-  }
-  scratch_.resize(std::max<std::size_t>(chunks, 1));
-  for (DevScratch& s : scratch_) {
-    s.ovx.resize(padded4(nx));
-    s.ovy.resize(padded4(ny));
-  }
+  ovx_.resize(padded4(nx));
+  ovy_.resize(padded4(ny));
 }
 
 geom::Point ElectroDensity::clamped_center(const geom::Point& c,
@@ -191,47 +179,15 @@ void ElectroDensity::build_density(std::span<const double> v) {
   // by the wirelength pull still deposits charge into the boundary bins
   // (and in the force pass, samples the field there), so its Neumann mirror
   // image produces the force that pulls it back inside.
-  auto splat_range = [&](std::size_t lo, std::size_t hi, numeric::Matrix& rho,
-                         numeric::Matrix& occ, DevScratch& s) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const DeviceInfo& d = devices_[i];
-      const geom::Point c = clamped_center({v[i], v[n + i]}, d);
-      const geom::Rect eff = geom::Rect::centered(c, d.w, d.h);
-      const geom::Rect real = geom::Rect::centered(c, d.real_w, d.real_h);
-      splat(grid_, eff, d.charge, rho, {s.ovx, s.ovy});
-      splat(grid_, real, d.charge, occ, {s.ovx, s.ovy});
-    }
-  };
-  const std::size_t chunks = base::ThreadPool::chunk_count(n, kDeviceGrain);
-  base::ThreadPool& pool = base::ThreadPool::global();
-  if (chunks <= 1) {
-    rho_.fill(0.0);
-    occupancy_.fill(0.0);  // true footprint area
-    splat_range(0, n, rho_, occupancy_, scratch_[0]);
-  } else {
-    // Each fixed chunk of devices accumulates into its own partial; the
-    // partials are then summed bin-wise in chunk order, so the result does
-    // not depend on which thread ran which chunk.
-    pool.parallel_for(0, chunks, 1, [&](std::size_t c0, std::size_t c1) {
-      for (std::size_t c = c0; c < c1; ++c) {
-        rho_part_[c].fill(0.0);
-        occ_part_[c].fill(0.0);
-        splat_range(c * kDeviceGrain, std::min(n, (c + 1) * kDeviceGrain),
-                    rho_part_[c], occ_part_[c], scratch_[c]);
-      }
-    });
-    const std::size_t bins = rho_.data().size();
-    pool.parallel_for(0, bins, 8192, [&](std::size_t b0, std::size_t b1) {
-      for (std::size_t b = b0; b < b1; ++b) {
-        double r = 0, o = 0;
-        for (std::size_t c = 0; c < chunks; ++c) {
-          r += rho_part_[c].data()[b];
-          o += occ_part_[c].data()[b];
-        }
-        rho_.data()[b] = r;
-        occupancy_.data()[b] = o;
-      }
-    });
+  rho_.fill(0.0);
+  occupancy_.fill(0.0);  // true footprint area
+  for (std::size_t i = 0; i < n; ++i) {
+    const DeviceInfo& d = devices_[i];
+    const geom::Point c = clamped_center({v[i], v[n + i]}, d);
+    const geom::Rect eff = geom::Rect::centered(c, d.w, d.h);
+    const geom::Rect real = geom::Rect::centered(c, d.real_w, d.real_h);
+    splat(grid_, eff, d.charge, rho_, {ovx_, ovy_});
+    splat(grid_, real, d.charge, occupancy_, {ovx_, ovy_});
   }
   // Convert charge per bin into density (charge / bin area).
   for (double& x : rho_.data()) x /= grid_.bin_area();
@@ -302,31 +258,15 @@ double ElectroDensity::value_and_grad(std::span<const double> v,
   icxsy2d_inplace(ey_, plan_x_, plan_y_);
 
   // --- per-device forces ---------------------------------------------------
-  // Gradient entries are disjoint per device, so chunks write them without
-  // any reduction.
-  auto force_range = [&](std::size_t lo, std::size_t hi, DevScratch& s) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const DeviceInfo& d = devices_[i];
-      const geom::Point c = clamped_center({v[i], v[n + i]}, d);
-      const geom::Rect rect = geom::Rect::centered(c, d.w, d.h);
-      const ForceAcc acc = force(grid_, ex_, ey_, rect, {s.ovx, s.ovy});
-      if (acc.area <= 0) continue;  // region degenerate beyond clamping
-      const double q_over_a = d.charge / acc.area;
-      grad[i] += scale * (-q_over_a * acc.ex);
-      grad[n + i] += scale * (-q_over_a * acc.ey);
-    }
-  };
-  const std::size_t chunks = base::ThreadPool::chunk_count(n, kDeviceGrain);
-  if (chunks <= 1) {
-    force_range(0, n, scratch_[0]);
-  } else {
-    base::ThreadPool::global().parallel_for(
-        0, chunks, 1, [&](std::size_t c0, std::size_t c1) {
-          for (std::size_t c = c0; c < c1; ++c) {
-            force_range(c * kDeviceGrain, std::min(n, (c + 1) * kDeviceGrain),
-                        scratch_[c]);
-          }
-        });
+  for (std::size_t i = 0; i < n; ++i) {
+    const DeviceInfo& d = devices_[i];
+    const geom::Point c = clamped_center({v[i], v[n + i]}, d);
+    const geom::Rect rect = geom::Rect::centered(c, d.w, d.h);
+    const ForceAcc acc = force(grid_, ex_, ey_, rect, {ovx_, ovy_});
+    if (acc.area <= 0) continue;  // region degenerate beyond clamping
+    const double q_over_a = d.charge / acc.area;
+    grad[i] += scale * (-q_over_a * acc.ex);
+    grad[n + i] += scale * (-q_over_a * acc.ey);
   }
   if (record) eval_seconds.record(obs::now_seconds() - obs_t0);
   return energy;

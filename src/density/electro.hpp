@@ -33,11 +33,12 @@
 // kernels that exploit separability — overlap(bin, rect) = ov_x(col) *
 // ov_y(row) exactly — precomputing per-column overlaps once per device and
 // streaming each bin row 4 columns at a time (cache-blocked by
-// construction: rows are contiguous in the row-major matrices). The chunk-
-// ordered ThreadPool reduction makes results bit-identical at any thread
-// count. The per-bin reference (BinGrid::splat and the overlap_area force
-// loop) lives in tests/kernel_oracle.hpp; the two agree to <= 1e-12
-// relative (tests/simd_test.cpp).
+// construction: rows are contiguous in the row-major matrices). Both loop
+// over the devices in index order on the calling thread, so every sum, and
+// every bit of the result, is independent of the thread count. The per-bin
+// reference (BinGrid::splat and the overlap_area force loop) lives in
+// tests/kernel_oracle.hpp; the two agree to <= 1e-12 relative
+// (tests/simd_test.cpp).
 
 #include <span>
 
@@ -69,11 +70,6 @@ class ElectroDensity {
   /// footprint has escaped the region are evaluated at the nearest
   /// in-region position, so they always feel a restoring density force.
   /// Allocation-free after construction.
-  ///
-  /// Circuits with more devices than the parallel grain run the charge
-  /// accumulation and the force loop on the global thread pool. The device
-  /// range is cut into fixed chunks (per-chunk density partials summed in
-  /// chunk order), so results are bit-identical for every thread count.
   double value_and_grad(std::span<const double> v, std::span<double> grad,
                         double scale);
 
@@ -92,12 +88,6 @@ class ElectroDensity {
     double w, h;        // effective (possibly inflated) footprint
     double charge;      // true area
     double real_w, real_h;
-  };
-
-  // Per-chunk scratch: padded per-column / per-row overlap lengths of
-  // the device being processed (separable splat/force kernels).
-  struct DevScratch {
-    base::AlignedVec ovx, ovy;
   };
 
   /// Device center clamped so its inflated footprint stays inside the
@@ -119,13 +109,9 @@ class ElectroDensity {
   numeric::Matrix rho_, ex_, ey_, occupancy_;
   double overflow_ = 1.0;
 
-  // Parallel decomposition: devices are cut into fixed chunks of
-  // kDeviceGrain (independent of thread count). Each chunk splats into its
-  // own density/occupancy partial; the partials are summed in chunk order.
-  // Small circuits have exactly one chunk and take the direct serial path.
-  static constexpr std::size_t kDeviceGrain = 256;
-  std::vector<numeric::Matrix> rho_part_, occ_part_;
-  std::vector<DevScratch> scratch_;  // one per chunk (>= 1)
+  // Padded per-column / per-row overlap lengths of the device being
+  // processed (separable splat/force kernels).
+  base::AlignedVec ovx_, ovy_;
 };
 
 }  // namespace aplace::density

@@ -1,5 +1,4 @@
 // geom is header-only; this TU anchors the static library.
-#include "geom/grid.hpp"
 #include "geom/orientation.hpp"
 #include "geom/point.hpp"
 #include "geom/rect.hpp"

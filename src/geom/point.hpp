@@ -2,7 +2,7 @@
 // 2-D point/vector type used throughout the placement engines.
 //
 // Coordinates are double microns. The detailed placer additionally works on
-// an integer grid; grid snapping lives in geom/grid.hpp.
+// an integer grid (legal/formulation.hpp, kGridPitch).
 
 #include <cmath>
 #include <compare>

@@ -67,31 +67,12 @@ class Rect {
     return (dx > 0 && dy > 0) ? dx * dy : 0.0;
   }
 
-  [[nodiscard]] constexpr Rect intersection(const Rect& r) const {
-    if (!overlaps(r)) return Rect{};
-    return Rect(std::max(xlo_, r.xlo_), std::max(ylo_, r.ylo_),
-                std::min(xhi_, r.xhi_), std::min(yhi_, r.yhi_));
-  }
-
   /// Smallest rectangle containing both.
   [[nodiscard]] constexpr Rect united(const Rect& r) const {
     if (empty()) return r;
     if (r.empty()) return *this;
     return Rect(std::min(xlo_, r.xlo_), std::min(ylo_, r.ylo_),
                 std::max(xhi_, r.xhi_), std::max(yhi_, r.yhi_));
-  }
-
-  /// Expand to include a point.
-  constexpr void expand(const Point& p) {
-    if (empty() && xlo_ == 0 && xhi_ == 0 && ylo_ == 0 && yhi_ == 0) {
-      xlo_ = xhi_ = p.x;
-      ylo_ = yhi_ = p.y;
-      return;
-    }
-    xlo_ = std::min(xlo_, p.x);
-    xhi_ = std::max(xhi_, p.x);
-    ylo_ = std::min(ylo_, p.y);
-    yhi_ = std::max(yhi_, p.y);
   }
 
   /// Translated copy.

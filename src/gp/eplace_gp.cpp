@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "netlist/placement.hpp"
-#include "numeric/fft.hpp"
 #include "numeric/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -41,22 +40,12 @@ enum Term : std::size_t {
 /// The terms whose weights grow by kTauGrowth per iteration.
 constexpr std::array kTauTerms{kSymmetry, kCentroid, kAlignment, kOrdering};
 
-// Validate the density bin count and round it up to a power of two of at
-// least fft::kMinSize, as ElectroDensity's FFT-backed Poisson solve
-// requires.
-EPlaceGpOptions normalized(EPlaceGpOptions opts) {
-  APLACE_CHECK_MSG(opts.bins >= 2, "ePlace-A needs >= 2 density bins");
-  opts.bins = std::max(numeric::fft::kMinSize,
-                       numeric::fft::next_pow2(opts.bins));
-  return opts;
-}
-
 }  // namespace
 
 EPlaceGlobalPlacer::EPlaceGlobalPlacer(netlist::CompiledRef compiled,
                                        EPlaceGpOptions opts)
     : compiled_(std::move(compiled)),
-      opts_(normalized(opts)),
+      opts_(opts),
       region_(placement_region(*compiled_, opts.utilization)),
       wl_owner_(opts.smoothing == WlSmoothing::WeightedAverage
                     ? std::unique_ptr<wirelength::SmoothWirelength>(
@@ -64,7 +53,7 @@ EPlaceGlobalPlacer::EPlaceGlobalPlacer(netlist::CompiledRef compiled,
                     : std::make_unique<wirelength::LseWirelength>(compiled_)),
       wl_(*wl_owner_),
       area_(compiled_),
-      dens_(compiled_, region_, opts_.bins, opts_.bins, kTargetDensity),
+      dens_(compiled_, region_, kBins, kBins, kTargetDensity),
       pen_(compiled_) {}
 
 void EPlaceGlobalPlacer::set_extra_term(std::shared_ptr<ObjectiveTerm> term) {
@@ -242,7 +231,7 @@ GpResult EPlaceGlobalPlacer::run_single(std::uint64_t seed) {
         obj.sample(st.iter);
         // A minimum iteration count lets wirelength/area optimization act
         // even when the initial state is accidentally overlap-free.
-        return st.iter < opts_.min_iters || overflow >= kStopOverflow;
+        return st.iter < kMinIters || overflow >= kStopOverflow;
       },
       &ninfo);
   result.diverged |= ninfo.diverged;

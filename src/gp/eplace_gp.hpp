@@ -29,9 +29,11 @@ namespace aplace::gp {
 
 enum class WlSmoothing : std::uint8_t { WeightedAverage, LogSumExp };
 
+/// Nesterov iterations every run takes at least.
+inline constexpr int kMinIters = 60;
+
 struct EPlaceGpOptions : GpCommonOptions {
   int max_iters = 600;
-  int min_iters = 60;  ///< run at least this many iterations
 
   double eta_rel = 0.55;  ///< area-term weight; 0 disables (Fig. 2)
 

@@ -2,9 +2,9 @@
 // Options shared by both analytical global placers. EPlaceGpOptions and
 // NtuGpOptions extend this struct, so call sites keep flat field access
 // (opts.gp.seed, opts.gp.utilization, ...) while the common knobs are
-// declared — and documented — exactly once. The weights both placers fix
-// are the constants below; each placer keeps its own stop overflow and
-// symmetry growth.
+// declared — and documented — exactly once. The bin count and the weights
+// both placers fix are the constants below; each placer keeps its own stop
+// overflow and symmetry growth.
 
 #include <cstddef>
 #include <cstdint>
@@ -14,6 +14,9 @@
 
 namespace aplace::gp {
 
+/// Density bins per side (a power of two, as ElectroDensity's FFT-backed
+/// Poisson solve requires).
+inline constexpr std::size_t kBins = 32;
 /// Density bin capacity fraction.
 inline constexpr double kTargetDensity = 0.85;
 /// Initial symmetry weight, relative to the wirelength gradient.
@@ -25,7 +28,6 @@ inline constexpr double kOrderRel = 0.08;
 inline constexpr double kBoundaryRel = 2.0;
 
 struct GpCommonOptions {
-  std::size_t bins = 32;        ///< density bins per side
   double utilization = 0.55;    ///< region side = sqrt(total area / util)
   double extra_rel = 2.0;       ///< extra-term (GNN) weight vs. WL gradient
 

@@ -42,7 +42,7 @@ PriorAnalyticalGlobalPlacer::PriorAnalyticalGlobalPlacer(
       opts_(opts),
       region_(placement_region(*compiled_, opts.utilization)),
       wl_(compiled_),
-      dens_(compiled_, region_, opts.bins, opts.bins, kTargetDensity),
+      dens_(compiled_, region_, kBins, kBins, kTargetDensity),
       pen_(compiled_) {}
 
 void PriorAnalyticalGlobalPlacer::set_extra_term(

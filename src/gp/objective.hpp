@@ -11,9 +11,9 @@
 //                           cheap/expensive cost hint.
 //   * CompositeObjective  — ordered list of weighted terms. Evaluates them
 //                           in sequence into the caller's gradient buffer
-//                           (allocation-free after construction; the
-//                           underlying kernels keep their own thread-pool
-//                           parallelism) and records per-term observability:
+//                           (allocation-free after construction; every
+//                           term runs on the calling thread) and records
+//                           per-term observability:
 //                           eval counts, wall time, last value/grad-norm.
 //   * calibrate_weight    — the initial-gradient-magnitude weight rule
 //                           both placers apply term by term; each placer

@@ -281,7 +281,7 @@ solver::MilpSolution IlpDetailedPlacer::solve_round(
     IlpResult& result, long max_nodes) const {
   const solver::LpProblem lp = build_round(orders, fixed_flips, vars);
   solver::MilpOptions mopts;
-  mopts.max_nodes = max_nodes > 0 ? max_nodes : opts_.max_nodes;
+  mopts.max_nodes = max_nodes;
   mopts.deadline = opts_.deadline;
   mopts.cancel = opts_.cancel;
   solver::MilpSolution sol = solver::solve_milp(lp, mopts);

@@ -29,12 +29,13 @@
 
 namespace aplace::legal {
 
+/// Branch-and-bound node budget of round 0, per axis. The final flip
+/// re-optimization uses 8 per axis; the other rounds are single LPs.
+inline constexpr long kRound0MaxNodes = 24;
+
 struct IlpOptions {
   double mu = 1.0;           ///< area weight in objective (4a)
   bool enable_flipping = true;
-  /// Branch-and-bound node budget of round 0, per axis. The final flip
-  /// re-optimization uses 8 per axis; the other rounds are single LPs.
-  long max_nodes = 24;
   /// Direction-refinement rounds: re-derive every pair's separation
   /// direction from the solved placement and re-solve while the objective
   /// improves (monotone). Rounds after the first are single LPs.
@@ -98,11 +99,11 @@ class IlpDetailedPlacer {
       RoundVars& vars) const;
   /// Build and solve one round. When `fixed_flips` is non-null the flipping
   /// variables are pinned (pure LP); otherwise they are binaries solved by
-  /// branch-and-bound with `max_nodes` (0: opts_.max_nodes) per axis.
+  /// branch-and-bound with `max_nodes` per axis.
   [[nodiscard]] solver::MilpSolution solve_round(
       const std::vector<PairOrder>& orders,
       const std::vector<geom::Orientation>* fixed_flips, RoundVars& vars,
-      IlpResult& result, long max_nodes = 0) const;
+      IlpResult& result, long max_nodes = kRound0MaxNodes) const;
   void finish_placement(const solver::MilpSolution& sol, const RoundVars& vars,
                         IlpResult& result) const;
 

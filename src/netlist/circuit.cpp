@@ -287,16 +287,4 @@ double Circuit::total_device_area() const {
   return a;
 }
 
-std::vector<DeviceId> Circuit::symmetric_devices() const {
-  std::vector<DeviceId> out;
-  for (const SymmetryGroup& g : constraints_.symmetry_groups) {
-    for (auto [a, b] : g.pairs) {
-      out.push_back(a);
-      out.push_back(b);
-    }
-    for (DeviceId d : g.self_symmetric) out.push_back(d);
-  }
-  return out;
-}
-
 }  // namespace aplace::netlist

@@ -97,9 +97,6 @@ class Circuit {
                 device_net_offset_[id.index()]};
   }
 
-  /// Devices participating in any symmetry group, in group order.
-  [[nodiscard]] std::vector<DeviceId> symmetric_devices() const;
-
  private:
   void require_mutable() const {
     APLACE_CHECK_MSG(!finalized_, "circuit '" << name_ << "' is finalized");

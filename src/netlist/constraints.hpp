@@ -24,10 +24,6 @@ struct SymmetryGroup {
   Axis axis = Axis::Vertical;
   std::vector<std::pair<DeviceId, DeviceId>> pairs;
   std::vector<DeviceId> self_symmetric;
-
-  [[nodiscard]] std::size_t device_count() const {
-    return 2 * pairs.size() + self_symmetric.size();
-  }
 };
 
 enum class AlignmentKind : std::uint8_t {

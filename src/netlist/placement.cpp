@@ -12,11 +12,6 @@ Placement::Placement(const Circuit& circuit)
                    "placement requires a finalized circuit");
 }
 
-void Placement::set_positions(std::vector<geom::Point> p) {
-  APLACE_CHECK(p.size() == positions_.size());
-  positions_ = std::move(p);
-}
-
 geom::Rect Placement::device_rect(DeviceId id) const {
   const Device& d = circuit_->device(id);
   return geom::Rect::centered(positions_[id.index()], d.width, d.height);

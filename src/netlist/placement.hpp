@@ -42,7 +42,6 @@ class Placement {
   [[nodiscard]] const std::vector<geom::Orientation>& orientations() const {
     return orientations_;
   }
-  void set_positions(std::vector<geom::Point> p);
 
   // ---- geometry queries ----------------------------------------------------
   [[nodiscard]] geom::Rect device_rect(DeviceId id) const;

@@ -12,12 +12,6 @@ namespace aplace::numeric::fft {
 
 using simd::Vec4d;
 
-std::size_t next_pow2(std::size_t n) {
-  std::size_t p = 2;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 FftPlan::FftPlan(std::size_t n)
     : n_(n),
       rev_(n),

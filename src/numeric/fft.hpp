@@ -55,9 +55,6 @@ namespace aplace::numeric::fft {
   return n >= 2 && (n & (n - 1)) == 0;
 }
 
-/// Smallest power of two >= n (and >= 2).
-[[nodiscard]] std::size_t next_pow2(std::size_t n);
-
 /// Shortest plan length: a batch holds four lines, so a 2D pass needs at
 /// least four lines per axis.
 inline constexpr std::size_t kMinSize = 4;

@@ -25,12 +25,6 @@ using Vec = std::vector<double>;
   return std::sqrt(dot(a, a));
 }
 
-[[nodiscard]] inline double norm_inf(std::span<const double> a) {
-  double m = 0;
-  for (double v : a) m = std::max(m, std::abs(v));
-  return m;
-}
-
 /// y += alpha * x
 inline void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   APLACE_DCHECK(x.size() == y.size());

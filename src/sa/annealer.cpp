@@ -1,7 +1,6 @@
 #include "sa/annealer.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -13,12 +12,6 @@ namespace aplace::sa {
 namespace {
 
 constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 std::size_t draw_index(numeric::Rng& rng, std::size_t count) {
   return static_cast<std::size_t>(
@@ -280,7 +273,7 @@ SaResult SaPlacer::run_chain(std::uint64_t chain_seed) {
   // local loop counters and flushed once at the end so the hot loop pays
   // nothing (the <2% bench_micro_kernels budget).
   obs::Span chain_span("sa/chain");
-  const auto t_start = Clock::now();
+  const double t_start = obs::now_seconds();
   numeric::Rng rng(chain_seed);
   reset_anneal_state();
   const std::size_t nb = num_blocks();
@@ -425,7 +418,7 @@ SaResult SaPlacer::run_chain(std::uint64_t chain_seed) {
 
   best.moves_evaluated = moves;
   best.placement.normalize_to_origin();
-  best.anneal_seconds = seconds_since(t_start);
+  best.anneal_seconds = obs::now_seconds() - t_start;
   best.moves_per_second =
       best.anneal_seconds > 0
           ? static_cast<double>(moves) / best.anneal_seconds

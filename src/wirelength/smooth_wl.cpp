@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "base/aligned.hpp"
 #include "base/simd.hpp"
-#include "base/thread_pool.hpp"
 
 namespace aplace::wirelength {
 namespace {
@@ -36,35 +34,6 @@ void gather_padded(std::span<const double> v, std::size_t dim_offset,
   }
   for (std::size_t i = k; i < padded4(k); ++i) out[i] = out[0];
 }
-
-// Per-chunk aligned scratch: one padded row per array, sized once to the
-// longest net of the snapshot. ep/em cache the exp values between the value
-// and gradient passes of the long-net kernels.
-struct NetScratch {
-  base::AlignedVec coords, dcoord, coords_y, dcoord_y, ep, em;
-  explicit NetScratch(std::size_t max_pins) { ensure(max_pins); }
-
-  void ensure(std::size_t max_pins) {
-    const std::size_t k4 = padded4(std::max<std::size_t>(max_pins, 1));
-    if (coords.size() >= k4) return;
-    coords.resize(k4);
-    dcoord.resize(k4);
-    coords_y.resize(4);  // fused x/y block path only runs for k <= 4
-    dcoord_y.resize(4);
-    ep.resize(k4);
-    em.resize(k4);
-  }
-
-  /// Per-thread reusable instance: the per-chunk worker bodies run on pool
-  /// threads, so a thread_local avoids six heap allocations per chunk. The
-  /// contents carry no state between nets (every row is fully rewritten
-  /// before it is read), so reuse cannot affect determinism.
-  static NetScratch& local(std::size_t max_pins) {
-    static thread_local NetScratch s(4);
-    s.ensure(max_pins);
-    return s;
-  }
-};
 
 // ---- 4-lane kernels --------------------------------------------------------
 // coords is the padded row written by gather_padded (pad lanes = coords[0],
@@ -208,9 +177,7 @@ double lse_extent_block2(const double* cx, const double* cy, std::size_t k,
 }
 
 double wa_extent(const double* coords, std::size_t k, double gamma,
-                 NetScratch& scratch) {
-  double* ep = scratch.ep.data();
-  double* em = scratch.em.data();
+                 double* ep, double* em, double* dcoord) {
   const double inv_gamma = 1.0 / gamma;
   const ExpSums s = exp_pass(coords, k, inv_gamma, ep, em);
   const double den_p = simd::hsum_ordered(s.sum_ep);
@@ -224,7 +191,6 @@ double wa_extent(const double* coords, std::size_t k, double gamma,
   const Vec4d fminv = Vec4d::broadcast(f_min);
   const Vec4d igv = Vec4d::broadcast(inv_gamma);
   const Vec4d one = Vec4d::broadcast(1.0);
-  double* dcoord = scratch.dcoord.data();
   const std::size_t k4 = padded4(k);
   for (std::size_t i = 0; i < k4; i += 4) {
     const Vec4d v = Vec4d::load(coords + i);
@@ -238,9 +204,7 @@ double wa_extent(const double* coords, std::size_t k, double gamma,
 }
 
 double lse_extent(const double* coords, std::size_t k, double gamma,
-                  NetScratch& scratch) {
-  double* ep = scratch.ep.data();
-  double* em = scratch.em.data();
+                  double* ep, double* em, double* dcoord) {
   const ExpSums s = exp_pass(coords, k, 1.0 / gamma, ep, em);
   const double sp = simd::hsum_ordered(s.sum_ep);
   const double sm = simd::hsum_ordered(s.sum_em);
@@ -249,7 +213,6 @@ double lse_extent(const double* coords, std::size_t k, double gamma,
 
   const Vec4d ispv = Vec4d::broadcast(1.0 / sp);
   const Vec4d ismv = Vec4d::broadcast(1.0 / sm);
-  double* dcoord = scratch.dcoord.data();
   const std::size_t k4 = padded4(k);
   for (std::size_t i = 0; i < k4; i += 4) {
     const Vec4d d = Vec4d::load(ep + i) * ispv - Vec4d::load(em + i) * ismv;
@@ -262,10 +225,17 @@ double lse_extent(const double* coords, std::size_t k, double gamma,
 
 SmoothWirelength::SmoothWirelength(netlist::CompiledRef compiled)
     : compiled_(std::move(compiled)) {
+  std::size_t max_net_pins = 1;
   for (std::size_t ni = 0; ni < compiled_->num_wl_nets(); ++ni) {
-    max_net_pins_ =
-        std::max(max_net_pins_, compiled_->wl_pin_device(ni).size());
+    max_net_pins = std::max(max_net_pins, compiled_->wl_pin_device(ni).size());
   }
+  const std::size_t k4 = padded4(max_net_pins);
+  coords_.resize(k4);
+  dcoord_.resize(k4);
+  coords_y_.resize(4);
+  dcoord_y_.resize(4);
+  ep_.resize(k4);
+  em_.resize(k4);
 }
 
 double SmoothWirelength::exact_hpwl(std::span<const double> v) const {
@@ -288,83 +258,50 @@ double SmoothWirelength::accumulate(std::span<const double> v,
                                     std::span<double> grad, Kind kind) const {
   const netlist::CompiledCircuit& cc = *compiled_;
   const std::size_t n = num_devices();
-  const std::size_t num_nets = cc.num_wl_nets();
-  const Kind k = kind;
-  // One chunk of nets, accumulated into `g` (either the caller's gradient
-  // directly, or a per-chunk partial on the parallel path).
   const double inv_gamma = 1.0 / gamma_;
-  auto run_range = [&](std::size_t lo, std::size_t hi, std::span<double> g) {
-    double total = 0;
-    NetScratch& scratch = NetScratch::local(max_net_pins_);
-    double* coords = scratch.coords.data();
-    double* dcoord = scratch.dcoord.data();
-    auto extent = [&](std::size_t pins) {
-      return k == Kind::kWa ? wa_extent(coords, pins, gamma_, scratch)
-                            : lse_extent(coords, pins, gamma_, scratch);
-    };
-    double* coords_y = scratch.coords_y.data();
-    double* dcoord_y = scratch.dcoord_y.data();
-    for (std::size_t ni = lo; ni < hi; ++ni) {
-      const std::span<const std::uint32_t> devs = cc.wl_pin_device(ni);
-      const std::size_t pins = devs.size();
-      const double weight = cc.wl_weight()[ni];
-      if (pins <= 4) {
-        // Fused x/y block: both dimensions of a short net in one call so the
-        // four exp4 dependency chains overlap (see wa_extent_block2).
-        gather_padded(v, 0, devs, cc.wl_pin_dx(ni), coords);
-        gather_padded(v, n, devs, cc.wl_pin_dy(ni), coords_y);
-        total +=
-            weight * (k == Kind::kWa
-                          ? wa_extent_block2(coords, coords_y, pins, inv_gamma,
-                                             dcoord, dcoord_y)
-                          : lse_extent_block2(coords, coords_y, pins, gamma_,
-                                              inv_gamma, dcoord, dcoord_y));
-        for (std::size_t i = 0; i < pins; ++i) {
-          g[devs[i]] += weight * dcoord[i];
-          g[n + devs[i]] += weight * dcoord_y[i];
-        }
-        continue;
-      }
-      gather_padded(v, 0, devs, cc.wl_pin_dx(ni), coords);
-      total += weight * extent(pins);
-      for (std::size_t i = 0; i < pins; ++i) {
-        g[devs[i]] += weight * dcoord[i];
-      }
-      gather_padded(v, n, devs, cc.wl_pin_dy(ni), coords);
-      total += weight * extent(pins);
-      for (std::size_t i = 0; i < pins; ++i) {
-        g[n + devs[i]] += weight * dcoord[i];
-      }
-    }
-    return total;
+  double* coords = coords_.data();
+  double* dcoord = dcoord_.data();
+  double* coords_y = coords_y_.data();
+  double* dcoord_y = dcoord_y_.data();
+  double* ep = ep_.data();
+  double* em = em_.data();
+  auto extent = [&](std::size_t pins) {
+    return kind == Kind::kWa ? wa_extent(coords, pins, gamma_, ep, em, dcoord)
+                             : lse_extent(coords, pins, gamma_, ep, em, dcoord);
   };
-
-  const std::size_t chunks = base::ThreadPool::chunk_count(num_nets, kNetGrain);
-  if (chunks <= 1) return run_range(0, num_nets, grad);
-
-  if (grad_part_.size() != chunks) {
-    grad_part_.assign(chunks, std::vector<double>());
-    total_part_.assign(chunks, 0.0);
-  }
-  base::ThreadPool& pool = base::ThreadPool::global();
-  pool.parallel_for(0, chunks, 1, [&](std::size_t c0, std::size_t c1) {
-    for (std::size_t c = c0; c < c1; ++c) {
-      grad_part_[c].assign(2 * n, 0.0);
-      total_part_[c] =
-          run_range(c * kNetGrain, std::min(num_nets, (c + 1) * kNetGrain),
-                    grad_part_[c]);
-    }
-  });
-  // Reduce gradients device-wise, chunks in fixed order per entry.
-  pool.parallel_for(0, 2 * n, 4096, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      double g = 0;
-      for (std::size_t c = 0; c < chunks; ++c) g += grad_part_[c][i];
-      grad[i] += g;
-    }
-  });
   double total = 0;
-  for (std::size_t c = 0; c < chunks; ++c) total += total_part_[c];
+  for (std::size_t ni = 0; ni < cc.num_wl_nets(); ++ni) {
+    const std::span<const std::uint32_t> devs = cc.wl_pin_device(ni);
+    const std::size_t pins = devs.size();
+    const double weight = cc.wl_weight()[ni];
+    if (pins <= 4) {
+      // Fused x/y block: both dimensions of a short net in one call so the
+      // four exp4 dependency chains overlap (see wa_extent_block2).
+      gather_padded(v, 0, devs, cc.wl_pin_dx(ni), coords);
+      gather_padded(v, n, devs, cc.wl_pin_dy(ni), coords_y);
+      total += weight * (kind == Kind::kWa
+                             ? wa_extent_block2(coords, coords_y, pins,
+                                                inv_gamma, dcoord, dcoord_y)
+                             : lse_extent_block2(coords, coords_y, pins,
+                                                 gamma_, inv_gamma, dcoord,
+                                                 dcoord_y));
+      for (std::size_t i = 0; i < pins; ++i) {
+        grad[devs[i]] += weight * dcoord[i];
+        grad[n + devs[i]] += weight * dcoord_y[i];
+      }
+      continue;
+    }
+    gather_padded(v, 0, devs, cc.wl_pin_dx(ni), coords);
+    total += weight * extent(pins);
+    for (std::size_t i = 0; i < pins; ++i) {
+      grad[devs[i]] += weight * dcoord[i];
+    }
+    gather_padded(v, n, devs, cc.wl_pin_dy(ni), coords);
+    total += weight * extent(pins);
+    for (std::size_t i = 0; i < pins; ++i) {
+      grad[n + devs[i]] += weight * dcoord[i];
+    }
+  }
   return total;
 }
 

@@ -21,12 +21,14 @@
 // (per-net max/min shift, exp values cached between the value and gradient
 // passes, masked tail for the remainder pins). A serial scalar reference of
 // the same math lives in tests/kernel_oracle.hpp; the two agree to <= 1e-12
-// relative on every registry circuit (tests/simd_test.cpp). Results are
+// relative on every registry circuit (tests/simd_test.cpp). The nets are
+// visited in table order on the calling thread, so results are
 // bit-identical at any thread count and across the scalar/SSE2/AVX2
 // builds.
 
 #include <span>
 
+#include "base/aligned.hpp"
 #include "netlist/compiled.hpp"
 #include "numeric/vec.hpp"
 
@@ -65,27 +67,22 @@ class SmoothWirelength {
 
   /// Run the smoothing kernel of `kind` over every net of the compiled
   /// wirelength table, accumulating the weighted total and the gradient
-  /// into `grad`. Nets are cut into fixed chunks of kNetGrain (independent
-  /// of thread count); chunks beyond the first run on the global pool with
-  /// private gradient partials that are reduced in chunk order, so the
-  /// result is bit-identical for any pool size. One-chunk circuits take the
-  /// direct serial path with no partials.
+  /// into `grad`.
   double accumulate(std::span<const double> v, std::span<double> grad,
                     Kind kind) const;
 
   double gamma_ = 1.0;
 
  private:
-  static constexpr std::size_t kNetGrain = 128;
-
   netlist::CompiledRef compiled_;
-  std::size_t max_net_pins_ = 0;
 
-  // Per-chunk scratch for the parallel path (empty until first used; each
-  // instance is driven by one placement flow at a time, so `mutable` here
-  // is safe).
-  mutable std::vector<std::vector<double>> grad_part_;
-  mutable std::vector<double> total_part_;
+  // Aligned per-net rows, each padded to the longest net of the snapshot
+  // (coords_y/dcoord_y to 4: the fused x/y path runs for nets of <= 4
+  // pins). ep/em cache the exp values between the value and gradient
+  // passes of the long-net kernels. Every row is rewritten before it is
+  // read, and each instance is driven by one placement flow at a time, so
+  // `mutable` here is safe.
+  mutable base::AlignedVec coords_, dcoord_, coords_y_, dcoord_y_, ep_, em_;
 };
 
 class WaWirelength final : public SmoothWirelength {

@@ -307,7 +307,6 @@ TEST(CompiledRefTest, SharesCompilesAndOwnsItsSnapshot) {
   gp::EPlaceGpOptions opts;
   opts.num_starts = 1;
   opts.max_iters = 20;
-  opts.min_iters = 5;
   auto temp = std::make_shared<const CompiledCircuit>(tc.circuit);
   gp::EPlaceGlobalPlacer placer(temp, opts);
   temp.reset();

@@ -6,7 +6,6 @@
 #include "density/bell.hpp"
 #include "density/bin_grid.hpp"
 #include "density/electro.hpp"
-#include "gp/eplace_gp.hpp"
 #include "test_util.hpp"
 
 namespace aplace::density {
@@ -153,22 +152,6 @@ TEST(ElectroDensityTest, RejectsFewerThanFourBins) {
   EXPECT_THROW(ElectroDensity(c, {0, 0, 16, 16}, 2, 2, 0.8), CheckError);
   EXPECT_THROW(ElectroDensity(c, {0, 0, 16, 16}, 16, 2, 0.8), CheckError);
   EXPECT_NO_THROW(ElectroDensity(c, {0, 0, 16, 16}, 4, 4, 0.8));
-}
-
-TEST(ElectroDensityTest, EPlaceRoundsSmallBinCountsUpToFour) {
-  // ePlace-A accepts 2 and 3 bins per side and runs them on a 4 x 4 grid;
-  // without the rounding the density solve would reject them.
-  const netlist::Circuit c = test::two_device_circuit();
-  for (const std::size_t bins : {std::size_t{2}, std::size_t{3}}) {
-    gp::EPlaceGpOptions opts;
-    opts.bins = bins;
-    opts.num_starts = 1;
-    opts.max_iters = 5;
-    opts.min_iters = 1;
-    gp::EPlaceGlobalPlacer placer(c, opts);
-    const gp::GpResult r = placer.run();
-    EXPECT_EQ(r.positions.size(), 4u) << bins;
-  }
 }
 
 TEST(ElectroTest, GradientMatchesFiniteDifferenceOnFftPath) {

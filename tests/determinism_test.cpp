@@ -1,8 +1,9 @@
 // Thread-count determinism of the placement flows. The parallelism layers
-// (candidate fan-out, density/wirelength hot loops, the batch driver) are
-// designed so a fixed seed gives bit-identical quality for ANY pool size:
-// chunk boundaries depend only on range size + grain, reductions happen in
-// chunk order, and every concurrent unit draws from its own split RNG
+// (candidate fan-out, the batch driver, the perf-context build and GNN
+// training) are designed so a fixed seed gives bit-identical quality for
+// ANY pool size: the GP kernels inside each flow run serially, results
+// are written by index, the one reduction (training's gradient) adds in
+// sample order, and every concurrent unit draws from its own split RNG
 // stream. These tests pin that contract at 1, 2, and 8 threads.
 
 #include <gtest/gtest.h>

@@ -109,7 +109,7 @@ TEST(EPlaceGpTest, SpreadsAndKeepsDevicesNearRegion) {
   EPlaceGlobalPlacer placer(tc.circuit, opts);
   const GpResult r = placer.run();
   ASSERT_EQ(r.positions.size(), 2 * tc.circuit.num_devices());
-  EXPECT_GT(r.iterations, opts.min_iters);
+  EXPECT_GT(r.iterations, kMinIters);
 
   netlist::Placement pl(tc.circuit);
   const std::size_t n = tc.circuit.num_devices();
@@ -171,7 +171,6 @@ TEST(EPlaceGpTest, ExtraTermReceivesCalls) {
   EPlaceGpOptions opts;
   opts.num_starts = 1;
   opts.max_iters = 40;
-  opts.min_iters = 10;
   EPlaceGlobalPlacer placer(tc.circuit, opts);
   int calls = 0;
   placer.set_extra_term(std::make_shared<FunctionTerm>(

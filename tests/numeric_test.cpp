@@ -24,7 +24,6 @@ TEST(VecTest, BasicOps) {
   Vec a{1, 2, 3}, b{4, -5, 6};
   EXPECT_DOUBLE_EQ(dot(a, b), 4 - 10 + 18);
   EXPECT_DOUBLE_EQ(norm2(Vec{3, 4}), 5.0);
-  EXPECT_DOUBLE_EQ(norm_inf(b), 6.0);
   axpy(2.0, a, b);
   EXPECT_EQ(b, (Vec{6, -1, 12}));
   scale(b, 0.5);
@@ -287,9 +286,6 @@ TEST(FftSpectralTest, FftPlanRejectsNonPow2) {
   EXPECT_FALSE(fft::is_pow2(0));
   EXPECT_FALSE(fft::is_pow2(1));
   EXPECT_FALSE(fft::is_pow2(12));
-  EXPECT_EQ(fft::next_pow2(1), 2u);
-  EXPECT_EQ(fft::next_pow2(33), 64u);
-  EXPECT_EQ(fft::next_pow2(64), 64u);
   EXPECT_THROW(fft::FftPlan(12), CheckError);
 }
 

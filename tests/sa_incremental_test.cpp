@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "circuits/testcases.hpp"
 #include "netlist/evaluator.hpp"
 #include "sa/annealer.hpp"
@@ -61,6 +64,48 @@ INSTANTIATE_TEST_SUITE_P(AllCircuits, IncrementalAllCircuitsTest,
                            }
                            return n;
                          });
+
+// IncrementalCost rules out unmoved nets and constraints with one bitmask
+// AND only when there are at most 64 blocks; beyond that it walks every
+// delta list. No testcase has more than 37 blocks, so a synthetic circuit
+// of 72 single devices (a ring of two-pin nets, four nets spanning distant
+// devices, an alignment and an ordering) checks that path against the same
+// from-scratch recompute.
+TEST(SaIncrementalTest, MatchesFullRecomputeBeyondSixtyFourBlocks) {
+  constexpr std::size_t kDevices = 72;
+  netlist::Circuit c("wide");
+  std::vector<DeviceId> devs;
+  std::vector<PinId> left, right;
+  for (std::size_t i = 0; i < kDevices; ++i) {
+    const double w = 1.0 + static_cast<double>(i % 4);
+    const double h = 1.0 + static_cast<double>(i % 3);
+    const DeviceId d =
+        c.add_device("D" + std::to_string(i),
+                     i % 2 == 0 ? netlist::DeviceType::Nmos
+                                : netlist::DeviceType::Pmos,
+                     w, h);
+    devs.push_back(d);
+    left.push_back(c.add_pin(d, "l", {0, h / 2}));
+    right.push_back(c.add_pin(d, "r", {w, h / 2}));
+  }
+  for (std::size_t i = 0; i < kDevices; ++i) {
+    c.add_net("c" + std::to_string(i), {right[i], left[(i + 1) % kDevices]});
+  }
+  for (std::size_t k = 0; k < 4; ++k) {
+    std::vector<PinId> pins;
+    for (std::size_t i = k; i < kDevices; i += 9) {
+      pins.push_back(c.add_pin(devs[i], "m", {0.5, 0.5}));
+    }
+    c.add_net("m" + std::to_string(k), std::move(pins));
+  }
+  c.add_alignment({netlist::AlignmentKind::Bottom, devs[0], devs[70]});
+  c.add_ordering({netlist::OrderDirection::LeftToRight, {devs[3], devs[40]}});
+  c.finalize();
+
+  SaPlacer placer(c, {});
+  ASSERT_GT(placer.num_blocks(), 64u);
+  EXPECT_LE(placer.verify_incremental(101, 400), 1e-9);
+}
 
 // sample_random used to permanently mutate the placer's island/orientation
 // state, so annealing after sampling started from a different configuration
