@@ -48,13 +48,12 @@ namespace {
 
 using namespace aplace;
 
-// SIGINT handler target. CancelToken::request_cancel is a relaxed atomic
-// store, safe from a signal handler; the token must outlive the handler.
-core::BatchOptions* g_batch_opts = nullptr;
+// SIGINT handler target, live for the whole process so a SIGINT during
+// start-up is not lost either. CancelToken::request_cancel is a relaxed
+// atomic store, safe from a signal handler.
+const base::CancelToken g_cancel = base::CancelToken::make_cancellable();
 
-extern "C" void handle_sigint(int) {
-  if (g_batch_opts != nullptr) g_batch_opts->cancel.request_cancel();
-}
+extern "C" void handle_sigint(int) { g_cancel.request_cancel(); }
 
 int usage() {
   std::fprintf(stderr,
@@ -134,6 +133,7 @@ int write_text(const std::string& path, const std::string& text,
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::signal(SIGINT, handle_sigint);
   std::map<std::string, std::string> flags;
   for (int i = 1; i < argc; ++i) {
     std::string key = argv[i];
@@ -222,14 +222,9 @@ int main(int argc, char** argv) {
       opts.retry.backoff_seconds = std::stod(flags.at("backoff"));
     }
 
-    opts.cancel = base::CancelToken::make_cancellable();
-    g_batch_opts = &opts;
-    std::signal(SIGINT, handle_sigint);
-
+    opts.cancel = g_cancel;
     const core::BatchReport report = core::run_batch(jobs, opts);
-
     std::signal(SIGINT, SIG_DFL);
-    g_batch_opts = nullptr;
 
     if (!report.journal_status.ok()) {
       std::fprintf(stderr, "warning: journaling disabled: %s\n",

@@ -1,11 +1,17 @@
 #!/usr/bin/env bash
-# SIGKILL-and-resume end-to-end check for the crash-safe batch driver.
+# Kill-and-resume end-to-end check for the crash-safe batch driver.
 #
 # 1. Runs aplace_batch without a journal to produce a timing-free reference
 #    report (--report-out excludes wall times on purpose).
-# 2. Launches the journaled batch and SIGKILLs it at several delays — at
-#    each delay the journal is torn at whatever byte the kill landed on.
-# 3. Resumes each killed journal and byte-compares its report against the
+# 2. SIGKILL leg: launches the journaled batch and SIGKILLs it at several
+#    delays — at each delay the journal is torn at whatever byte the kill
+#    landed on.
+# 3. SIGINT leg: launches the journaled batch and SIGINTs it at the same
+#    delays. The handler requests the batch cancel; every engine stops at
+#    its next poll, the batch drains and must exit by itself within
+#    SIGINT_EXIT_BOUND seconds, having journaled the cut-short jobs as
+#    interrupted.
+# 4. Resumes each journal and byte-compares its report against the
 #    reference: completed jobs restore bit-identically, the rest re-run
 #    under the same seeds, so any divergence is a bug.
 #
@@ -24,7 +30,27 @@ echo "== reference run =="
   echo "FAIL: reference run failed"; exit 1;
 }
 
+SIGINT_EXIT_BOUND=10  # seconds a SIGINTed batch may take to drain
+
 fail=0
+
+# Resume the journal in $1 and diff its report against the reference.
+resume_and_compare() {
+  local jdir="$1" what="$2"
+  if ! "$BATCH" "${ARGS[@]}" --journal "$jdir/run.jsonl" --resume \
+       --report-out "$jdir/resumed.txt"; then
+    echo "FAIL: resume after $what exited non-zero"
+    fail=1
+    return
+  fi
+  if ! diff -u "$WORK/reference.txt" "$jdir/resumed.txt"; then
+    echo "FAIL: resumed report differs from reference ($what)"
+    fail=1
+  else
+    echo "ok: resumed report identical to reference"
+  fi
+}
+
 for delay in "${DELAYS[@]}"; do
   jdir="$WORK/kill_$delay"
   rm -rf "$jdir"; mkdir -p "$jdir"
@@ -37,22 +63,45 @@ for delay in "${DELAYS[@]}"; do
   wait "$pid" 2>/dev/null
   lines=$(wc -l < "$journal" 2>/dev/null || echo 0)
   echo "== killed after ${delay}s ($lines journal lines) =="
+  resume_and_compare "$jdir" "${delay}s kill"
+done
 
-  if ! "$BATCH" "${ARGS[@]}" --journal "$journal" --resume \
-       --report-out "$jdir/resumed.txt"; then
-    echo "FAIL: resume after ${delay}s kill exited non-zero"
+for delay in "${DELAYS[@]}"; do
+  jdir="$WORK/int_$delay"
+  rm -rf "$jdir"; mkdir -p "$jdir"
+  journal="$jdir/run.jsonl"
+
+  "$BATCH" "${ARGS[@]}" --journal "$journal" >/dev/null 2>&1 &
+  pid=$!
+  sleep "$delay"
+  kill -INT "$pid" 2>/dev/null
+  # Poll for a clean exit; a batch still running past the bound is a hang.
+  start=$(date +%s.%N)
+  while kill -0 "$pid" 2>/dev/null; do
+    if awk -v s="$start" -v n="$(date +%s.%N)" -v b="$SIGINT_EXIT_BOUND" \
+         'BEGIN { exit !(n - s > b) }'; then
+      kill -KILL "$pid" 2>/dev/null
+      break
+    fi
+    sleep 0.05
+  done
+  wait "$pid" 2>/dev/null
+  rc=$?
+  lines=$(wc -l < "$journal" 2>/dev/null || echo 0)
+  interrupted=$(grep -c '"type":"interrupted"' "$journal" 2>/dev/null)
+  echo "== SIGINT after ${delay}s: exit $rc ($lines journal lines," \
+       "${interrupted:-0} interrupted) =="
+  if [ "$rc" -ge 128 ]; then
+    echo "FAIL: batch did not exit by itself within ${SIGINT_EXIT_BOUND}s" \
+         "of SIGINT (delay ${delay}s)"
     fail=1
     continue
   fi
-  if ! diff -u "$WORK/reference.txt" "$jdir/resumed.txt"; then
-    echo "FAIL: resumed report differs from reference (delay ${delay}s)"
-    fail=1
-  else
-    echo "ok: resumed report identical to reference"
-  fi
+  resume_and_compare "$jdir" "${delay}s SIGINT"
 done
 
 if [ "$fail" -eq 0 ]; then
-  echo "PASS: all kill/resume runs bit-identical to the reference"
+  echo "PASS: all kill/resume and SIGINT/resume runs bit-identical to the" \
+       "reference"
 fi
 exit "$fail"

@@ -1,24 +1,23 @@
 #pragma once
 // Cooperative cancellation for the placement pipeline.
 //
-// A CancelToken is a cheap value type threaded through solver options next
-// to Deadline: the Nesterov/CG iteration loops, the SA move loop, the MILP
-// branch-and-bound node loop and the legalizer refinement rounds poll
-// cancelled() at the same watchdog sites where they poll the deadline, and
-// stop early when the owner of the token (typically the batch driver, on
-// behalf of a SIGINT handler or an RPC abort) requested cancellation.
+// A CancelToken is the flag a Deadline carries (base/deadline.hpp): the
+// engines poll Deadline::expired(), which is true once the owner of the
+// token (typically the batch driver, on behalf of a SIGINT handler or an
+// RPC abort) requested cancellation, and stop early.
 //
 // A default-constructed token is inert — cancelled() is always false and
 // costs one null-pointer test — so existing call sites pay nothing. Tokens
-// copied from one cancellable() source share the flag: requesting
+// copied from one make_cancellable() source share the flag: requesting
 // cancellation on any copy is observed by all of them, across threads.
 // Requesting cancellation is lock-free (a relaxed atomic store), so a
 // signal handler may call request_cancel() directly.
 //
-// Cancellation is cooperative and lossy by design: a stage that already
-// finished keeps its result (the flows report Ok work as Ok even when the
-// batch was cancelled moments later); a stage interrupted mid-loop surfaces
-// StatusCode::Cancelled instead of a half-baked answer.
+// Cancellation is cooperative: an engine loop that sees it returns its best
+// state so far with `deadline_hit` set. A flow that still ends with a legal
+// placement reports Ok; any other cancelled flow reports
+// StatusCode::Cancelled. The batch driver re-runs both kinds on a journal
+// resume.
 
 #include <atomic>
 #include <memory>
@@ -37,9 +36,6 @@ class CancelToken {
     return t;
   }
 
-  /// True when this token was created via make_cancellable().
-  [[nodiscard]] bool cancellable() const { return flag_ != nullptr; }
-
   /// Request cancellation. Safe from any thread and from signal handlers
   /// (std::atomic<bool> is lock-free on every supported platform); no-op on
   /// an inert token.
@@ -47,7 +43,7 @@ class CancelToken {
     if (flag_) flag_->store(true, std::memory_order_relaxed);
   }
 
-  /// Poll site: true once any copy requested cancellation.
+  /// True once any copy requested cancellation.
   [[nodiscard]] bool cancelled() const {
     return flag_ != nullptr && flag_->load(std::memory_order_relaxed);
   }

@@ -19,8 +19,7 @@ namespace {
 /// with a retry-free configuration); attempt k > 0 splits every seed
 /// deterministically so retries explore a different random stream without
 /// introducing wall-clock or thread-count dependence.
-FlowResult dispatch(const BatchJob& job, const Deadline& deadline,
-                    const base::CancelToken& cancel, int attempt,
+FlowResult dispatch(const BatchJob& job, const Deadline& deadline, int attempt,
                     const std::shared_ptr<CompileCache>& compile_cache) {
   const auto reseed = [attempt](std::uint64_t seed) {
     return attempt == 0
@@ -31,7 +30,6 @@ FlowResult dispatch(const BatchJob& job, const Deadline& deadline,
     case FlowKind::EPlaceA: {
       EPlaceAOptions o = job.eplace;
       o.deadline = deadline;
-      o.cancel = cancel;
       o.compile_cache = compile_cache;
       o.gp.seed = reseed(o.gp.seed);
       return run_eplace_a(*job.circuit, std::move(o));
@@ -39,7 +37,6 @@ FlowResult dispatch(const BatchJob& job, const Deadline& deadline,
     case FlowKind::PriorWork: {
       PriorWorkOptions o = job.prior;
       o.deadline = deadline;
-      o.cancel = cancel;
       o.compile_cache = compile_cache;
       o.gp.seed = reseed(o.gp.seed);
       return run_prior_work(*job.circuit, std::move(o));
@@ -47,7 +44,6 @@ FlowResult dispatch(const BatchJob& job, const Deadline& deadline,
     case FlowKind::Sa: {
       SaFlowOptions o = job.sa;
       o.deadline = deadline;
-      o.cancel = cancel;
       o.compile_cache = compile_cache;
       o.sa.seed = reseed(o.sa.seed);
       return run_sa(*job.circuit, std::move(o));
@@ -64,17 +60,17 @@ constexpr double kBackoffGrowth = 2.0;  ///< wait multiplier per further attempt
 constexpr double kMaxBackoffSeconds = 30.0;
 
 /// Exponential backoff before attempt `next_attempt` (1-based beyond the
-/// first try), slept in small slices so cancellation and the batch deadline
-/// cut the wait short.
+/// first try), slept in small slices so the batch deadline (budget or
+/// cancel) cuts the wait short.
 void backoff_wait(const RetryPolicy& policy, int next_attempt,
-                  const Deadline& deadline, const base::CancelToken& cancel) {
+                  const Deadline& deadline) {
   double wait = policy.backoff_seconds;
   for (int k = 1; k < next_attempt; ++k) wait *= kBackoffGrowth;
   wait = std::min(wait, kMaxBackoffSeconds);
   if (wait <= 0) return;
   const double t0 = obs::now_seconds();
   while (obs::now_seconds() - t0 < wait) {
-    if (cancel.cancelled() || deadline.expired()) return;
+    if (deadline.expired()) return;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 }
@@ -134,9 +130,13 @@ BatchReport run_batch(std::span<const BatchJob> jobs,
   for (const BatchJob& job : jobs) {
     APLACE_CHECK_MSG(job.circuit != nullptr, "batch job without a circuit");
   }
-  const Deadline deadline = opts.time_budget_seconds > 0
-                                ? Deadline::after_seconds(opts.time_budget_seconds)
-                                : Deadline{};
+  // The one stop handle every job polls: the batch budget plus the batch
+  // cancel token.
+  const Deadline deadline =
+      (opts.time_budget_seconds > 0
+           ? Deadline::after_seconds(opts.time_budget_seconds)
+           : Deadline{})
+          .with_cancel(opts.cancel);
 
   // Journal plumbing: an unopenable journal is reported, not fatal — the
   // batch still runs, just without crash safety.
@@ -207,7 +207,7 @@ BatchReport run_batch(std::span<const BatchJob> jobs,
       journal.record_start(key, attempt);
       result = [&]() -> FlowResult {
         try {
-          return dispatch(job, deadline, opts.cancel, attempt, compile_cache);
+          return dispatch(job, deadline, attempt, compile_cache);
         } catch (const std::exception& e) {
           // The flows convert their own failures to statuses; this catches
           // anything that still escapes (e.g. a CheckError on malformed
@@ -222,11 +222,11 @@ BatchReport run_batch(std::span<const BatchJob> jobs,
       const StatusCode code = result.status.code();
       if (result.status.ok() || !retryable(code)) break;
       if (attempt + 1 >= max_attempts) break;
-      if (opts.cancel.cancelled() || deadline.expired()) break;
+      if (deadline.expired()) break;
       journal.record_retry(key, attempt, result.status);
       obs::counter("batch/retries").inc();
-      backoff_wait(opts.retry, attempt + 1, deadline, opts.cancel);
-      if (opts.cancel.cancelled() || deadline.expired()) break;
+      backoff_wait(opts.retry, attempt + 1, deadline);
+      if (deadline.expired()) break;
       ++attempt;
     }
     const int attempts = attempt + 1;
@@ -234,7 +234,12 @@ BatchReport run_batch(std::span<const BatchJob> jobs,
 
     const StatusCode code = result.status.code();
     bool quarantined = false;
-    if (code == StatusCode::Cancelled || code == StatusCode::BudgetExhausted) {
+    // A legal answer that some stage reached only because a cancel cut it
+    // short (a skipped candidate, a truncated anneal) stays Ok in the
+    // report but is not the job's answer either.
+    const bool cut_by_cancel = deadline.cancelled() && result.deadline_hit;
+    if (code == StatusCode::Cancelled || code == StatusCode::BudgetExhausted ||
+        cut_by_cancel) {
       // Not terminal: a resumed batch runs this job again with a fresh
       // budget instead of replaying the interruption.
       journal.record_interrupted(key, attempts, result.status);

@@ -18,9 +18,10 @@
 //  * retry — jobs that end Diverged/Internal are re-attempted with a
 //    deterministically split seed and exponential backoff, then quarantined
 //    (terminal attempts_exhausted record) once the attempts run out.
-//  * cancel — a cooperative base::CancelToken threaded into every solver
-//    watchdog site; in-flight jobs stop at their next poll, finished Ok
-//    results are kept, and interrupted jobs re-run on resume.
+//  * cancel — a cooperative base::CancelToken folded into the one Deadline
+//    every job polls; in-flight jobs stop at their next poll, finished Ok
+//    results are kept, and interrupted jobs (Cancelled, or Ok but cut short
+//    by the cancel) re-run on resume.
 //
 // Jobs may freely nest onto the same pool: a job's candidate fan-out and
 // hot-loop parallel_for calls help-run on the waiting threads, so a batch
@@ -89,9 +90,10 @@ struct BatchOptions {
   /// as a speedup baseline and for debugging). Job *results* are identical
   /// either way when no deadline is set.
   bool parallel = true;
-  /// Cooperative batch-wide cancellation (e.g. wired to SIGINT by the CLI).
-  /// Jobs that already finished Ok keep their results; everything else
-  /// comes back Cancelled and is re-run on a journal resume.
+  /// Cooperative batch-wide cancellation (e.g. wired to SIGINT by the CLI),
+  /// folded into the Deadline every job polls. Jobs that already finished
+  /// Ok keep their results; everything else comes back Cancelled. Both
+  /// those and Ok jobs the cancel cut short re-run on a journal resume.
   base::CancelToken cancel;
   /// Retry-with-backoff for Diverged/Internal jobs; default = one attempt.
   RetryPolicy retry;

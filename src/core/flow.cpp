@@ -57,12 +57,14 @@ FlowResult error_result(const netlist::Circuit& circuit, aplace::Status status,
 // name and flow stage instead of crashing the caller. A cancelled flow
 // reports Cancelled — unless the body still finished with a legal placement
 // (the cancel arrived too late to matter), which stays Ok so completed work
-// is never thrown away.
+// is never thrown away. Here, and wherever else the flows choose a status,
+// deadline.cancelled() is asked before deadline.expired(), which is also
+// true under a cancel.
 template <class Fn>
 FlowResult run_guarded(const char* flow_name, const netlist::Circuit& circuit,
-                       const base::CancelToken& cancel, Fn&& body) {
+                       const Deadline& deadline, Fn&& body) {
   const double t0 = obs::now_seconds();
-  if (cancel.cancelled()) {
+  if (deadline.cancelled()) {
     return error_result(
         circuit,
         aplace::Status::cancelled("flow cancelled before it started")
@@ -94,7 +96,7 @@ FlowResult run_guarded(const char* flow_name, const netlist::Circuit& circuit,
     FlowResult out = timed_body();
     out.total_seconds = obs::now_seconds() - t0;
     attach_spans(out);
-    if (!out.status.ok() && cancel.cancelled() &&
+    if (!out.status.ok() && deadline.cancelled() &&
         out.status.code() != aplace::StatusCode::Cancelled) {
       // The failure happened while a cancellation was pending: the job was
       // truncated, not genuinely infeasible, so report it as Cancelled (a
@@ -159,8 +161,7 @@ LegalizeOutcome legalize_chain(
     const std::shared_ptr<const netlist::CompiledCircuit>& compiled,
     std::span<const double> positions, const legal::IlpOptions* ilp,
     legal::TwoStageOptions two_opts, FallbackLevel two_stage_level,
-    const Deadline& deadline, const base::CancelToken& cancel,
-    const FaultInjection& inject) {
+    const Deadline& deadline, const FaultInjection& inject) {
   const netlist::Circuit& circuit = compiled->circuit();
   LegalizeOutcome out{netlist::Placement(circuit)};
   const netlist::Evaluator eval(circuit);
@@ -175,7 +176,7 @@ LegalizeOutcome legalize_chain(
     for (std::string& f : failures) out.status.add_context(std::move(f));
     return std::move(out);
   };
-  if (cancel.cancelled()) return cancelled_out();
+  if (deadline.cancelled()) return cancelled_out();
 
   // Run one level: `attempt` returns a Status and fills `pl` on success.
   // Returns true when the level delivered a *legal* placement.
@@ -223,14 +224,13 @@ LegalizeOutcome legalize_chain(
         inject.fail_primary_dp, [&](netlist::Placement& pl) {
           legal::IlpOptions o = *ilp;
           o.deadline = deadline;
-          o.cancel = cancel;
           legal::IlpResult r =
               legal::IlpDetailedPlacer(compiled, o).place(positions);
           if (r.ok()) pl = std::move(r.placement);
           return r.outcome;
         });
     if (primary_ok) return out;
-    if (cancel.cancelled()) return cancelled_out();
+    if (deadline.cancelled()) return cancelled_out();
 
     const bool rounded_ok = attempt_level(
         FallbackLevel::RoundedLp, "rounded-LP legalization",
@@ -241,7 +241,6 @@ LegalizeOutcome legalize_chain(
           // rounding fallback) decides the placement.
           legal::IlpOptions o = *ilp;
           o.deadline = deadline;
-          o.cancel = cancel;
           o.enable_flipping = false;
           o.refine_rounds = 1;
           o.reshape_attempts = 0;
@@ -251,21 +250,20 @@ LegalizeOutcome legalize_chain(
           return r.outcome;
         });
     if (rounded_ok) return out;
-    if (cancel.cancelled()) return cancelled_out();
+    if (deadline.cancelled()) return cancelled_out();
   }
 
   const bool two_ok = attempt_level(
       two_stage_level, "two-stage LP legalization", "legal/two-stage-lp",
       inject.fail_two_stage, [&](netlist::Placement& pl) {
         two_opts.deadline = deadline;
-        two_opts.cancel = cancel;
         legal::TwoStageResult r =
             legal::TwoStageLpLegalizer(compiled, two_opts).place(positions);
         if (r.ok()) pl = std::move(r.placement);
         return r.outcome;
       });
   if (two_ok) return out;
-  if (cancel.cancelled()) return cancelled_out();
+  if (deadline.cancelled()) return cancelled_out();
 
   const bool greedy_ok = attempt_level(
       FallbackLevel::GreedyShift, "greedy-shift legalization",
@@ -288,7 +286,7 @@ LegalizeOutcome legalize_chain(
 }  // namespace
 
 FlowResult run_eplace_a(const netlist::Circuit& circuit, EPlaceAOptions opts) {
-  return run_guarded("ePlace-A", circuit, opts.cancel, [&]() -> FlowResult {
+  return run_guarded("ePlace-A", circuit, opts.deadline, [&]() -> FlowResult {
     APLACE_CHECK(opts.candidates >= 1);
     const Deadline& deadline = opts.deadline;
     const std::size_t num_cands = static_cast<std::size_t>(opts.candidates);
@@ -308,7 +306,6 @@ FlowResult run_eplace_a(const netlist::Circuit& circuit, EPlaceAOptions opts) {
       gp::EPlaceGpOptions gopts = opts.gp;
       gopts.seed = numeric::split_seed(opts.gp.seed, k);
       gopts.deadline = deadline;
-      gopts.cancel = opts.cancel;
 
       const double t0 = obs::now_seconds();
       gp::GpResult gpr = [&] {
@@ -322,8 +319,7 @@ FlowResult run_eplace_a(const netlist::Circuit& circuit, EPlaceAOptions opts) {
       LegalizeOutcome leg = [&] {
         obs::Span dp_span("flow/legalize");
         return legalize_chain(compiled, gpr.positions, &opts.dp, {},
-                              FallbackLevel::TwoStageLp, deadline, opts.cancel,
-                              opts.inject);
+                              FallbackLevel::TwoStageLp, deadline, opts.inject);
       }();
       const double dp_s = obs::now_seconds() - t1;
 
@@ -338,26 +334,18 @@ FlowResult run_eplace_a(const netlist::Circuit& circuit, EPlaceAOptions opts) {
       return cand;
     };
 
+    // One task per candidate (grain 1): the caller runs candidate 0, a
+    // serial pool runs them in index order. Later candidates are optional
+    // work and start only while the budget lasts; the first one runs even
+    // on an expired budget so the flow still ends with a (degraded) answer.
+    // Failures inside a task surface through the pool and are converted to
+    // a structured status by run_guarded.
     std::vector<std::optional<FlowResult>> cands(num_cands);
-    base::ThreadPool& pool = base::ThreadPool::global();
-    if (pool.num_threads() > 1 && num_cands > 1) {
-      // Concurrent candidates; each still honors the shared deadline
-      // internally. Failures inside a task surface through the group and
-      // are converted to a structured status by run_guarded.
-      base::ThreadPool::TaskGroup group(pool);
-      for (std::size_t k = 1; k < num_cands; ++k) {
-        group.run([&, k] { cands[k] = run_candidate(k); });
-      }
-      cands[0] = run_candidate(0);
-      group.wait();
-    } else {
-      for (std::size_t k = 0; k < num_cands; ++k) {
-        // Later candidates are optional work; the first one runs even on an
-        // expired budget so the flow still ends with a (degraded) answer.
-        if (k > 0 && deadline.expired()) break;
-        cands[k] = run_candidate(k);
-      }
-    }
+    base::ThreadPool::global().parallel_for(
+        0, num_cands, 1, [&](std::size_t k, std::size_t) {
+          if (k > 0 && deadline.expired()) return;
+          cands[k] = run_candidate(k);
+        });
 
     // Ordered best-of reduction (candidate index order): identical result
     // regardless of which thread finished first. Quality scales come from
@@ -377,7 +365,7 @@ FlowResult run_eplace_a(const netlist::Circuit& circuit, EPlaceAOptions opts) {
 
     for (std::optional<FlowResult>& cand_opt : cands) {
       if (!cand_opt.has_value()) {
-        skipped = true;  // sequential path ran out of budget
+        skipped = true;  // started after the budget ran out
         continue;
       }
       FlowResult& cand = *cand_opt;
@@ -423,14 +411,13 @@ FlowResult run_eplace_a(const netlist::Circuit& circuit, EPlaceAOptions opts) {
 
 FlowResult run_prior_work(const netlist::Circuit& circuit,
                           PriorWorkOptions opts) {
-  return run_guarded("prior-work", circuit, opts.cancel,
+  return run_guarded("prior-work", circuit, opts.deadline,
                      [&]() -> FlowResult {
     const Deadline& deadline = opts.deadline;
     const std::shared_ptr<const netlist::CompiledCircuit> compiled =
         compile_or_fetch(opts.compile_cache, circuit);
     gp::NtuGpOptions gopts = opts.gp;
     gopts.deadline = deadline;
-    gopts.cancel = opts.cancel;
 
     const double t0 = obs::now_seconds();
     gp::GpResult gpr = [&] {
@@ -449,8 +436,7 @@ FlowResult run_prior_work(const netlist::Circuit& circuit,
     LegalizeOutcome leg = [&] {
       obs::Span dp_span("flow/legalize");
       return legalize_chain(compiled, gpr.positions, nullptr, opts.dp,
-                            FallbackLevel::None, deadline, opts.cancel,
-                            inject);
+                            FallbackLevel::None, deadline, inject);
     }();
     const double dp_s = obs::now_seconds() - t1;
 
@@ -468,13 +454,12 @@ FlowResult run_prior_work(const netlist::Circuit& circuit,
 }
 
 FlowResult run_sa(const netlist::Circuit& circuit, SaFlowOptions opts) {
-  return run_guarded("SA", circuit, opts.cancel, [&]() -> FlowResult {
+  return run_guarded("SA", circuit, opts.deadline, [&]() -> FlowResult {
     const Deadline& deadline = opts.deadline;
     const std::shared_ptr<const netlist::CompiledCircuit> compiled =
         compile_or_fetch(opts.compile_cache, circuit);
     sa::SaOptions sopts = opts.sa;
     sopts.deadline = deadline;
-    sopts.cancel = opts.cancel;
 
     const double t0 = obs::now_seconds();
     sa::SaResult sar = [&] {
@@ -508,8 +493,7 @@ FlowResult run_sa(const netlist::Circuit& circuit, SaFlowOptions opts) {
     LegalizeOutcome leg = [&] {
       obs::Span dp_span("flow/legalize");
       return legalize_chain(compiled, pos, nullptr, {},
-                            FallbackLevel::TwoStageLp, deadline, opts.cancel,
-                            inject);
+                            FallbackLevel::TwoStageLp, deadline, inject);
     }();
     const double dp_s = obs::now_seconds() - t1;
 

@@ -17,8 +17,15 @@
 // solver failure — netlist::validate() runs as a pre-flight check and
 // escaped exceptions are converted to Internal statuses at the flow
 // boundary.
+//
+// Each flow takes one stop handle, its options' `deadline`: a wall-clock
+// budget that may carry a cancel token (base/deadline.hpp). Every engine
+// loop polls deadline.expired() alone. The flow layer asks
+// deadline.cancelled() first wherever it picks a status, so a cancel ends
+// Cancelled and an expired budget degrades to cheaper fallbacks or ends
+// BudgetExhausted.
 
-#include "base/cancel.hpp"
+#include "base/deadline.hpp"
 #include "base/status.hpp"
 #include "core/compile_cache.hpp"
 #include "gp/eplace_gp.hpp"
@@ -78,7 +85,9 @@ struct FlowResult {
   aplace::Status status{};
   FallbackLevel fallback = FallbackLevel::None;
   bool gp_diverged = false;   ///< GP watchdog tripped; hand-off was rescued
-  bool deadline_hit = false;  ///< some stage was truncated by the budget
+  /// Some stage stopped early, by the budget or by a cancel (a skipped
+  /// candidate counts).
+  bool deadline_hit = false;
   /// Per-objective-term observability from the global placer (eval counts
   /// and seconds aggregated over every candidate; weights and convergence
   /// samples from the winning candidate). Empty for the SA flow.
@@ -111,14 +120,14 @@ struct EPlaceAOptions {
   /// from gp.seed, with an ordered best-of reduction — the chosen result is
   /// identical for every thread count.
   int candidates = 2;
-  /// Wall-clock budget for the whole flow, unlimited by default; the batch
-  /// driver hands one Deadline to every job. On expiry the remaining stages
-  /// degrade (cheaper fallbacks) instead of overrunning.
+  /// Stop handle for the whole flow: the wall-clock budget and the cancel
+  /// token (Deadline::with_cancel), unlimited by default; the batch driver
+  /// hands one Deadline to every job. On an expired budget the remaining
+  /// stages degrade (cheaper fallbacks) instead of overrunning. On a cancel
+  /// in-flight stages stop at their next poll and the flow reports
+  /// Cancelled (unless it already finished with a legal placement, which
+  /// stays Ok).
   Deadline deadline;
-  /// Cooperative cancellation shared by the batch driver: in-flight stages
-  /// stop at their next watchdog check and the flow reports Cancelled
-  /// (unless it already finished with a legal placement, which stays Ok).
-  base::CancelToken cancel;
   FaultInjection inject;
   /// Shared compiled-snapshot cache. The batch driver injects one cache
   /// into every job so a circuit is compiled once per batch instead of once
@@ -129,8 +138,7 @@ struct EPlaceAOptions {
 struct PriorWorkOptions {
   gp::NtuGpOptions gp;
   legal::TwoStageOptions dp;
-  Deadline deadline;  ///< wall-clock budget (see EPlaceAOptions)
-  base::CancelToken cancel;  ///< cooperative cancellation (see EPlaceAOptions)
+  Deadline deadline;  ///< budget and cancel token (see EPlaceAOptions)
   FaultInjection inject;
   /// Shared compiled-snapshot cache (see EPlaceAOptions::compile_cache).
   std::shared_ptr<CompileCache> compile_cache;
@@ -138,8 +146,7 @@ struct PriorWorkOptions {
 
 struct SaFlowOptions {
   sa::SaOptions sa;
-  Deadline deadline;  ///< wall-clock budget (see EPlaceAOptions)
-  base::CancelToken cancel;  ///< cooperative cancellation (see EPlaceAOptions)
+  Deadline deadline;  ///< budget and cancel token (see EPlaceAOptions)
   FaultInjection inject;
   /// Shared compiled-snapshot cache (see EPlaceAOptions::compile_cache).
   std::shared_ptr<CompileCache> compile_cache;

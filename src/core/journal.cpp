@@ -26,12 +26,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-void append_double(std::string& out, double v) {
-  std::array<char, 32> buf{};
-  const auto res = std::to_chars(buf.data(), buf.data() + buf.size(), v);
-  out.append(buf.data(), res.ptr);
-}
-
 std::string hex64(std::uint64_t v) {
   std::array<char, 17> buf{};
   const auto res = std::to_chars(buf.data(), buf.data() + 16, v, 16);
@@ -43,6 +37,7 @@ std::string hex64(std::uint64_t v) {
 // booleans — all a journal line ever needs, and small enough to keep the
 // tolerant re-loader trivially auditable.
 
+using base::append_double;
 using base::append_json_string;
 
 /// Builds one record line. Numbers go through to_chars so reloading them

@@ -16,8 +16,9 @@
 //   start              an attempt at a job began
 //   retry              an attempt failed with a retryable status; another
 //                      attempt follows after backoff
-//   interrupted        the job ended Cancelled/BudgetExhausted — NOT
-//                      terminal, a resumed run executes it again
+//   interrupted        the job ended Cancelled/BudgetExhausted, or Ok but
+//                      cut short by a cancel — NOT terminal, a resumed
+//                      run executes it again
 //   done               terminal: the job finished (Ok or a deterministic
 //                      failure); carries the full FlowResult payload
 //   attempts_exhausted terminal: every attempt failed with a retryable
@@ -94,7 +95,6 @@ class RunJournal {
       const std::string& journal_path, const JournalEntry& entry,
       const netlist::Circuit& circuit);
 
-  [[nodiscard]] bool active() const { return impl_ != nullptr; }
   [[nodiscard]] const std::string& path() const { return path_; }
 
   void record_batch_start(std::size_t num_jobs, std::size_t num_resumed);

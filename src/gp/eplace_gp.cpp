@@ -91,10 +91,9 @@ GpResult EPlaceGlobalPlacer::run() {
   GpResult best;
   double best_score = std::numeric_limits<double>::infinity();
   bool any_deadline_hit = false;
-  bool any_cancelled = false;
   for (int k = 0; k < opts_.num_starts; ++k) {
     // Keep whatever starts already finished when the budget runs out.
-    if (k > 0 && (opts_.deadline.expired() || opts_.cancel.cancelled())) {
+    if (k > 0 && opts_.deadline.expired()) {
       any_deadline_hit = true;
       break;
     }
@@ -110,7 +109,6 @@ GpResult EPlaceGlobalPlacer::run() {
     obs::counter("gp/iterations").add(static_cast<std::uint64_t>(
         std::max(r.iterations, 0)));
     any_deadline_hit |= r.deadline_hit;
-    any_cancelled |= r.cancelled;
     const std::size_t n = compiled_->num_devices();
     netlist::Placement pl(compiled_->circuit());
     for (std::size_t i = 0; i < n; ++i) {
@@ -132,7 +130,6 @@ GpResult EPlaceGlobalPlacer::run() {
     }
   }
   best.deadline_hit |= any_deadline_hit;
-  best.cancelled |= any_cancelled || opts_.cancel.cancelled();
   // The trace accumulates over every start: the counters and the decimated
   // sample history cover the whole run, the last values the last start.
   best.trace = objective_->trace();
@@ -187,7 +184,6 @@ GpResult EPlaceGlobalPlacer::run_single(std::uint64_t seed) {
   nopts.max_iters = opts_.max_iters;
   nopts.initial_step = 0.1 * bin_w;
   nopts.deadline = opts_.deadline;
-  nopts.cancel = opts_.cancel;
   numeric::NesterovSolver solver(nopts);
   numeric::NesterovInfo ninfo;
 
@@ -236,7 +232,6 @@ GpResult EPlaceGlobalPlacer::run_single(std::uint64_t seed) {
       &ninfo);
   result.diverged |= ninfo.diverged;
   result.deadline_hit |= ninfo.deadline_hit;
-  result.cancelled |= ninfo.cancelled;
 
   if (best_score < std::numeric_limits<double>::infinity()) v = best_v;
 
@@ -245,7 +240,7 @@ GpResult EPlaceGlobalPlacer::run_single(std::uint64_t seed) {
   // down with a monotone density ramp (classic ePlace schedule). The best
   // low-overflow iterate becomes the hand-off to the detailed placer, whose
   // pair directions are only reliable when residual overlap is small.
-  if (!opts_.deadline.expired() && !opts_.cancel.cancelled()) {
+  if (!opts_.deadline.expired()) {
     // Refresh overflow at the restart point (best_v, not the last iterate).
     obj.probe_grad_magnitude(kDensity, v);
     double best2_score = std::numeric_limits<double>::infinity();
@@ -279,10 +274,7 @@ GpResult EPlaceGlobalPlacer::run_single(std::uint64_t seed) {
         &sinfo);
     result.diverged |= sinfo.diverged;
     result.deadline_hit |= sinfo.deadline_hit;
-    result.cancelled |= sinfo.cancelled;
     if (best2_score < std::numeric_limits<double>::infinity()) v = best2_v;
-  } else if (opts_.cancel.cancelled()) {
-    result.cancelled = true;
   } else {
     result.deadline_hit = true;
   }

@@ -55,8 +55,7 @@ struct GpResult {
   /// The solver watchdog tripped (NaN/Inf or gradient explosion); positions
   /// hold the last healthy iterate, not a converged solution.
   bool diverged = false;
-  bool deadline_hit = false;  ///< truncated by the wall-clock budget
-  bool cancelled = false;     ///< truncated by cooperative cancellation
+  bool deadline_hit = false;  ///< truncated by the budget or a cancellation
   /// Per-term observability accumulated over the whole run (all starts):
   /// eval counts, wall seconds, final weights, convergence samples.
   TermTrace trace;

@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "base/cancel.hpp"
 #include "base/deadline.hpp"
 
 namespace aplace::gp {
@@ -32,11 +31,10 @@ struct GpCommonOptions {
   double extra_rel = 2.0;       ///< extra-term (GNN) weight vs. WL gradient
 
   std::uint64_t seed = 3;  ///< initial-spread jitter
-  /// Wall-clock budget shared with the rest of the flow.
+  /// Stop handle (budget or cancellation) shared with the rest of the flow,
+  /// polled by the multi-start loop, the outer loop and every inner solver
+  /// iteration.
   Deadline deadline;
-  /// Cooperative cancellation, polled wherever the deadline is polled
-  /// (multi-start loop, outer loop, every inner solver iteration).
-  base::CancelToken cancel;
 };
 
 }  // namespace aplace::gp

@@ -94,7 +94,6 @@ GpResult PriorAnalyticalGlobalPlacer::run() {
   copts.max_iters = kInnerIters;
   copts.initial_step = 0.2 * bin_w;
   copts.deadline = opts_.deadline;
-  copts.cancel = opts_.cancel;
   const numeric::CgSolver cg(copts);
 
   auto objective = [&obj](std::span<const double> vv, std::span<double> grad) {
@@ -104,10 +103,6 @@ GpResult PriorAnalyticalGlobalPlacer::run() {
   for (int outer = 0; outer < opts_.outer_iters; ++outer) {
     if (opts_.deadline.expired()) {
       result.deadline_hit = true;
-      break;
-    }
-    if (opts_.cancel.cancelled()) {
-      result.cancelled = true;
       break;
     }
     obs::Span outer_span("gp/outer");
@@ -124,12 +119,11 @@ GpResult PriorAnalyticalGlobalPlacer::run() {
         static_cast<std::uint64_t>(std::max(result.iterations - before, 0)));
     result.diverged |= cinfo.diverged;
     result.deadline_hit |= cinfo.deadline_hit;
-    result.cancelled |= cinfo.cancelled;
     obj.sample(outer);
     // v was rolled back to the last healthy iterate; doubling the density
     // weight and continuing from a poisoned trajectory rarely helps, so
     // hand off what we have.
-    if (cinfo.diverged || cinfo.deadline_hit || cinfo.cancelled) break;
+    if (cinfo.diverged || cinfo.deadline_hit) break;
     const double overflow = dens_.overflow();
     if (outer >= 1 && overflow < kStopOverflow) break;
     // NTUplace3-style outer ramp.

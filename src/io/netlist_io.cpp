@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "base/json.hpp"
+
 namespace aplace::io {
 namespace {
 
@@ -21,14 +23,7 @@ using netlist::OrderDirection;
 
 // ---- serialization --------------------------------------------------------
 
-/// Shortest decimal form that parses back to exactly the same double, so a
-/// serialize -> parse round trip is bit-identical (journal/resume relies on
-/// this).
-void append_double(std::string& out, double v) {
-  std::array<char, 32> buf{};
-  const auto res = std::to_chars(buf.data(), buf.data() + buf.size(), v);
-  out.append(buf.data(), res.ptr);
-}
+using base::append_double;
 
 std::string num_str(double v) {
   std::string s;

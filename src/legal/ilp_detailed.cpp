@@ -23,14 +23,14 @@ IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
   std::vector<PairOrder> orders = start_orders(c, gp_positions);
 
   IlpResult result{netlist::Placement(c)};
+  if (opts_.deadline.cancelled()) {
+    result.outcome =
+        aplace::Status::cancelled("ILP legalization cancelled before it ran");
+    return result;
+  }
   if (opts_.deadline.expired()) {
     result.outcome = aplace::Status::budget_exhausted(
         "time budget expired before ILP legalization started");
-    return result;
-  }
-  if (opts_.cancel.cancelled()) {
-    result.outcome =
-        aplace::Status::cancelled("ILP legalization cancelled before it ran");
     return result;
   }
   RoundVars vars;
@@ -43,10 +43,7 @@ IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
   bool have_solution = false;
   std::vector<geom::Orientation> fixed_flips;
   for (int round = 0; round < opts_.refine_rounds; ++round) {
-    if (round > 0 &&
-        (opts_.deadline.expired() || opts_.cancel.cancelled())) {
-      break;
-    }
+    if (round > 0 && opts_.deadline.expired()) break;
     // Round 0 decides the flipping binaries by branch-and-bound; later
     // refinement rounds keep them fixed so each round is a single LP.
     solver::MilpSolution sol =
@@ -95,7 +92,7 @@ IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
     return result;
   }
   for (int attempt = 0; attempt < opts_.reshape_attempts; ++attempt) {
-    if (opts_.deadline.expired() || opts_.cancel.cancelled()) break;
+    if (opts_.deadline.expired()) break;
     std::vector<double> pos(2 * n);
     for (std::size_t i = 0; i < n; ++i) {
       const geom::Point p = result.placement.position(DeviceId{i});
@@ -184,7 +181,7 @@ IlpResult IlpDetailedPlacer::place(std::span<const double> gp_positions) const {
   // and reshaping may have changed the topology enough that different flips
   // now win. One more branch-and-bound pass with the final direction set.
   if (opts_.enable_flipping && opts_.refine_rounds > 1 &&
-      !opts_.deadline.expired() && !opts_.cancel.cancelled()) {
+      !opts_.deadline.expired()) {
     // Small node budget: the relaxation is usually near-integral by now.
     solver::MilpSolution sol = solve_round(orders, nullptr, vars, result, 8);
     if (sol.ok() && sol.objective < best_obj - 1e-9) {
@@ -283,7 +280,6 @@ solver::MilpSolution IlpDetailedPlacer::solve_round(
   solver::MilpOptions mopts;
   mopts.max_nodes = max_nodes;
   mopts.deadline = opts_.deadline;
-  mopts.cancel = opts_.cancel;
   solver::MilpSolution sol = solver::solve_milp(lp, mopts);
   result.status = sol.status;
   result.objective = sol.objective;

@@ -17,7 +17,6 @@
 #include <span>
 #include <vector>
 
-#include "base/cancel.hpp"
 #include "base/deadline.hpp"
 #include "base/status.hpp"
 #include "legal/formulation.hpp"
@@ -43,13 +42,11 @@ struct IlpOptions {
   /// Critical-chain reshaping attempts: flip one binding separation edge of
   /// the larger layout extent per attempt (single LP each).
   int reshape_attempts = 10;
-  /// Wall-clock budget shared with the rest of the flow. Checked between
-  /// rounds and inside branch-and-bound; an already-solved round is kept.
+  /// Stop handle (budget or cancellation) shared with the rest of the flow.
+  /// Checked between rounds and inside branch-and-bound; an already-solved
+  /// round is kept. A legalizer cancelled before it starts returns a
+  /// Cancelled outcome so the batch can drain fast.
   Deadline deadline;
-  /// Cooperative cancellation. Unlike an expired deadline — which still
-  /// delivers the best solved round — a cancelled legalizer returns a
-  /// Cancelled outcome immediately so the batch can drain fast.
-  base::CancelToken cancel;
 };
 
 struct IlpResult {

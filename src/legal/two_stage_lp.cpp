@@ -16,14 +16,14 @@ TwoStageResult TwoStageLpLegalizer::place(
   const std::vector<PairOrder> orders = start_orders(c, gp_positions);
 
   TwoStageResult result{netlist::Placement(c)};
+  if (opts_.deadline.cancelled()) {
+    result.outcome = aplace::Status::cancelled(
+        "two-stage LP legalization cancelled before it ran");
+    return result;
+  }
   if (opts_.deadline.expired()) {
     result.outcome = aplace::Status::budget_exhausted(
         "time budget expired before two-stage LP legalization started");
-    return result;
-  }
-  if (opts_.cancel.cancelled()) {
-    result.outcome = aplace::Status::cancelled(
-        "two-stage LP legalization cancelled before it ran");
     return result;
   }
   run_stages(orders, result);

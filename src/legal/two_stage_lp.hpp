@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "base/cancel.hpp"
 #include "base/deadline.hpp"
 #include "base/status.hpp"
 #include "legal/relative_order.hpp"
@@ -23,11 +22,10 @@
 namespace aplace::legal {
 
 struct TwoStageOptions {
-  /// Wall-clock budget; checked once before the two LPs run.
+  /// Stop handle (budget or cancellation), checked once before the two LPs run;
+  /// a cancelled legalizer returns a Cancelled outcome so the batch can
+  /// drain fast.
   Deadline deadline;
-  /// Cooperative cancellation, checked at the same point; a cancelled
-  /// legalizer returns a Cancelled outcome so the batch can drain fast.
-  base::CancelToken cancel;
 };
 
 struct TwoStageResult {

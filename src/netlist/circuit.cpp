@@ -276,11 +276,6 @@ DeviceId Circuit::find_device(const std::string& name) const {
   return it == device_by_name_.end() ? DeviceId{} : it->second;
 }
 
-NetId Circuit::find_net(const std::string& name) const {
-  auto it = net_by_name_.find(name);
-  return it == net_by_name_.end() ? NetId{} : it->second;
-}
-
 double Circuit::total_device_area() const {
   double a = 0;
   for (const Device& d : devices_) a += d.area();

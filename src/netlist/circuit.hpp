@@ -82,7 +82,6 @@ class Circuit {
 
   /// Lookup by name; returns invalid id when absent.
   [[nodiscard]] DeviceId find_device(const std::string& name) const;
-  [[nodiscard]] NetId find_net(const std::string& name) const;
 
   /// Sum of device footprints.
   [[nodiscard]] double total_device_area() const;

@@ -58,13 +58,11 @@ CompiledCircuit::CompiledCircuit(const Circuit& c) : circuit_(&c) {
   pin_offset_x_.resize(np);
   pin_offset_y_.resize(np);
   pin_device_.resize(np);
-  pin_net_.resize(np);
   for (std::size_t p = 0; p < np; ++p) {
     const Pin& pin = c.pins()[p];
     pin_offset_x_[p] = pin.offset.x;
     pin_offset_y_[p] = pin.offset.y;
     pin_device_[p] = static_cast<std::uint32_t>(pin.device.index());
-    pin_net_[p] = static_cast<std::uint32_t>(pin.net.index());
   }
 
   // ---- flat net arrays + net->pin CSR (declaration order) ------------------
@@ -79,15 +77,6 @@ CompiledCircuit::CompiledCircuit(const Circuit& c) : circuit_(&c) {
       net_pins_.push_back(static_cast<std::uint32_t>(pid.index()));
     }
     net_pin_off_[n + 1] = net_pins_.size();
-  }
-
-  // ---- device->pin CSR (declaration order) ---------------------------------
-  dev_pin_off_.assign(nd + 1, 0);
-  for (std::size_t d = 0; d < nd; ++d) {
-    for (PinId pid : c.devices()[d].pins) {
-      dev_pins_.push_back(static_cast<std::uint32_t>(pid.index()));
-    }
-    dev_pin_off_[d + 1] = dev_pins_.size();
   }
 
   // ---- device->net CSR (deduped, ascending — mirrors Circuit::nets_of) -----
@@ -129,7 +118,6 @@ CompiledCircuit::CompiledCircuit(const Circuit& c) : circuit_(&c) {
     }
     wl_off_.push_back(wl_dev_.size());
     wl_weight_.push_back(net.weight);
-    wl_net_id_.push_back(static_cast<std::uint32_t>(n));
   }
 
   // ---- flattened constraint tables -----------------------------------------

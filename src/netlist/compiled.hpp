@@ -93,9 +93,6 @@ class CompiledCircuit {
   [[nodiscard]] std::span<const std::uint32_t> pin_device() const {
     return pin_device_;
   }
-  [[nodiscard]] std::span<const std::uint32_t> pin_net() const {
-    return pin_net_;
-  }
 
   // ---- flat net arrays -----------------------------------------------------
   [[nodiscard]] std::span<const double> net_weight() const {
@@ -109,11 +106,6 @@ class CompiledCircuit {
   /// Pins of net `n`, in Net::pins (declaration) order.
   [[nodiscard]] std::span<const std::uint32_t> net_pins(std::size_t n) const {
     return csr(net_pin_off_, net_pins_, n);
-  }
-  /// Pins of device `d`, in Device::pins (declaration) order.
-  [[nodiscard]] std::span<const std::uint32_t> device_pins(
-      std::size_t d) const {
-    return csr(dev_pin_off_, dev_pins_, d);
   }
   /// Nets incident to device `d`, deduplicated, ascending net order (the
   /// same table Circuit::nets_of() exposes).
@@ -133,10 +125,6 @@ class CompiledCircuit {
   // is the table the smooth-wirelength kernels gather/scatter over.
   [[nodiscard]] std::size_t num_wl_nets() const { return wl_weight_.size(); }
   [[nodiscard]] std::span<const double> wl_weight() const { return wl_weight_; }
-  /// Original NetId index of wirelength net `i`.
-  [[nodiscard]] std::span<const std::uint32_t> wl_net_id() const {
-    return wl_net_id_;
-  }
   [[nodiscard]] std::span<const std::uint32_t> wl_pin_device(
       std::size_t i) const {
     return csr(wl_off_, wl_dev_, i);
@@ -220,15 +208,13 @@ class CompiledCircuit {
   double total_device_area_ = 0;
 
   base::AlignedVec pin_offset_x_, pin_offset_y_;
-  std::vector<std::uint32_t> pin_device_, pin_net_;
+  std::vector<std::uint32_t> pin_device_;
 
   base::AlignedVec net_weight_;
   std::vector<std::uint8_t> net_critical_;
 
   std::vector<std::size_t> net_pin_off_;
   std::vector<std::uint32_t> net_pins_;
-  std::vector<std::size_t> dev_pin_off_;
-  std::vector<std::uint32_t> dev_pins_;
   std::vector<std::size_t> dev_net_off_;
   std::vector<std::uint32_t> dev_nets_;
   std::vector<std::size_t> net_dev_off_;
@@ -238,7 +224,6 @@ class CompiledCircuit {
   std::vector<std::uint32_t> wl_dev_;
   base::AlignedVec wl_dx_, wl_dy_;
   base::AlignedVec wl_weight_;
-  std::vector<std::uint32_t> wl_net_id_;
 
   std::vector<Axis> sym_axis_;
   std::vector<std::size_t> sym_pair_off_, sym_self_off_;

@@ -38,10 +38,6 @@ int CgSolver::minimize(Vec& v, const ValueGradFn& fg, const Callback& cb,
       inf.deadline_hit = true;
       break;
     }
-    if (opts_.cancel.cancelled()) {
-      inf.cancelled = true;
-      break;
-    }
     const double gnorm = norm2(g);
     if (gnorm <= kGradTol) break;
 

@@ -12,7 +12,6 @@
 #include <functional>
 #include <span>
 
-#include "base/cancel.hpp"
 #include "base/deadline.hpp"
 #include "numeric/vec.hpp"
 
@@ -21,10 +20,9 @@ namespace aplace::numeric {
 struct CgOptions {
   int max_iters = 500;
   double initial_step = 0.05;
-  /// Wall-clock budget polled once per iteration; unlimited by default.
+  /// Stop handle (budget or cancellation) polled once per iteration; unlimited
+  /// by default.
   Deadline deadline;
-  /// Cooperative cancellation, polled at the same per-iteration site.
-  base::CancelToken cancel;
 };
 
 struct CgState {
@@ -36,8 +34,7 @@ struct CgState {
 /// Post-mortem of one minimize() call (all false on a clean run).
 struct CgInfo {
   bool diverged = false;
-  bool deadline_hit = false;
-  bool cancelled = false;  ///< stopped by cooperative cancellation
+  bool deadline_hit = false;  ///< stopped by the budget or a cancellation
   int restarts = 0;
 };
 

@@ -58,10 +58,6 @@ int NesterovSolver::minimize(Vec& v, const GradientFn& grad, const Callback& cb,
       inf.deadline_hit = true;
       break;
     }
-    if (opts_.cancel.cancelled()) {
-      inf.cancelled = true;
-      break;
-    }
     // Backtracking on the trial step: accept once the Lipschitz step
     // re-estimated at the trial point does not collapse below the trial.
     double trial = alpha;

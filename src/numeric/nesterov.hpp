@@ -21,7 +21,6 @@
 #include <functional>
 #include <span>
 
-#include "base/cancel.hpp"
 #include "base/deadline.hpp"
 #include "numeric/vec.hpp"
 
@@ -30,10 +29,9 @@ namespace aplace::numeric {
 struct NesterovOptions {
   int max_iters = 1000;
   double initial_step = 0.01;   ///< fallback when no curvature info yet
-  /// Wall-clock budget polled once per iteration; unlimited by default.
+  /// Stop handle (budget or cancellation) polled once per iteration; unlimited
+  /// by default.
   Deadline deadline;
-  /// Cooperative cancellation, polled at the same per-iteration site.
-  base::CancelToken cancel;
 };
 
 struct NesterovState {
@@ -45,8 +43,7 @@ struct NesterovState {
 /// Post-mortem of one minimize() call (all false on a clean run).
 struct NesterovInfo {
   bool diverged = false;      ///< watchdog gave up; v holds last good iterate
-  bool deadline_hit = false;  ///< stopped by the wall-clock budget
-  bool cancelled = false;     ///< stopped by cooperative cancellation
+  bool deadline_hit = false;  ///< stopped by the budget or a cancellation
   int restarts = 0;           ///< damped watchdog restarts taken
 };
 

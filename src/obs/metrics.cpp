@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -27,18 +26,6 @@ std::atomic<bool>& enabled_flag() {
 }
 
 namespace {
-
-void append_double(std::string& out, double v) {
-  std::array<char, 32> buf{};
-  const auto res = std::to_chars(buf.data(), buf.data() + buf.size(), v);
-  out.append(buf.data(), res.ptr);
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  std::array<char, 24> buf{};
-  const auto res = std::to_chars(buf.data(), buf.data() + buf.size(), v);
-  out.append(buf.data(), res.ptr);
-}
 
 void append_indent(std::string& out, int indent, int depth) {
   if (indent <= 0) return;
@@ -351,10 +338,10 @@ const MetricsSnapshot::HistogramRow* MetricsSnapshot::find_histogram(
 }
 
 std::string MetricsSnapshot::to_json(int indent) const {
-  using detail::append_double;
-  using detail::append_indent;
+  using base::append_double;
   using base::append_json_string;
-  using detail::append_u64;
+  using base::append_u64;
+  using detail::append_indent;
 
   std::string out;
   out.push_back('{');

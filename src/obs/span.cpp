@@ -1,9 +1,7 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <mutex>
 
@@ -24,11 +22,7 @@ std::uint32_t local_tid() {
   return tid;
 }
 
-void append_u64(std::string& out, std::uint64_t v) {
-  std::array<char, 24> buf{};
-  const auto res = std::to_chars(buf.data(), buf.data() + buf.size(), v);
-  out.append(buf.data(), res.ptr);
-}
+using base::append_u64;
 
 }  // namespace
 

@@ -349,20 +349,14 @@ SaResult SaPlacer::run_chain(std::uint64_t chain_seed) {
     return trial_cost + extra_cost(engine_.trial_placement());
   };
 
-  while (temp > t_stop && !best.deadline_hit && !best.cancelled) {
+  while (temp > t_stop && !best.deadline_hit) {
     for (long m = 0; m < moves_per_temp; ++m) {
       if (opts_.max_moves > 0 && moves >= opts_.max_moves) break;
-      // Poll the wall-clock budget every 64 moves (steady_clock reads are
-      // cheap but not free next to a sequence-pair repack).
-      if ((moves & 63) == 0) {
-        if (opts_.deadline.expired()) {
-          best.deadline_hit = true;
-          break;
-        }
-        if (opts_.cancel.cancelled()) {
-          best.cancelled = true;
-          break;
-        }
+      // Poll the stop handle every 64 moves (steady_clock reads are cheap
+      // but not free next to a sequence-pair repack).
+      if ((moves & 63) == 0 && opts_.deadline.expired()) {
+        best.deadline_hit = true;
+        break;
       }
 
       const Move mv = propose_move(rng);

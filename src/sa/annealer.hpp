@@ -20,7 +20,6 @@
 #include <functional>
 #include <optional>
 
-#include "base/cancel.hpp"
 #include "base/deadline.hpp"
 #include "netlist/placement.hpp"
 #include "numeric/rng.hpp"
@@ -39,12 +38,10 @@ struct SaOptions {
   double cooling = 0.96;          ///< geometric temperature decay
   int moves_per_temp_per_block = 60;
   long max_moves = 0;             ///< 0 = schedule-driven only
-  /// Wall-clock budget polled every few moves; the best state found so far
-  /// is returned when it expires (the initial packing when it already was).
+  /// Stop handle (budget or cancellation) polled every 64 moves; the best state
+  /// found so far is returned when it expires (the initial packing when it
+  /// already was).
   Deadline deadline;
-  /// Cooperative cancellation, polled at the same every-64-moves site; a
-  /// cancelled run returns its best state so far with `cancelled` set.
-  base::CancelToken cancel;
   std::uint64_t seed = 1;
 
   double area_weight = 0.38;      ///< vs. (1 - area_weight) wirelength
@@ -65,8 +62,7 @@ struct SaResult {
   double cost = 0.0;
   long moves_evaluated = 0;
   long moves_accepted = 0;
-  bool deadline_hit = false;  ///< annealing truncated by the wall-clock budget
-  bool cancelled = false;     ///< annealing truncated by cancellation
+  bool deadline_hit = false;  ///< truncated by the budget or a cancellation
   double anneal_seconds = 0.0;    ///< wall time inside the anneal
   double moves_per_second = 0.0;  ///< moves_evaluated / anneal_seconds
   /// Moves on which `extra_cost` was evaluated, and moves rejected without

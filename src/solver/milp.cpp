@@ -58,7 +58,7 @@ MilpSolution branch_and_bound(const LpProblem& p, const MilpOptions& opts,
   };
 
   while (!stack.empty() && best.nodes_explored < opts.max_nodes) {
-    if (opts.deadline.expired() || opts.cancel.cancelled()) {
+    if (opts.deadline.expired()) {
       best.deadline_hit = true;
       break;
     }

@@ -32,11 +32,10 @@
 //
 // Counters: solver/lp_solves, solver/warm_solves (LPs answered from a kept
 // tableau), solver/pivots, solver/bb_nodes and solver/truncated (block
-// searches cut short by the node budget, the deadline or cancellation),
+// searches cut short by the node budget or the deadline),
 // flushed once per call; the certified answer's residual goes to the
 // solver/max_residual histogram.
 
-#include "base/cancel.hpp"
 #include "base/deadline.hpp"
 #include "solver/lp.hpp"
 
@@ -45,13 +44,11 @@ namespace aplace::solver {
 struct MilpOptions {
   /// Branch-and-bound node budget of each block.
   long max_nodes = 4000;
-  /// Wall-clock budget polled once per branch-and-bound node; an expired
-  /// deadline truncates the search (rounding fallback still runs, so a
-  /// feasible relaxation keeps yielding an integral answer).
+  /// Stop handle (budget or cancellation) polled once per branch-and-bound
+  /// node; an expired deadline truncates the search (rounding fallback
+  /// still runs, so a feasible relaxation keeps yielding an integral
+  /// answer).
   Deadline deadline;
-  /// Cooperative cancellation, polled at the same per-node site. A cancelled
-  /// search truncates exactly like an expired deadline.
-  base::CancelToken cancel;
 };
 
 /// Merged over the blocks in order: `objective` and `nodes_explored` are
@@ -63,7 +60,7 @@ struct MilpSolution {
   double objective = 0.0;
   long nodes_explored = 0;
   bool proven_optimal = false;  ///< false when a node limit truncated search
-  bool deadline_hit = false;    ///< the wall-clock budget truncated a search
+  bool deadline_hit = false;    ///< the stop handle truncated a search
   /// max_primal_residual() of `x`; an answer above kResidualTol is reported
   /// Uncertified. 0 when `x` is empty.
   double max_residual = 0.0;

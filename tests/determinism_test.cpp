@@ -66,6 +66,28 @@ TEST_F(DeterminismTest, EPlaceAIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST_F(DeterminismTest, EPlaceAExpiredBudgetIdenticalAcrossThreadCounts) {
+  // Candidate k > 0 starts only while the budget lasts, on every pool size:
+  // under an already expired budget only candidate 0 runs, so the degraded
+  // answer does not depend on the thread count.
+  circuits::TestCase tc = circuits::make_testcase("CC-OTA");
+  core::EPlaceAOptions opts;
+  opts.candidates = 3;
+  opts.gp.seed = 11;
+
+  std::vector<core::FlowResult> results;
+  for (unsigned threads : {1u, 4u}) {
+    base::ThreadPool::set_global_threads(threads);
+    opts.deadline = Deadline::after_seconds(0);
+    results.push_back(core::run_eplace_a(tc.circuit, opts));
+  }
+  EXPECT_TRUE(results[0].deadline_hit);
+  EXPECT_EQ(results[0].status.code(), results[1].status.code());
+  EXPECT_EQ(results[0].fallback, results[1].fallback);
+  expect_same_quality(results[0].quality, results[1].quality,
+                      "eplace-a expired budget", 4);
+}
+
 TEST_F(DeterminismTest, IlpPlacerIdenticalAcrossThreadCounts) {
   // solve_milp solves the x- and y-blocks of every ILP round separately and
   // merges them in block order; the legalized placement must not depend on

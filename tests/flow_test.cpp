@@ -333,8 +333,9 @@ TEST(PerfFlowTest, SaPerfHonorsCancellation) {
                                 quick_training());
   SaFlowOptions sopts;
   sopts.sa.max_moves = 2000;
-  sopts.cancel = base::CancelToken::make_cancellable();
-  sopts.cancel.request_cancel();
+  const base::CancelToken cancel = base::CancelToken::make_cancellable();
+  cancel.request_cancel();
+  sopts.deadline = Deadline{}.with_cancel(cancel);
   const PerfFlowResult r = run_sa_perf(tc.circuit, *ctx, sopts, 1.0);
   EXPECT_EQ(r.flow.status.code(), StatusCode::Cancelled);
 }

@@ -219,6 +219,52 @@ TEST(NtuGpTest, Deterministic) {
   }
 }
 
+// --- mid-run cancellation ---------------------------------------------------
+// An extra term that requests the cancel on its k-th call, i.e. inside a
+// running solver loop. The loop must stop at its next per-iteration poll of
+// the Deadline: at most one iteration's worth of further evaluations.
+
+constexpr int kCancelAtCall = 30;
+
+std::shared_ptr<ObjectiveTerm> cancelling_extra(const base::CancelToken& cancel,
+                                                int& calls) {
+  return std::make_shared<FunctionTerm>(
+      "extra", [&calls, cancel](std::span<const double>, std::span<double>) {
+        if (++calls == kCancelAtCall) cancel.request_cancel();
+        return 0.0;
+      });
+}
+
+TEST(GpCancelTest, NesterovStopsWithinOneIteration) {
+  circuits::TestCase tc = circuits::make_testcase("CC-OTA");
+  const base::CancelToken cancel = base::CancelToken::make_cancellable();
+  EPlaceGpOptions opts;
+  opts.num_starts = 1;
+  opts.deadline = Deadline{}.with_cancel(cancel);
+  EPlaceGlobalPlacer placer(tc.circuit, opts);
+  int calls = 0;
+  placer.set_extra_term(cancelling_extra(cancel, calls));
+  const GpResult r = placer.run();
+  EXPECT_TRUE(r.deadline_hit);
+  // One Nesterov iteration: the trial, up to 10 backtracking halvings and
+  // one watchdog restart.
+  EXPECT_LE(calls - kCancelAtCall, 12);
+}
+
+TEST(GpCancelTest, CgStopsWithinOneIteration) {
+  circuits::TestCase tc = circuits::make_testcase("CC-OTA");
+  const base::CancelToken cancel = base::CancelToken::make_cancellable();
+  NtuGpOptions opts;
+  opts.deadline = Deadline{}.with_cancel(cancel);
+  PriorAnalyticalGlobalPlacer placer(tc.circuit, opts);
+  int calls = 0;
+  placer.set_extra_term(cancelling_extra(cancel, calls));
+  const GpResult r = placer.run();
+  EXPECT_TRUE(r.deadline_hit);
+  // One CG iteration: up to 20 line-search trials and one watchdog restart.
+  EXPECT_LE(calls - kCancelAtCall, 21);
+}
+
 // --- term weight traces -----------------------------------------------------
 // Each placer's calibration and growth schedule, read back from its
 // TermTrace: per term, the name, the eval count, the final weight and the

@@ -263,6 +263,41 @@ TEST_F(JournalTest, CancelledJobsAreNotTerminalAndRerunOnResume) {
   }
 }
 
+TEST_F(JournalTest, OkJobCutShortByCancelRerunsOnResume) {
+  // The cancel arrives inside the SA move loop, which returns its best
+  // packing so far: a legal, Ok answer that is still not the job's answer.
+  // It must be journaled as interrupted so a resume re-runs it.
+  base::CancelToken cancel = base::CancelToken::make_cancellable();
+  long calls = 0;
+  std::vector<core::BatchJob> jobs(1);
+  jobs[0].circuit = &a_.circuit;
+  jobs[0].flow = core::FlowKind::Sa;
+  jobs[0].sa.sa.max_moves = 1500;
+  jobs[0].sa.sa.seed = 7;
+  jobs[0].sa.sa.extra_cost = [&calls, cancel](const netlist::Placement&) {
+    if (++calls == 100) cancel.request_cancel();
+    return 0.0;
+  };
+
+  core::BatchOptions opts;
+  opts.journal_path = journal_path("cut.jsonl");
+  opts.cancel = cancel;
+  const core::BatchReport cut = core::run_batch(jobs, opts);
+  ASSERT_TRUE(cut.items[0].result.ok());
+  ASSERT_TRUE(cut.items[0].result.deadline_hit);
+  EXPECT_NE(slurp(opts.journal_path).find("\"type\":\"interrupted\""),
+            std::string::npos);
+
+  const core::BatchReport ref = core::run_batch(jobs, {});
+  core::BatchOptions resume;
+  resume.journal_path = opts.journal_path;
+  resume.resume_journal = true;
+  const core::BatchReport rerun = core::run_batch(jobs, resume);
+  EXPECT_EQ(rerun.num_resumed, 0u);
+  EXPECT_FALSE(rerun.items[0].result.deadline_hit);
+  expect_bit_identical(ref.items[0], rerun.items[0], "post-cut rerun");
+}
+
 TEST_F(JournalTest, UnopenableJournalIsReportedNotFatal) {
   // Point the journal *under an existing file* so the directory cannot be
   // created; the batch must still run and surface the failure as a status.

@@ -31,7 +31,6 @@ TEST(CircuitTest, BuildAndQuery) {
   EXPECT_DOUBLE_EQ(c.net(n).weight, 2.0);
   EXPECT_EQ(c.find_device("B"), b);
   EXPECT_FALSE(c.find_device("missing").valid());
-  EXPECT_EQ(c.find_net("n1"), n);
   EXPECT_DOUBLE_EQ(c.total_device_area(), 6 + 16);
 }
 

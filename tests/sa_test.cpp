@@ -204,6 +204,27 @@ TEST(SaPlacerTest, SymmetryHoldsExactlyViaIslands) {
   }
 }
 
+TEST(SaPlacerTest, CancelMidRunStopsWithinOnePollInterval) {
+  // The cancel is requested from inside the move loop, on the k-th
+  // extra_cost call; the loop polls its Deadline every 64 moves and each
+  // move calls extra_cost at most once.
+  constexpr long kCancelAtCall = 200;
+  circuits::TestCase tc = circuits::make_testcase("CC-OTA");
+  const base::CancelToken cancel = base::CancelToken::make_cancellable();
+  SaOptions opts;
+  opts.seed = 5;
+  opts.max_moves = 20000;
+  opts.deadline = Deadline{}.with_cancel(cancel);
+  long calls = 0;
+  opts.extra_cost = [&calls, cancel](const netlist::Placement&) {
+    if (++calls == kCancelAtCall) cancel.request_cancel();
+    return 0.0;
+  };
+  const SaResult r = SaPlacer(tc.circuit, opts).place();
+  EXPECT_TRUE(r.deadline_hit);
+  EXPECT_LE(calls - kCancelAtCall, 64);
+}
+
 TEST(SaPlacerTest, RandomSamplesAreLegalAndDiverse) {
   circuits::TestCase tc = circuits::make_testcase("VGA");
   SaPlacer placer(tc.circuit, {});
